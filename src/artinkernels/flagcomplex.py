@@ -63,7 +63,13 @@ def incidence(sigma: Simplex, tau: Simplex) -> int:
 
 
 class FlagComplex:
-    """All cliques of a graph, graded by dimension, in lexicographic order."""
+    """All cliques of a graph, graded by dimension, in lexicographic order.
+
+    boundary_ranks memoizes the rational rank of the untwisted boundary
+    in each degree, filled lazily by homology.boundary_rank.  Every entry
+    is a function of the complex alone, so threads sharing a complex can
+    at worst compute an entry twice and store the same value.
+    """
 
     def __init__(self, graph: SimplicialGraph, levels: dict[int, list[Simplex]]):
         self.graph = graph
@@ -72,6 +78,7 @@ class FlagComplex:
         self._positions: dict[int, dict[tuple[int, ...], int]] = {
             d: {s.indices: i for i, s in enumerate(simps)} for d, simps in levels.items()
         }
+        self.boundary_ranks: dict[int, int] = {}
 
     def simplices(self, dim: int) -> tuple[Simplex, ...]:
         return tuple(self._levels.get(dim, ()))

@@ -12,7 +12,7 @@ cycle spaces bound and locate the largest Jordan blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .flagcomplex import (
@@ -34,7 +34,7 @@ from .graphs import (
     even_character_from_weight,
     even_reduction,
 )
-from .homology import free_rank_check, t_minus_1_part
+from .homology import boundary_rank, free_rank_check, t_minus_1_part
 from .linalg import intersect_spans, nullspace, rank_rational, span_rank
 
 
@@ -53,9 +53,18 @@ def _level_betti(level: FiltrationLevel, i: int) -> int:
     cells = level.count(i)
     if cells == 0:
         return 0
-    lower = rank_rational(level_boundary_matrix(level, i))
-    upper = rank_rational(level_boundary_matrix(level, i + 1))
-    return cells - lower - upper
+    return cells - _level_rank(level, i) - _level_rank(level, i + 1)
+
+
+def _level_rank(level: FiltrationLevel, k: int) -> int:
+    """Rank of the level's boundary in degree k.  Below the top dimension
+    the level holds every k-simplex, so the complex's memoized rank
+    applies; above it there are no k-cells."""
+    if k < level.m:
+        return boundary_rank(level.complex, k)
+    if k > level.m:
+        return 0
+    return rank_rational(level_boundary_matrix(level, k))
 
 
 def _relative_cells(x: FiltrationLevel, a: FiltrationLevel, dim: int):
@@ -497,20 +506,30 @@ def formula_decomposition(
     out: dict[int, dict] = {}
     if top >= 0:
         out[0] = {"free_rank": 0, "torsion": {1: (1,)}, "profiles": {}}
-    counts_by_d: dict[int, list[int]] = {}
-    for d in orders:
-        w = derive_weight(chi, d)
-        if all(x == 0 for x in w.weights.values()):
-            counts_by_d[d] = [0] * (f.dim + 1)
+    # Every statistic sees (chi, d) only through derive_weight and
+    # even_reduction, both functions of the 0/1 weight vector, so orders
+    # sharing that vector share their summand counts and profiles.
+    classes = {d: tuple(derive_weight(chi, d).weights.values()) for d in orders}
+    counts: dict[tuple[int, ...], list[int]] = {}
+    for d, key in classes.items():
+        if key in counts:
+            continue
+        if any(key):
+            counts[key] = summand_counts(f, even_reduction(chi, d), f.dim)
         else:
-            counts_by_d[d] = summand_counts(f, even_reduction(chi, d), f.dim)
+            counts[key] = [0] * (f.dim + 1)
     for k in range(0, top):
         entry: dict = {"free_rank": free_rank_check(f, k), "torsion": {}, "profiles": {}}
         rank1 = t_minus_1_part(f, k)
         if rank1:
             entry["torsion"][1] = (rank1,)
-        for d in orders:
-            profile = torsion_profile(f, chi, d, k, summands=counts_by_d[d][k])
+        by_class: dict[tuple[int, ...], TorsionProfile] = {}
+        for d, key in classes.items():
+            shared = by_class.get(key)
+            if shared is None:
+                profile = by_class[key] = torsion_profile(f, chi, d, k, summands=counts[key][k])
+            else:
+                profile = replace(shared, d=d)
             entry["profiles"][d] = profile
             if profile.exponents is not None and any(profile.exponents):
                 entry["torsion"][d] = profile.exponents

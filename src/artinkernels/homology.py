@@ -246,6 +246,14 @@ def full_decomposition(
     }
 
 
+def boundary_rank(f: FlagComplex, k: int) -> int:
+    """Rational rank of the untwisted boundary in degree k, memoized on f."""
+    rank = f.boundary_ranks.get(k)
+    if rank is None:
+        rank = f.boundary_ranks[k] = rank_rational(boundary_matrix(f, k))
+    return rank
+
+
 def free_rank_check(f: FlagComplex, k: int) -> int:
     """Reduced Betti number of the flag complex in degree k.
 
@@ -256,14 +264,14 @@ def free_rank_check(f: FlagComplex, k: int) -> int:
     c_k = f.count(k)
     if c_k == 0:
         return 0
-    return c_k - rank_rational(boundary_matrix(f, k)) - rank_rational(boundary_matrix(f, k + 1))
+    return c_k - boundary_rank(f, k) - boundary_rank(f, k + 1)
 
 
 def t_minus_1_part(f: FlagComplex, k: int) -> int:
     """Exponent of the (t-1)-part in degree k+1: the rank of the
     untwisted boundary out of the (k+1)-simplices.  That part is always
     semisimple, so its exponent vector is (rank,) or empty."""
-    return rank_rational(boundary_matrix(f, k + 1))
+    return boundary_rank(f, k + 1)
 
 
 def torsion_candidates(chi: Character) -> list[int]:

@@ -1,15 +1,20 @@
-"""Exact linear algebra: rational ranks and Smith normal form over Q[t].
+"""Exact linear algebra: integer elimination over Q and Smith normal form
+over Q[t].
 
-Rational matrices are plain lists of rows with int or Fraction entries;
-ranks use fraction-free (Bareiss) elimination on integer-scaled rows.
-Polynomial matrices hold ExactPoly entries.  The Smith form routine first
-diagonalizes with degree-minimal pivoting (ties broken by coefficient
-height, then position), stripping rational content after every elementary
-operation to control coefficient growth, and then repairs the
-divisibility chain with two-by-two Bezout steps on the diagonal, which
-cause no fill-in.  Reported invariant factors are monic with their
-t-power content stripped, the normalization of Q[t^±1] where t is a
-unit; without transforms the elimination may also divide rows and
+Rational matrices are plain lists of rows with int or Fraction entries.
+Rows of ints are used as they are and only rows holding a Fraction are
+scaled by their common denominator, so the 0/±1/±2 incidence matrices of
+the formula pipeline never leave the integers.  One fraction-free
+(Bareiss) elimination serves ranks, kernels, span intersections and
+incremental independence tests; kernels come back as primitive integer
+vectors.  Polynomial matrices hold ExactPoly entries.  The Smith form
+routine first diagonalizes with degree-minimal pivoting (ties broken by
+coefficient height, then position), stripping rational content after
+every elementary operation to control coefficient growth, and then
+repairs the divisibility chain with two-by-two Bezout steps on the
+diagonal, which cause no fill-in.  Reported invariant factors are monic
+with their t-power content stripped, the normalization of Q[t^±1] where
+t is a unit; without transforms the elimination may also divide rows and
 columns by powers of t, exact for the same reason.
 """
 
@@ -17,107 +22,118 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .polys import ZERO, ONE, ExactPoly, poly_xgcd
 
 Row = list
 Matrix = list  # list of rows
+_INT = frozenset((int,))
 
 
 # ---------------------------------------------------------------------------
-# rational matrices
+# rational matrices: fraction-free integer elimination
 # ---------------------------------------------------------------------------
 
 
 def _integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
+    """Rows with integer entries spanning the same lines as the input:
+    int rows are passed through, rows holding a Fraction are scaled by the
+    lcm of their denominators."""
     out = []
     for row in rows:
+        if _INT.issuperset(map(type, row)):
+            out.append(row)
+            continue
         fracs = [Fraction(x) for x in row]
-        den = 1
-        for x in fracs:
-            den = den * x.denominator // _gcd(den, x.denominator)
-        out.append([int(x * den) for x in fracs])
+        den = lcm(*(x.denominator for x in fracs))
+        out.append([x.numerator * (den // x.denominator) for x in fracs])
     return out
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
+def _apply_steps(row: list[int], steps: Sequence[tuple[int, list[int]]], prev: int = 1) -> list[int]:
+    """Apply Bareiss elimination steps to a row; never mutates arguments.
+
+    Each step (col, pivot_row) clears row[col]: the row becomes
+    (p * row - a * pivot_row) / prev, where p = pivot_row[col], a = row[col]
+    and prev is the pivot of the step before (1 before the first).  By
+    Sylvester's identity every entry is then a minor of the input matrix,
+    so the division is exact and entries stay as small as those minors.
+    """
+    for col, pivot_row in steps:
+        p = pivot_row[col]
+        a = row[col]
+        if a:
+            if prev == 1:
+                row = [p * x - a * y for x, y in zip(row, pivot_row)]
+            else:
+                row = [(p * x - a * y) // prev for x, y in zip(row, pivot_row)]
+        elif p != prev:
+            row = [p * x // prev for x in row]
+        prev = p
+    return row
+
+
+def _add_row(pivots: list[tuple[int, list[int]]], row: list[int]) -> bool:
+    """Reduce a new row by every elimination step so far; when it stays
+    nonzero it becomes the next pivot, at its first nonzero column and
+    negated if needed so that every pivot is positive.  True when added."""
+    row = _apply_steps(row, pivots)
+    for col, x in enumerate(row):
+        if x:
+            pivots.append((col, row if x > 0 else [-y for y in row]))
+            return True
+    return False
+
+
+def _echelon(rows: Sequence[list[int]], ncols: int, reduced: bool = False) -> list[tuple[int, list[int]]]:
+    """Fraction-free elimination of integer rows; returns the pivots as
+    (column, row) pairs in elimination order, one per unit of rank.
+
+    With reduced=True each pivot row also gets the steps of the later
+    pivots, which clears the other pivot columns (fraction-free
+    Gauss-Jordan); every pivot entry then equals the last pivot.
+    """
+    pivots: list[tuple[int, list[int]]] = []
+    for row in rows:
+        if len(pivots) == ncols:
+            break
+        if any(row):
+            _add_row(pivots, row)
+    if reduced:
+        for i, (col, row) in enumerate(pivots):
+            pivots[i] = (col, _apply_steps(row, pivots[i + 1 :], prev=row[col]))
+    return pivots
 
 
 def rank_rational(rows: Sequence[Sequence]) -> int:
-    """Rank over the rationals via fraction-free Gaussian elimination."""
-    m = [r for r in _integer_rows(rows) if any(r)]
-    if not m:
+    """Rank over the rationals via fraction-free integer elimination."""
+    if not rows:
         return 0
-    ncols = len(m[0])
-    rank = 0
-    prev = 1
-    col = 0
-    while rank < len(m) and col < ncols:
-        piv = None
-        for i in range(rank, len(m)):
-            if m[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            col += 1
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pivot = m[rank][col]
-        for i in range(rank + 1, len(m)):
-            if not any(m[i][col:]):
-                continue
-            for j in range(ncols - 1, col - 1, -1):
-                m[i][j] = (pivot * m[i][j] - m[i][col] * m[rank][j]) // prev
-        prev = pivot
-        rank += 1
-        col += 1
-    return rank
+    return len(_echelon(_integer_rows(rows), len(rows[0])))
 
 
-def rref(rows: Sequence[Sequence], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q; returns (rows, pivot columns)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+def _primitive(vec: list[int]) -> list[int]:
+    g = gcd(*vec)
+    return vec if g in (0, 1) else [x // g for x in vec]
 
 
-def nullspace(rows: Sequence[Sequence], ncols: int) -> list[list[Fraction]]:
-    """Basis of {x : M x = 0}, each vector a list of length ncols."""
-    red, pivots = rref(rows, ncols)
-    pivot_set = set(pivots)
+def nullspace(rows: Sequence[Sequence], ncols: int) -> list[list[int]]:
+    """Basis of {x : M x = 0}: one primitive integer vector of length
+    ncols per non-pivot column, positive at that column."""
+    pivots = _echelon(_integer_rows(rows), ncols, reduced=True)
+    pivot_cols = {col for col, _ in pivots}
+    scale = pivots[-1][1][pivots[-1][0]] if pivots else 1
     basis = []
     for free in range(ncols):
-        if free in pivot_set:
+        if free in pivot_cols:
             continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for r, c in enumerate(pivots):
-            vec[c] = -red[r][free]
-        basis.append(vec)
+        vec = [0] * ncols
+        vec[free] = scale
+        for col, row in pivots:
+            vec[col] = -row[free]
+        basis.append(_primitive(vec))
     return basis
 
 
@@ -130,60 +146,44 @@ def columns_to_rows(cols: Sequence[Sequence]) -> list[list]:
 
 def span_rank(cols: Sequence[Sequence]) -> int:
     """Rank of the span of the given column vectors."""
-    return rank_rational(columns_to_rows(cols)) if cols else 0
+    # row rank equals column rank, so the columns serve as rows unchanged
+    return rank_rational(cols)
 
 
-def intersect_spans(a_cols: Sequence[Sequence], b_cols: Sequence[Sequence]) -> list[list[Fraction]]:
-    """Basis (as columns) of span(a_cols) ∩ span(b_cols)."""
+def intersect_spans(a_cols: Sequence[Sequence], b_cols: Sequence[Sequence]) -> list[list[int]]:
+    """Basis of span(a_cols) ∩ span(b_cols), as primitive integer columns."""
     if not a_cols or not b_cols:
         return []
-    stacked = columns_to_rows(list(a_cols) + list(b_cols))
+    a_int = _integer_rows(a_cols)
+    stacked = columns_to_rows(a_int + _integer_rows(b_cols))
     kern = nullspace(stacked, len(a_cols) + len(b_cols))
-    dim = len(a_cols[0])
-    inc = IncrementalRank(dim)
-    basis: list[list[Fraction]] = []
+    inc = IncrementalRank(len(a_int[0]))
+    basis: list[list[int]] = []
     for vec in kern:
-        combo = [Fraction(0)] * dim
-        for j, coef in enumerate(vec[: len(a_cols)]):
+        combo = [0] * inc.dim
+        for coef, col in zip(vec, a_int):
             if coef:
-                for i in range(dim):
-                    combo[i] += coef * Fraction(a_cols[j][i])
-        if any(combo) and inc.add(combo):
-            basis.append(combo)
+                combo = [x + coef * y for x, y in zip(combo, col)]
+        if inc.add(combo):
+            basis.append(_primitive(combo))
     return basis
 
 
 class IncrementalRank:
-    """Maintains a growing independent set of vectors over Q."""
+    """Maintains a growing independent set of vectors over Q, as the
+    pivots of the fraction-free elimination."""
 
     def __init__(self, dim: int):
         self.dim = dim
-        self._echelon: list[tuple[int, list[Fraction]]] = []  # (pivot idx, vector)
+        self._pivots: list[tuple[int, list[int]]] = []  # (column, reduced row)
 
     @property
     def rank(self) -> int:
-        return len(self._echelon)
-
-    def _reduce(self, vec: Sequence) -> list[Fraction]:
-        v = [Fraction(x) for x in vec]
-        for piv, basis_vec in self._echelon:
-            if v[piv] != 0:
-                f = v[piv] / basis_vec[piv]
-                for i in range(self.dim):
-                    v[i] -= f * basis_vec[i]
-        return v
-
-    def would_grow(self, vec: Sequence) -> bool:
-        return any(self._reduce(vec))
+        return len(self._pivots)
 
     def add(self, vec: Sequence) -> bool:
         """Add vec if independent from the current set; True when added."""
-        v = self._reduce(vec)
-        for piv in range(self.dim):
-            if v[piv] != 0:
-                self._echelon.append((piv, v))
-                return True
-        return False
+        return _add_row(self._pivots, _integer_rows([list(vec)])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +287,7 @@ class _Eliminator:
             if not e.is_zero():
                 c = e.content()
                 content = c if not content else Fraction(
-                    _gcd(content.numerator * c.denominator, c.numerator * content.denominator),
+                    gcd(content.numerator * c.denominator, c.numerator * content.denominator),
                     content.denominator * c.denominator,
                 )
                 if self.laurent:
@@ -308,7 +308,7 @@ class _Eliminator:
             if not e.is_zero():
                 c = e.content()
                 content = c if not content else Fraction(
-                    _gcd(content.numerator * c.denominator, c.numerator * content.denominator),
+                    gcd(content.numerator * c.denominator, c.numerator * content.denominator),
                     content.denominator * c.denominator,
                 )
                 if self.laurent:

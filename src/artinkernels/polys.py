@@ -13,15 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Iterable, Iterator, Union
 
 Scalar = Union[int, Fraction]
-
-
-def _igcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 class ExactPoly:
@@ -71,8 +66,8 @@ class ExactPoly:
         den = 1
         for c in self.coeffs:
             if c:
-                num = _igcd(num, c.numerator)
-                den = den * c.denominator // _igcd(den, c.denominator)
+                num = gcd(num, c.numerator)
+                den = den * c.denominator // gcd(den, c.denominator)
         return Fraction(abs(num), den)
 
     # -- arithmetic ---------------------------------------------------

@@ -244,6 +244,8 @@ def compare_pipelines(
 def run(job: JobSpec) -> tuple[Report, int]:
     """Execute a job; returns the report and the process exit code
     (0 success, 1 input error, 2 cross-validation mismatch)."""
+    if job.max_degree is not None and job.max_degree < 0:
+        raise InputError(f"max degree must be non-negative, got {job.max_degree}")
     graph, chi = parse_input(job.data)
     cls = classify_character(graph, chi)
     if job.method in ("formulas", "both") and cls is not CharacterClass.NON_RESONANT_SURJECTIVE:

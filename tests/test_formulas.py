@@ -4,6 +4,8 @@ oracle), Jordan block counts, the degree-1 closed form, and the exponent
 solver."""
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -21,6 +23,7 @@ from artinkernels import (
     derive_weight,
     even_reduction,
     filtration_betti,
+    formula_decomposition,
     filtration_level,
     free_rank_check,
     full_decomposition,
@@ -377,3 +380,68 @@ def test_pipeline_agreement_small_corpus():
         chi = random_nonresonant_character(rng, g, 10)
         issues = cross_validate_once(g, chi)
         assert not issues, issues
+
+
+# -- per-complex rank memo and per-weight-class profiles ----------------------
+
+
+def test_profiles_shared_per_weight_class_match_fresh_profiles():
+    rng = random.Random(53)
+    shared_classes = 0
+    for _ in range(12):
+        g = random_connected_graph(rng, 6)
+        chi = random_nonresonant_character(rng, g, 12)
+        orders = candidate_torsion_orders(chi)
+        f = build_flag_complex(g)
+        out = formula_decomposition(f, chi, orders)
+        classes = {tuple(derive_weight(chi, d).weights.values()) for d in orders}
+        shared_classes += len(orders) - len(classes)
+        fresh = build_flag_complex(g)
+        for m, entry in out.items():
+            for d, profile in entry["profiles"].items():
+                assert profile.d == d
+                assert profile == torsion_profile(fresh, chi, d, m - 1)
+    assert shared_classes > 0
+
+
+def test_boundary_rank_memo_matches_oracle():
+    rng = random.Random(59)
+    for _ in range(8):
+        g = random_connected_graph(rng, 7)
+        chi = random_nonresonant_character(rng, g, 12)
+        f = build_flag_complex(g)
+        formula_decomposition(f, chi, candidate_torsion_orders(chi))
+        assert f.boundary_ranks
+        for k, rank in f.boundary_ranks.items():
+            assert rank == oracle_rank(boundary_matrix(f, k))
+
+
+def test_shared_complex_across_threads_matches_serial():
+    # more threads than cores, short switch interval: threads race to fill
+    # the same complex's rank memo; every result must equal the serial one
+    rng = random.Random(61)
+    g = random_connected_graph(rng, 7)
+    chi = random_nonresonant_character(rng, g, 12)
+    orders = candidate_torsion_orders(chi)
+    serial_complex = build_flag_complex(g)
+    expected = formula_decomposition(serial_complex, chi, orders)
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            shared = build_flag_complex(g)
+            results = [None] * 4
+
+            def work(slot):
+                results[slot] = formula_decomposition(shared, chi, orders)
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert results == [expected] * 4
+            assert shared.boundary_ranks == serial_complex.boundary_ranks
+    finally:
+        sys.setswitchinterval(old_interval)

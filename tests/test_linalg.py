@@ -1,10 +1,11 @@
-"""Exact linear algebra: ranks against an independent elimination oracle,
-Smith forms against minor-gcd oracles, transform identities, permutation
-invariance."""
+"""Exact linear algebra: ranks, integer kernels, span intersections and
+incremental ranks against an independent elimination oracle, Smith forms
+against minor-gcd oracles, transform identities, permutation invariance."""
 
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from artinkernels import build_flag_complex, boundary_matrix
 from artinkernels.linalg import (
@@ -16,6 +17,7 @@ from artinkernels.linalg import (
     smith_normal_form,
     span_rank,
 )
+from artinkernels.crosscheck import random_connected_graph
 from artinkernels.polys import ONE, ZERO, ExactPoly, poly_gcd, t_power_minus_one
 
 from conftest import make_tree, make_triforce, oracle_rank
@@ -89,6 +91,107 @@ def test_incremental_rank():
     assert not inc.add([2, 0, 0])
     assert inc.add([1, 1, 0])
     assert inc.rank == 2
+
+
+# -- integer kernels against the oracle ----------------------------------------
+
+
+def rand_fraction_matrix(rng, n, m):
+    return [[Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(m)] for _ in range(n)]
+
+
+def random_boundaries(rng, count):
+    """Boundary matrices of random flag complexes, every degree."""
+    mats = []
+    for _ in range(count):
+        f = build_flag_complex(random_connected_graph(rng, rng.randint(2, 7)))
+        mats.extend(boundary_matrix(f, k) for k in range(0, f.dim + 1))
+    return [m for m in mats if m and m[0]]
+
+
+def property_matrices(seed):
+    """Random int matrices (some with repeated rows), random Fraction
+    matrices and boundary matrices of random flag complexes."""
+    rng = random.Random(seed)
+    mats = []
+    for _ in range(60):
+        mat = rand_matrix(rng, rng.randint(1, 6), rng.randint(1, 7))
+        if rng.random() < 0.3:
+            mat.append([2 * x for x in rng.choice(mat)])
+        mats.append(mat)
+    mats += [rand_fraction_matrix(rng, rng.randint(1, 5), rng.randint(1, 5)) for _ in range(30)]
+    mats += random_boundaries(rng, 12)
+    return mats
+
+
+def as_columns(mat):
+    return [list(col) for col in zip(*mat)]
+
+
+def test_nullspace_vectors_are_primitive_integer_kernel_basis():
+    # one vector per free column, positive there and zero at the other free columns
+    assert nullspace([[-2, 4, -6]], 3) == [[2, 1, 0], [-3, 0, 1]]
+    assert nullspace([[0, Fraction(1, 2)], [0, 3]], 2) == [[1, 0]]
+    for mat in property_matrices(31):
+        ncols = len(mat[0])
+        kern = nullspace(mat, ncols)
+        assert len(kern) == ncols - oracle_rank(mat)
+        for vec in kern:
+            assert len(vec) == ncols
+            assert all(type(x) is int for x in vec)
+            assert gcd(*vec) == 1
+            for row in mat:
+                assert sum(a * b for a, b in zip(row, vec)) == 0
+        if kern:
+            assert oracle_rank(kern) == len(kern)
+
+
+def test_intersect_spans_dimension_against_oracle():
+    rng = random.Random(37)
+    mats = property_matrices(37)
+    for _ in range(80):
+        a_cols = as_columns(rng.choice(mats))
+        dim = len(a_cols[0])
+        b_cols = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(rng.randint(1, dim + 1))]
+        if rng.random() < 0.5:
+            # share part of the span on purpose
+            b_cols.append([x + y for x, y in zip(rng.choice(a_cols), rng.choice(a_cols))])
+        inter = intersect_spans(a_cols, b_cols)
+        r_a, r_b = oracle_rank(a_cols), oracle_rank(b_cols)
+        assert len(inter) == r_a + r_b - oracle_rank(a_cols + b_cols)
+        for vec in inter:
+            assert all(type(x) is int for x in vec) and gcd(*vec) == 1
+            assert oracle_rank(a_cols + [vec]) == r_a
+            assert oracle_rank(b_cols + [vec]) == r_b
+        if inter:
+            assert oracle_rank(inter) == len(inter)
+
+
+def test_intersect_spans_of_cycles_and_boundaries():
+    rng = random.Random(41)
+    for _ in range(12):
+        f = build_flag_complex(random_connected_graph(rng, rng.randint(3, 7)))
+        for k in range(0, f.dim):
+            cycles = nullspace(boundary_matrix(f, k), f.count(k))
+            images = as_columns(boundary_matrix(f, k + 1))
+            if not cycles or not images:
+                continue
+            # every boundary is a cycle, so the intersection is the image
+            inter = intersect_spans(cycles, images)
+            assert len(inter) == oracle_rank(images)
+            assert len(inter) == oracle_rank(cycles) + oracle_rank(images) - oracle_rank(cycles + images)
+
+
+def test_incremental_rank_matches_oracle():
+    for mat in property_matrices(43):
+        inc = IncrementalRank(len(mat[0]))
+        added = []
+        for row in mat + [[0] * len(mat[0])]:
+            before = inc.rank
+            grew = inc.add(row)
+            added.append(row)
+            assert inc.rank == oracle_rank(added)
+            assert grew == (inc.rank == before + 1)
 
 
 # -- Smith normal form -------------------------------------------------------

@@ -124,6 +124,20 @@ def test_d_filter_and_max_degree():
     assert doc["degrees"]["1"]["torsion"]["6"] == [0, 1]
 
 
+def test_negative_max_degree_is_rejected(tmp_path, capsys):
+    with pytest.raises(InputError):
+        run(JobSpec(data=fixture_bytes("kite"), method="both", max_degree=-1))
+    target = tmp_path / "kite.json"
+    target.write_bytes(fixture_bytes("kite"))
+    assert main(["check", "--input", str(target), "--max-degree", "-3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "max degree" in captured.err
+    # zero stays valid: degree 0 only
+    report, code = run(JobSpec(data=fixture_bytes("kite"), method="both", max_degree=0))
+    assert code == 0 and set(report.degrees) == {0}
+
+
 def test_goldens_match():
     for name in FIXTURES:
         assert run_fixture(name) == golden_bytes(name), name
