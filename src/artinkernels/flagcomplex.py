@@ -10,7 +10,7 @@ augmentation row.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 from .graphs import InputError, SimplicialGraph, WeightFunction
 
@@ -97,29 +97,24 @@ class FlagComplex:
 def build_flag_complex(g: SimplicialGraph, max_dim: Optional[int] = None) -> FlagComplex:
     """Enumerate every clique of g (all of them, not just maximal ones).
 
-    Recursive extension over the ordered vertex set; an optional max_dim
-    prunes cliques with more than max_dim + 1 vertices.  Deterministic:
-    each dimension comes out in lexicographic order.
+    Depth-first extension over the ordered vertex set, with an explicit
+    stack; an optional max_dim prunes cliques with more than max_dim + 1
+    vertices.  Deterministic: each dimension comes out in lexicographic
+    order.
     """
-    n = g.n_vertices
-    empty = Simplex((), ())
-    levels: dict[int, list[Simplex]] = {-1: [empty]}
-
-    def emit(idxs: tuple[int, ...]) -> None:
-        simp = Simplex(tuple(g.vertices[i] for i in idxs), idxs)
-        levels.setdefault(simp.dim, []).append(simp)
-
-    def extend(prefix: tuple[int, ...], candidates: Sequence[int]) -> None:
+    levels: dict[int, list[Simplex]] = {-1: [Simplex((), ())]}
+    stack: list[tuple[tuple[int, ...], list[int]]] = [((), list(range(g.n_vertices)))]
+    while stack:
+        prefix, candidates = stack.pop()
         for v in candidates:
             clique = prefix + (v,)
-            emit(clique)
+            simp = Simplex(tuple(g.vertices[i] for i in clique), clique)
+            levels.setdefault(simp.dim, []).append(simp)
             if max_dim is not None and len(clique) >= max_dim + 1:
                 continue
             nxt = [w for w in candidates if w > v and g.adjacent(v, w)]
             if nxt:
-                extend(clique, nxt)
-
-    extend((), list(range(n)))
+                stack.append((clique, nxt))
     for simps in levels.values():
         simps.sort(key=lambda s: s.indices)
     return FlagComplex(g, levels)

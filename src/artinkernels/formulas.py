@@ -423,6 +423,29 @@ def _trim(vec: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _search_exponents(
+    profile: TorsionProfile, length: int, pos: int, remaining: int, weight: int, acc: list[int], solutions: list
+) -> None:
+    """Depth-first search for solve_exponents; a module-level function, so
+    the recursion creates no reference cycle."""
+    k = length - 2
+    if pos == length:
+        if remaining == 0 and weight == profile.weighted_sum:
+            vec = tuple(acc)
+            maxe = max((j + 1 for j, r in enumerate(vec) if r), default=0)
+            if vec[k + 1] == profile.top_count and maxe == profile.max_exponent:
+                solutions.append(vec)
+        return
+    j = pos + 1
+    for r in range(remaining + 1):
+        new_weight = weight + j * r
+        if new_weight > profile.weighted_sum:
+            break
+        acc.append(r)
+        _search_exponents(profile, length, pos + 1, remaining - r, new_weight, acc, solutions)
+        acc.pop()
+
+
 def solve_exponents(profile: TorsionProfile, k: int) -> Optional[tuple[int, ...]]:
     """The unique exponent vector consistent with the profile, or None.
 
@@ -430,30 +453,10 @@ def solve_exponents(profile: TorsionProfile, k: int) -> Optional[tuple[int, ...]
     sum, top count and maximal exponent; a unique match is returned with
     trailing zeros trimmed, no match raises, several matches yield None.
     """
-    length = k + 2
     count = profile.summand_count
     want_sum = profile.weighted_sum
     solutions: list[tuple[int, ...]] = []
-
-    def search(pos: int, remaining: int, weight: int, acc: list[int]) -> None:
-        if pos == length:
-            if remaining == 0 and weight == want_sum:
-                vec = tuple(acc)
-                top = vec[k + 1]
-                maxe = max((j + 1 for j, r in enumerate(vec) if r), default=0)
-                if top == profile.top_count and maxe == profile.max_exponent:
-                    solutions.append(vec)
-            return
-        j = pos + 1
-        for r in range(remaining + 1):
-            new_weight = weight + j * r
-            if new_weight > want_sum:
-                break
-            acc.append(r)
-            search(pos + 1, remaining - r, new_weight, acc)
-            acc.pop()
-
-    search(0, count, 0, [])
+    _search_exponents(profile, k + 2, 0, count, 0, [], solutions)
     if not solutions:
         raise ConsistencyError(
             f"no exponent vector matches profile k={profile.k} d={profile.d}: "

@@ -6,8 +6,8 @@ so the degree-(k+1) chain group is free on the k-simplices and the
 boundary sends a cell to its facets scaled by t^{n_v} - 1 for the dropped
 vertex v.  Homology in degree k+1 is kernel mod image of consecutive such
 matrices; the decomposition over the principal ideal domain Q[t^±1] comes
-from Smith normal forms, with the kernel basis read off the column
-transform of the lower boundary.
+from Smith normal forms: the invariant factors of the upper boundary give
+the torsion, and the ranks of the two boundaries give the free rank.
 """
 
 from __future__ import annotations

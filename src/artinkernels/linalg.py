@@ -7,15 +7,20 @@ scaled by their common denominator, so the 0/±1/±2 incidence matrices of
 the formula pipeline never leave the integers.  One fraction-free
 (Bareiss) elimination serves ranks, kernels, span intersections and
 incremental independence tests; kernels come back as primitive integer
-vectors.  Polynomial matrices hold ExactPoly entries.  The Smith form
-routine first diagonalizes with degree-minimal pivoting (ties broken by
-coefficient height, then position), stripping rational content after
-every elementary operation to control coefficient growth, and then
-repairs the divisibility chain with two-by-two Bezout steps on the
-diagonal, which cause no fill-in.  Reported invariant factors are monic
-with their t-power content stripped, the normalization of Q[t^±1] where
-t is a unit; without transforms the elimination may also divide rows and
-columns by powers of t, exact for the same reason.
+vectors.
+
+Polynomial matrices hold ExactPoly entries.  The Smith form routine
+scales each row to integer coefficients and then works on plain-int
+coefficient lists: it diagonalizes with degree-minimal pivoting (ties
+broken by coefficient height, then position), using pseudo-division and
+fused two-by-two Bezout moves built from an integer cofactor remainder
+sequence, and divides rows and columns by their integer content and
+their power of t after every step to control coefficient growth.  It
+then repairs the divisibility chain with two-by-two moves on the
+diagonal, which cause no fill-in.  Every move is unimodular over the
+Laurent ring Q[t^±1], where nonzero constants and powers of t are units,
+and the reported invariant factors are monic with their t-power content
+stripped, the normalization of that ring.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .polys import ZERO, ONE, ExactPoly, poly_xgcd
+from .polys import ExactPoly
 
 Row = list
 Matrix = list  # list of rows
@@ -185,341 +190,278 @@ class IncrementalRank:
         """Add vec if independent from the current set; True when added."""
         return _add_row(self._pivots, _integer_rows([list(vec)])[0])
 
+# ---------------------------------------------------------------------------
+# Smith normal form over Q[t]: integer coefficient lists
+# ---------------------------------------------------------------------------
+#
+# Inside the elimination a polynomial is a list of ints, constant term
+# first, with no trailing zeros; [] is zero.  Entries are never mutated,
+# so zero entries may share one list.
 
-# ---------------------------------------------------------------------------
-# Smith normal form over Q[t]
-# ---------------------------------------------------------------------------
+
+def _trim(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    if len(a) == 1:
+        c = a[0]
+        return [c * y for y in b]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _lin(u: list[int], a: list[int], v: list[int], b: list[int]) -> list[int]:
+    """u*a + v*b."""
+    p, q = _mul(u, a), _mul(v, b)
+    if len(p) < len(q):
+        p, q = q, p
+    for i, y in enumerate(q):
+        p[i] += y
+    return _trim(p)
+
+
+def _pdivmod(a: list[int], b: list[int]) -> tuple[int, list[int], list[int]]:
+    """Pseudo-division: (c, q, r) with c*a == q*b + r, c a positive int
+    and deg r < deg b.  Each step scales by no more than it needs to make
+    the leading coefficient divisible, so c is 1 whenever the quotient
+    has integer coefficients."""
+    db = len(b) - 1
+    if len(a) <= db:
+        return 1, [], a
+    lead = b[-1]
+    r = list(a)
+    q = [0] * (len(a) - db)
+    c = 1
+    for k in range(len(q) - 1, -1, -1):
+        x = r[k + db]
+        if not x:
+            continue
+        if x % lead:
+            m = abs(lead) // gcd(x, lead)
+            c *= m
+            r = [m * y for y in r]
+            q = [m * y for y in q]
+            x *= m
+        y = x // lead
+        q[k] = y
+        for j, z in enumerate(b, k):
+            r[j] -= y * z
+    return c, q, _trim(r[:db])
+
+
+def _exquo(a: list[int], b: list[int]) -> list[int]:
+    """a / b for a primitive b dividing a over Q[t]; by Gauss's lemma the
+    quotient has integer coefficients."""
+    c, q, r = _pdivmod(a, b)
+    if c != 1 or r:
+        raise ArithmeticError("inexact polynomial division")
+    return q
+
+
+def _xgcd(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[int], int]:
+    """(g, x, y, s) with x*a + y*b == s*g, g the primitive gcd with a
+    positive leading coefficient and s a nonzero int.
+
+    An integer cofactor remainder sequence: every pseudo-remainder is
+    divided by its content and every cofactor triple (x, y, s) by its
+    common content, which keeps coefficients small (Collins, J. ACM 1967).
+    """
+    r0, x0, y0, s0 = a, [1], [], 1
+    r1, x1, y1, s1 = b, [], [1], 1
+    # invariant: x_i*a + y_i*b == s_i*r_i
+    while r1:
+        c, q, r = _pdivmod(r0, r1)
+        # s0*s1*r == c*s1*(x0*a + y0*b) - s0*q*(x1*a + y1*b)
+        u, v = [c * s1], [-s0 * z for z in q]
+        x, y, s = _lin(u, x0, v, x1), _lin(u, y0, v, y1), s0 * s1
+        if r:
+            h = gcd(*r)
+            r = [z // h for z in r]
+            s *= h
+        h = gcd(s, *x, *y)
+        if h != 1:
+            x, y, s = [z // h for z in x], [z // h for z in y], s // h
+        r0, x0, y0, s0 = r1, x1, y1, s1
+        r1, x1, y1, s1 = r, x, y, s
+    h = gcd(*r0) if r0[-1] > 0 else -gcd(*r0)
+    return [z // h for z in r0], x0, y0, s0 * h
+
+
+def _clearing_move(p: list[int], e: list[int]) -> tuple[list[int], list[int], list[int], list[int]]:
+    """A 2x2 move (u, v, w, z) with w*p + z*e == 0 whose determinant
+    u*z - v*w is a nonzero constant, so it is unimodular over Q[t].
+    Applied to the lines holding the pivot p and the entry e, it clears e;
+    when p does not divide e the new pivot u*p + v*e is an associate of
+    gcd(p, e), of lower degree than p.  v == [] means the pivot line is
+    left alone."""
+    c, q, r = _pdivmod(e, p)
+    if not r:
+        return [1], [], [-y for y in q], [c]
+    g, x, y, _ = _xgcd(p, e)
+    return x, y, [-z for z in _exquo(e, g)], _exquo(p, g)
+
+
+def _divisor(entries) -> tuple[int, int]:
+    """(content, t-power) of a row or column: the gcd of all coefficients
+    and the least t-adic order of its nonzero entries."""
+    g = 0
+    low = None
+    for e in entries:
+        if e:
+            if g != 1:
+                g = gcd(g, *e)
+            if low != 0:
+                k = 0
+                while not e[k]:
+                    k += 1
+                low = k if low is None else min(low, k)
+    return g, low or 0
+
+
+def _divide(e: list[int], g: int, low: int) -> list[int]:
+    return [x // g for x in e[low:]] if e else e
+
+
+def _strip_row(row: list[list[int]]) -> None:
+    """Divide a row by its content and its t-power, both units of Q[t^±1]."""
+    g, low = _divisor(row)
+    if g > 1 or low:
+        row[:] = [_divide(e, g, low) for e in row]
+
+
+def _strip_col(a: list[list[list[int]]], j: int) -> None:
+    g, low = _divisor(row[j] for row in a)
+    if g > 1 or low:
+        for row in a:
+            row[j] = _divide(row[j], g, low)
+
+
+def _row_step(a: list[list[list[int]]], t: int, i: int) -> None:
+    """Clear a[i][t] against the pivot a[t][t]."""
+    u, v, w, z = _clearing_move(a[t][t], a[i][t])
+    rt, ri = a[t], a[i]
+    a[i] = [_lin(w, x, z, y) if x or y else x for x, y in zip(rt, ri)]
+    _strip_row(a[i])
+    if v:
+        a[t] = [_lin(u, x, v, y) if x or y else x for x, y in zip(rt, ri)]
+        _strip_row(a[t])
+
+
+def _col_step(a: list[list[list[int]]], t: int, j: int) -> None:
+    """Clear a[t][j] against the pivot a[t][t]."""
+    u, v, w, z = _clearing_move(a[t][t], a[t][j])
+    for row in a:
+        x, y = row[t], row[j]
+        if x or y:
+            row[j] = _lin(w, x, z, y)
+            if v:
+                row[t] = _lin(u, x, v, y)
+    _strip_col(a, j)
+    if v:
+        _strip_col(a, t)
+
+
+def _find_pivot(a: list[list[list[int]]], t: int) -> Optional[tuple[int, int]]:
+    """Position of a lowest-degree entry in the trailing block, ties
+    broken by coefficient height, then by position."""
+    best = None
+    size = height = 0
+    for i in range(t, len(a)):
+        row = a[i]
+        for j in range(t, len(row)):
+            e = row[j]
+            if e and (best is None or len(e) <= size):
+                h = max(map(abs, e))
+                if best is None or len(e) < size or h < height:
+                    best, size, height = (i, j), len(e), h
+                    if size == 1 and h == 1:
+                        return best
+    return best
 
 
 @dataclass
 class SmithForm:
     """Smith normal form data for a polynomial matrix.
 
-    invariant_factors are monic with t-power content stripped (the
-    normalization over the Laurent ring, where t is a unit); diagonal
-    keeps the raw monic Q[t] diagonal so that left @ M @ right equals
-    diag(diagonal) when transforms were requested.
+    invariant_factors are the nonzero ones, monic with t-power content
+    stripped (the normalization over the Laurent ring, where t is a
+    unit); rank is the rank over Q(t).
     """
 
     invariant_factors: tuple[ExactPoly, ...]
     rank: int
-    diagonal: tuple[ExactPoly, ...]
     nrows: int
     ncols: int
-    left: Optional[list[list[ExactPoly]]] = None
-    right: Optional[list[list[ExactPoly]]] = None
-    right_inv: Optional[list[list[ExactPoly]]] = None
 
 
-def _identity(n: int) -> list[list[ExactPoly]]:
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def poly_mat_mul(a: Sequence[Sequence[ExactPoly]], b: Sequence[Sequence[ExactPoly]]) -> list[list[ExactPoly]]:
-    if not a:
-        return []
-    inner = len(b)
-    ncols = len(b[0]) if b else 0
-    out = [[ZERO] * ncols for _ in range(len(a))]
-    for i, row in enumerate(a):
-        for k in range(inner):
-            aik = row[k]
-            if aik.is_zero():
-                continue
-            brow = b[k]
-            orow = out[i]
-            for j in range(ncols):
-                if not brow[j].is_zero():
-                    orow[j] = orow[j] + aik * brow[j]
-    return out
-
-
-class _Eliminator:
-    """Shared state for the diagonalization; tracks optional transforms."""
-
-    def __init__(self, matrix, nrows, ncols, transforms, laurent):
-        self.a = matrix
-        self.nrows = nrows
-        self.ncols = ncols
-        self.left = _identity(nrows) if transforms else None
-        self.right = _identity(ncols) if transforms else None
-        self.right_inv = _identity(ncols) if transforms else None
-        self.laurent = laurent
-
-    def swap_rows(self, i: int, j: int) -> None:
-        if i == j:
-            return
-        a = self.a
-        a[i], a[j] = a[j], a[i]
-        if self.left is not None:
-            self.left[i], self.left[j] = self.left[j], self.left[i]
-
-    def swap_cols(self, i: int, j: int) -> None:
-        if i == j:
-            return
-        for row in self.a:
-            row[i], row[j] = row[j], row[i]
-        if self.right is not None:
-            for row in self.right:
-                row[i], row[j] = row[j], row[i]
-            ri = self.right_inv
-            ri[i], ri[j] = ri[j], ri[i]
-
-    def scale_row(self, i: int, c: Fraction) -> None:
-        self.a[i] = [entry * c for entry in self.a[i]]
-        if self.left is not None:
-            self.left[i] = [entry * c for entry in self.left[i]]
-
-    def scale_col(self, j: int, c: Fraction) -> None:
-        for row in self.a:
-            row[j] = row[j] * c
-        if self.right is not None:
-            for row in self.right:
-                row[j] = row[j] * c
-            inv = 1 / c
-            self.right_inv[j] = [entry * inv for entry in self.right_inv[j]]
-
-    def strip_row(self, i: int) -> None:
-        row = self.a[i]
-        content = Fraction(0)
-        tmin = None
-        for e in row:
-            if not e.is_zero():
-                c = e.content()
-                content = c if not content else Fraction(
-                    gcd(content.numerator * c.denominator, c.numerator * content.denominator),
-                    content.denominator * c.denominator,
-                )
-                if self.laurent:
-                    tp = e.t_power_content()
-                    tmin = tp if tmin is None else min(tmin, tp)
-        if content and content != 1:
-            self.scale_row(i, 1 / content)
-        if self.laurent and tmin:
-            self.a[i] = [
-                ExactPoly(e.coeffs[tmin:]) if not e.is_zero() else e for e in self.a[i]
-            ]
-
-    def strip_col(self, j: int) -> None:
-        content = Fraction(0)
-        tmin = None
-        for row in self.a:
-            e = row[j]
-            if not e.is_zero():
-                c = e.content()
-                content = c if not content else Fraction(
-                    gcd(content.numerator * c.denominator, c.numerator * content.denominator),
-                    content.denominator * c.denominator,
-                )
-                if self.laurent:
-                    tp = e.t_power_content()
-                    tmin = tp if tmin is None else min(tmin, tp)
-        if content and content != 1:
-            self.scale_col(j, 1 / content)
-        if self.laurent and tmin:
-            for row in self.a:
-                if not row[j].is_zero():
-                    row[j] = ExactPoly(row[j].coeffs[tmin:])
-
-    def addmul_row(self, dst: int, src: int, q: ExactPoly) -> None:
-        if q.is_zero():
-            return
-        arow, srow = self.a[dst], self.a[src]
-        for j in range(self.ncols):
-            if not srow[j].is_zero():
-                arow[j] = arow[j] + q * srow[j]
-        if self.left is not None:
-            lrow, lsrc = self.left[dst], self.left[src]
-            for j in range(self.nrows):
-                if not lsrc[j].is_zero():
-                    lrow[j] = lrow[j] + q * lsrc[j]
-        self.strip_row(dst)
-
-    def addmul_col(self, dst: int, src: int, q: ExactPoly) -> None:
-        if q.is_zero():
-            return
-        for row in self.a:
-            if not row[src].is_zero():
-                row[dst] = row[dst] + q * row[src]
-        if self.right is not None:
-            for row in self.right:
-                if not row[src].is_zero():
-                    row[dst] = row[dst] + q * row[src]
-            # the inverse picks up the inverse elementary op on the left
-            rsrc, rdst = self.right_inv[src], self.right_inv[dst]
-            for jj in range(self.ncols):
-                if not rdst[jj].is_zero():
-                    rsrc[jj] = rsrc[jj] - q * rdst[jj]
-        self.strip_col(dst)
-
-    # -- fused two-by-two Bezout combines (one step instead of a
-    #    remainder cascade; the cascade is where coefficients explode) --
-
-    def _row_combine(self, i, j, p11, p12, p21, p22):
-        mats = [(self.a, self.ncols)]
-        if self.left is not None:
-            mats.append((self.left, self.nrows))
-        for mat, width in mats:
-            ri, rj = mat[i], mat[j]
-            new_i = [p11 * ri[c] + p12 * rj[c] for c in range(width)]
-            new_j = [p21 * ri[c] + p22 * rj[c] for c in range(width)]
-            mat[i], mat[j] = new_i, new_j
-        self.strip_row(i)
-        self.strip_row(j)
-
-    def _col_combine(self, i, j, q11, q21, q12, q22):
-        # new_col_i = q11*col_i + q21*col_j, new_col_j = q12*col_i + q22*col_j
-        for row in self.a:
-            ci, cj = row[i], row[j]
-            row[i] = q11 * ci + q21 * cj
-            row[j] = q12 * ci + q22 * cj
-        if self.right is not None:
-            for row in self.right:
-                ci, cj = row[i], row[j]
-                row[i] = q11 * ci + q21 * cj
-                row[j] = q12 * ci + q22 * cj
-            # right_inv <- Qinv @ right_inv with Qinv = [[q22, -q12], [-q21, q11]] / det
-            det = q11 * q22 - q12 * q21
-            if det.degree != 0:
-                raise AssertionError("column combine is not unimodular")
-            scale = 1 / det.leading()
-            ri, rj = self.right_inv[i], self.right_inv[j]
-            new_i = [(q22 * ri[c] - q12 * rj[c]) * scale for c in range(self.ncols)]
-            new_j = [(-q21 * ri[c] + q11 * rj[c]) * scale for c in range(self.ncols)]
-            self.right_inv[i], self.right_inv[j] = new_i, new_j
-        self.strip_col(i)
-        self.strip_col(j)
-
-    def row_gcd_step(self, t: int, i: int) -> None:
-        """Zero out a[i][t] against the pivot a[t][t] in one unimodular
-        move; the pivot becomes the gcd when it did not already divide."""
-        pivot = self.a[t][t]
-        entry = self.a[i][t]
-        q, r = divmod(entry, pivot)
-        if r.is_zero():
-            self.addmul_row(i, t, -q)
-            return
-        g, x, y = poly_xgcd(pivot, entry)
-        self._row_combine(t, i, x, y, -(entry // g), pivot // g)
-
-    def col_gcd_step(self, t: int, j: int) -> None:
-        pivot = self.a[t][t]
-        entry = self.a[t][j]
-        q, r = divmod(entry, pivot)
-        if r.is_zero():
-            self.addmul_col(j, t, -q)
-            return
-        g, x, y = poly_xgcd(pivot, entry)
-        # columns t, j: new_col_t = x*col_t + y*col_j, new_col_j = -(entry/g)*col_t + (pivot/g)*col_j
-        self._col_combine(t, j, x, y, -(entry // g), pivot // g)
-
-    def chain_step(self, i: int, j: int) -> None:
-        """Replace diag entries (a, b) by (gcd, lcm) via unimodular 2x2
-        transforms touching only rows and columns i and j; since those
-        rows and columns are otherwise zero there is no fill-in."""
-        a_val = self.a[i][i]
-        b_val = self.a[j][j]
-        g, x, y = poly_xgcd(a_val, b_val)
-        ag = a_val // g
-        bg = b_val // g
-        if self.left is None:
-            self.a[i][i] = g
-            self.a[j][j] = a_val * bg
-            return
-        # P = [[x, y], [-bg, ag]], Q = [[1, -y*bg], [1, x*ag]]
-        self._row_combine(i, j, x, y, -bg, ag)
-        self._col_combine(i, j, ONE, ONE, -y * bg, x * ag)
-
-
-def smith_normal_form(
-    matrix: Sequence[Sequence[ExactPoly]],
-    ncols: Optional[int] = None,
-    transforms: bool = False,
-) -> SmithForm:
+def smith_normal_form(matrix: Sequence[Sequence[ExactPoly]], ncols: Optional[int] = None) -> SmithForm:
     """Smith normal form over Q[t] (matrix as a list of rows of ExactPoly).
 
-    ncols is only needed when the matrix has no rows.  With
-    transforms=True the returned left and right matrices are unimodular
-    over Q[t] and satisfy left @ M @ right == diag(diagonal); right_inv
-    is the inverse of right.  Without transforms the elimination
-    additionally strips t-powers (units of the Laurent ring), which only
-    changes the diagonal by units.
+    ncols is only needed when the matrix has no rows.  Every move is
+    unimodular over the Laurent ring Q[t^±1]: each row is first scaled
+    to integer coefficients, and rows and columns are divided by their
+    content and t-power after every step.
     """
-    a = [list(row) for row in matrix]
+    a = []
+    for row in matrix:
+        den = lcm(*(c.denominator for e in row for c in e.coeffs))
+        a.append([[c.numerator * (den // c.denominator) for c in e.coeffs] for e in row])
     nrows = len(a)
     if nrows:
         ncols = len(a[0])
     elif ncols is None:
         raise ValueError("ncols required for a matrix with no rows")
 
-    elim = _Eliminator(a, nrows, ncols, transforms, laurent=not transforms)
-
-    def find_pivot(t: int) -> Optional[tuple[int, int]]:
-        best = None
-        best_key = None
-        for i in range(t, nrows):
-            row = a[i]
-            for j in range(t, ncols):
-                e = row[j]
-                if e.is_zero():
-                    continue
-                key = (e.degree, e.height(), i, j)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (i, j)
-        return best
-
-    # phase 1: diagonalize (no divisibility enforcement); each non-exact
-    # division is a fused Bezout combine that strictly drops the pivot
-    # degree, so the row/column alternation terminates quickly
+    # phase 1: diagonalize (no divisibility enforcement); a step that is
+    # not an exact division is a fused Bezout move that strictly drops
+    # the pivot degree, so the row/column alternation terminates quickly
     t = 0
-    limit = min(nrows, ncols)
-    while t < limit:
-        pos = find_pivot(t)
+    while t < min(nrows, ncols):
+        pos = _find_pivot(a, t)
         if pos is None:
             break
-        elim.swap_rows(t, pos[0])
-        elim.swap_cols(t, pos[1])
+        i, j = pos
+        a[t], a[i] = a[i], a[t]
+        for row in a:
+            row[t], row[j] = row[j], row[t]
         while True:
             for i in range(t + 1, nrows):
-                if not a[i][t].is_zero():
-                    elim.row_gcd_step(t, i)
+                if a[i][t]:
+                    _row_step(a, t, i)
             for j in range(t + 1, ncols):
-                if not a[t][j].is_zero():
-                    elim.col_gcd_step(t, j)
-            col_clear = all(a[i][t].is_zero() for i in range(t + 1, nrows))
-            row_clear = all(a[t][j].is_zero() for j in range(t + 1, ncols))
-            if col_clear and row_clear:
+                if a[t][j]:
+                    _col_step(a, t, j)
+            # the column pass leaves row t clear, but a Bezout column
+            # move can refill column t
+            if not any(a[i][t] for i in range(t + 1, nrows)):
                 break
         t += 1
     rank = t
 
-    # phase 2: repair the divisibility chain on the diagonal
+    # phase 2: repair the divisibility chain on the diagonal; replacing
+    # (a, b) by (gcd, a*b/gcd) is a unimodular 2x2 move on rows and
+    # columns that are otherwise zero, so there is no fill-in
+    diag = []
+    for i in range(rank):
+        g, low = _divisor([a[i][i]])
+        diag.append(_divide(a[i][i], g, low))
     changed = True
     while changed:
         changed = False
         for i in range(rank):
             for j in range(i + 1, rank):
-                if not (a[j][j] % a[i][i]).is_zero():
-                    elim.chain_step(i, j)
+                if _pdivmod(diag[j], diag[i])[2]:
+                    g = _xgcd(diag[i], diag[j])[0]
+                    diag[i], diag[j] = g, _mul(diag[i], _exquo(diag[j], g))
                     changed = True
-
-    diagonal = []
-    for i in range(rank):
-        d = a[i][i]
-        lead = d.leading()
-        if lead != 1:
-            elim.scale_row(i, 1 / lead)
-            d = a[i][i]
-        diagonal.append(d)
-    invariant = tuple(d.strip_t_power().monic() for d in diagonal)
-    return SmithForm(
-        invariant_factors=invariant,
-        rank=rank,
-        diagonal=tuple(diagonal),
-        nrows=nrows,
-        ncols=ncols,
-        left=elim.left,
-        right=elim.right,
-        right_inv=elim.right_inv,
-    )
+    invariant = tuple(ExactPoly([Fraction(x, d[-1]) for x in d]) for d in diag)
+    return SmithForm(invariant_factors=invariant, rank=rank, nrows=nrows, ncols=ncols)

@@ -51,13 +51,6 @@ class ExactPoly:
     def constant(self) -> Fraction:
         return self.coeffs[0] if self.coeffs else Fraction(0)
 
-    def height(self) -> int:
-        """Max of |numerator| and denominator over all coefficients."""
-        h = 0
-        for c in self.coeffs:
-            h = max(h, abs(c.numerator), c.denominator)
-        return h
-
     def content(self) -> Fraction:
         """Positive rational c with self/c integer-primitive; 0 for zero."""
         if not self.coeffs:

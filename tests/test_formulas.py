@@ -3,6 +3,7 @@ exponent sums, anti-invariant homology (with an explicit double-cover
 oracle), Jordan block counts, the degree-1 closed form, and the exponent
 solver."""
 
+import gc
 import random
 import sys
 import threading
@@ -321,6 +322,24 @@ def test_solve_exponents_undetermined_and_inconsistent():
     assert solve_exponents(TorsionProfile(2, 2, 8, 4, 0, 3), 2) is None
     with pytest.raises(ConsistencyError):
         solve_exponents(TorsionProfile(0, 2, 5, 1, 0, 1), 0)
+
+
+def test_complex_and_solver_leave_no_cyclic_garbage():
+    # nothing built here may need the cycle collector: with it switched
+    # off, every object must be freed by reference counting alone
+    g, chi = make_square_frame()
+    gc.disable()
+    try:
+        gc.collect()
+        f = build_flag_complex(g)
+        assert solve_exponents(TorsionProfile(1, 2, 3, 1, 1, 3), 1) == (0, 0, 1)
+        assert solve_exponents(TorsionProfile(2, 2, 8, 4, 0, 3), 2) is None
+        full_decomposition(f, chi)
+        formula_decomposition(f, chi, candidate_torsion_orders(chi))
+        del f
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_torsion_profile_square_frame():

@@ -18,6 +18,7 @@ from artinkernels import (
     t_minus_1_part,
     twisted_boundary,
 )
+from artinkernels.crosscheck import random_connected_graph, random_nonresonant_character
 from artinkernels.polys import ExactPoly, t_power_minus_one
 
 from conftest import make_kite, make_square_frame, make_tree, make_tree_resonant, oracle_rank
@@ -176,6 +177,22 @@ def test_relabeling_invariance(kite):
         f2 = build_flag_complex(g2)
         got = {m: d.sort_key() for m, d in full_decomposition(f2, chi).items()}
         assert got == reference
+
+
+def test_sign_flip_of_labels_keeps_the_decomposition():
+    # inverting a set of generators is an automorphism of the RAAG that
+    # carries the kernel of chi onto the kernel of the flipped character,
+    # so the two modules are isomorphic; mixed signs reach the t-shift
+    # path of polynomial_matrix
+    rng = random.Random(53)
+    for _ in range(120):
+        g = random_connected_graph(rng, 6)
+        chi = random_nonresonant_character(rng, g, 12)
+        flipped = Character({v: -n if rng.random() < 0.5 else n for v, n in chi.values.items()})
+        f = build_flag_complex(g)
+        ref = {m: d.sort_key() for m, d in full_decomposition(f, chi).items()}
+        got = {m: d.sort_key() for m, d in full_decomposition(f, flipped, allow_degenerate=True).items()}
+        assert got == ref
 
 
 def test_negative_labels_against_positive_mirror():

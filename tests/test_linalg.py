@@ -1,6 +1,7 @@
 """Exact linear algebra: ranks, integer kernels, span intersections and
 incremental ranks against an independent elimination oracle, Smith forms
-against minor-gcd oracles, transform identities, permutation invariance."""
+against the determinantal-divisor (minor-gcd) oracle, identities of the
+integer polynomial helpers, permutation invariance."""
 
 import random
 from fractions import Fraction
@@ -11,13 +12,16 @@ from artinkernels import build_flag_complex, boundary_matrix
 from artinkernels.linalg import (
     IncrementalRank,
     intersect_spans,
+    _exquo,
+    _pdivmod,
+    _xgcd,
     nullspace,
-    poly_mat_mul,
     rank_rational,
     smith_normal_form,
     span_rank,
 )
-from artinkernels.crosscheck import random_connected_graph
+from artinkernels.crosscheck import random_connected_graph, random_nonresonant_character
+from artinkernels.homology import twisted_boundary
 from artinkernels.polys import ONE, ZERO, ExactPoly, poly_gcd, t_power_minus_one
 
 from conftest import make_tree, make_triforce, oracle_rank
@@ -265,12 +269,6 @@ def test_snf_fitting_ideals_against_minor_oracle():
             prod = (prod * d).monic()
             assert minors_gcd(mat, size).strip_t_power().monic() == prod
         assert minors_gcd(mat, snf.rank + 1).is_zero() or snf.rank == min(n, m)
-        # with transforms the raw diagonal generates the Q[t] Fitting ideals
-        raw = smith_normal_form(mat, transforms=True)
-        prod = ONE
-        for size, d in enumerate(raw.diagonal, start=1):
-            prod = (prod * d).monic()
-            assert minors_gcd(mat, size) == prod
 
 
 def test_snf_permutation_invariance():
@@ -289,24 +287,98 @@ def test_snf_permutation_invariance():
         assert smith_normal_form(shuffled).invariant_factors == reference
 
 
-def test_snf_transform_identities():
+def assert_determinantal_divisors(mat, snf):
+    """The k-th determinantal divisor (gcd of the k x k minors) equals the
+    product of the first k invariant factors, up to units of Q[t^±1]; the
+    rank is the largest size of a nonzero minor and the factors form a
+    divisibility chain."""
+    prod = ONE
+    for size, d in enumerate(snf.invariant_factors, start=1):
+        assert not d.is_zero() and d.leading() == 1 and d.constant() != 0
+        prod = (prod * d).monic()
+        assert minors_gcd(mat, size).strip_t_power().monic() == prod
+    if snf.rank < min(len(mat), len(mat[0])):
+        assert minors_gcd(mat, snf.rank + 1).is_zero()
+    for lo, hi in zip(snf.invariant_factors, snf.invariant_factors[1:]):
+        assert (hi % lo).is_zero()
+
+
+def test_snf_determinantal_divisors_of_random_matrices():
     rng = random.Random(21)
-    for _ in range(40):
+    for trial in range(60):
         n, m = rng.randint(1, 4), rng.randint(1, 4)
-        mat = [
-            [ExactPoly([rng.randint(-3, 3) for _ in range(rng.randint(0, 4))]) for _ in range(m)]
-            for _ in range(n)
-        ]
-        snf = smith_normal_form(mat, transforms=True)
-        prod = poly_mat_mul(poly_mat_mul(snf.left, mat), snf.right)
-        for i in range(n):
-            for j in range(m):
-                want = snf.diagonal[i] if i == j and i < snf.rank else ZERO
-                assert prod[i][j] == want
-        eye = poly_mat_mul(snf.right, snf.right_inv)
-        for i in range(m):
-            for j in range(m):
-                assert eye[i][j] == (ONE if i == j else ZERO)
-        for i in range(snf.rank - 1):
-            assert (snf.diagonal[i + 1] % snf.diagonal[i]).is_zero()
-            assert (snf.invariant_factors[i + 1] % snf.invariant_factors[i]).is_zero()
+
+        def coeff():
+            c = rng.randint(-3, 3)
+            return Fraction(c, rng.randint(1, 4)) if trial % 2 else c
+
+        mat = [[ExactPoly([coeff() for _ in range(rng.randint(0, 4))]) for _ in range(m)] for _ in range(n)]
+        assert_determinantal_divisors(mat, smith_normal_form(mat))
+
+
+def test_snf_determinantal_divisors_of_twisted_boundaries():
+    rng = random.Random(23)
+    checked = 0
+    while checked < 30:
+        g = random_connected_graph(rng, 5)
+        chi = random_nonresonant_character(rng, g, 12)
+        f = build_flag_complex(g)
+        for k in range(0, f.dim + 1):
+            tb = twisted_boundary(f, chi, k)
+            # the Laplace-expansion oracle is exponential in the minor size
+            if not tb.nrows or not tb.ncols or min(tb.nrows, tb.ncols) > 5 or max(tb.nrows, tb.ncols) > 7:
+                continue
+            mat = tb.polynomial_matrix()
+            assert_determinantal_divisors(mat, smith_normal_form(mat))
+            checked += min(tb.nrows, tb.ncols) > 1
+
+
+# -- integer polynomial helpers ------------------------------------------------
+
+
+def int_coeffs(poly):
+    assert all(c.denominator == 1 for c in poly.coeffs)
+    return [int(c) for c in poly.coeffs]
+
+
+def random_int_poly(rng, max_degree):
+    """Random integer coefficients, with a nonzero leading one in [-3, 3]."""
+    cs = [rng.randint(-4, 4) for _ in range(rng.randint(0, max_degree))]
+    return cs + [rng.choice([-3, -2, -1, 1, 2, 3])]
+
+
+def test_pseudo_division_identity():
+    rng = random.Random(27)
+    for _ in range(300):
+        a = random_int_poly(rng, 7) if rng.random() < 0.9 else []
+        b = random_int_poly(rng, 4)
+        c, q, r = _pdivmod(a, b)
+        assert type(c) is int and c > 0
+        assert all(type(x) is int for x in q + r)
+        assert len(r) < len(b) and (not r or r[-1] != 0)
+        assert ExactPoly([c * x for x in a]) == ExactPoly(q) * ExactPoly(b) + ExactPoly(r)
+        if abs(b[-1]) == 1:
+            assert c == 1
+        # the remainder is zero exactly when b divides a over Q[t]
+        assert (not r) == (ExactPoly(a) % ExactPoly(b)).is_zero()
+        # a product with a primitive factor divides back exactly
+        prim = [x // gcd(*b) for x in b]
+        assert _exquo(int_coeffs(ExactPoly(a) * ExactPoly(prim)), prim) == a
+
+
+def test_cofactor_gcd_identity():
+    rng = random.Random(29)
+    for trial in range(300):
+        a, b = random_int_poly(rng, 6), random_int_poly(rng, 6)
+        if trial % 3 == 0:
+            # give the pair a common factor
+            common = random_int_poly(rng, 3)
+            a = int_coeffs(ExactPoly(a) * ExactPoly(common))
+            b = int_coeffs(ExactPoly(b) * ExactPoly(common))
+        g, x, y, s = _xgcd(a, b)
+        assert type(s) is int and s != 0
+        assert gcd(*g) == 1 and g[-1] > 0
+        assert ExactPoly(x) * ExactPoly(a) + ExactPoly(y) * ExactPoly(b) == ExactPoly(g) * s
+        assert ExactPoly(g).monic() == poly_gcd(ExactPoly(a), ExactPoly(b))
+        # the usual degree bounds of Bezout cofactors
+        assert len(x) <= max(len(b) - len(g), 1) and len(y) <= max(len(a) - len(g), 1)
