@@ -17,7 +17,14 @@ from typing import Optional
 
 from .flagcomplex import build_flag_complex
 from .formulas import formula_decomposition
-from .graphs import Character, SimplicialGraph, candidate_torsion_orders, derive_weight, even_reduction
+from .graphs import (
+    Character,
+    InputError,
+    SimplicialGraph,
+    candidate_torsion_orders,
+    derive_weight,
+    even_reduction,
+)
 from .homology import full_decomposition
 from .report import compare_pipelines
 
@@ -126,6 +133,10 @@ def fuzz(
     check_monodromy: bool = False,
     progress: Optional[callable] = None,
 ) -> CrossCheckResult:
+    if max_vertices < 2:
+        raise InputError(f"max vertices must be at least 2, got {max_vertices}")
+    if max_label < 1:
+        raise InputError(f"max label must be at least 1, got {max_label}")
     rng = random.Random(seed)
     result = CrossCheckResult()
     for trial in range(trials):

@@ -5,12 +5,19 @@ The empty simplex is materialized as the (-1)-dimensional cell so every
 chain complex here is augmented; reduced homology is then uniform across
 degrees, with the degree-0 boundary matrix being the all-ones
 augmentation row.
+
+Each complex tabulates the faces of its simplices once (FlagComplex.faces),
+and boundary_matrix is the one builder that turns that table into a
+matrix: filtration levels keep a subset of the columns, relative pairs
+also drop the rows of a sub-complex, and the twisted and anti-invariant
+complexes of the other modules replace the incidence sign through its
+entry hook.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 from .graphs import InputError, SimplicialGraph, WeightFunction
 
@@ -66,9 +73,10 @@ class FlagComplex:
     """All cliques of a graph, graded by dimension, in lexicographic order.
 
     boundary_ranks memoizes the rational rank of the untwisted boundary
-    in each degree, filled lazily by homology.boundary_rank.  Every entry
-    is a function of the complex alone, so threads sharing a complex can
-    at worst compute an entry twice and store the same value.
+    in each degree, filled lazily by homology.boundary_rank, and faces
+    memoizes the face table of each dimension.  Every entry of either is
+    a function of the complex alone, so threads sharing a complex can at
+    worst compute an entry twice and store the same value.
     """
 
     def __init__(self, graph: SimplicialGraph, levels: dict[int, list[Simplex]]):
@@ -79,6 +87,7 @@ class FlagComplex:
             d: {s.indices: i for i, s in enumerate(simps)} for d, simps in levels.items()
         }
         self.boundary_ranks: dict[int, int] = {}
+        self._faces: dict[int, tuple[tuple[tuple[int, int, str], ...], ...]] = {}
 
     def simplices(self, dim: int) -> tuple[Simplex, ...]:
         return tuple(self._levels.get(dim, ()))
@@ -88,6 +97,26 @@ class FlagComplex:
 
     def position(self, dim: int, indices: tuple[int, ...]) -> int:
         return self._positions[dim][indices]
+
+    def faces(self, k: int) -> tuple[tuple[tuple[int, int, str], ...], ...]:
+        """Face table of the k-simplices, built once per dimension.
+
+        Entry c lists, for the c-th k-simplex and each of its vertices v,
+        (position of the facet missing v among the (k-1)-simplices,
+        incidence sign, v); the sign is (-1)^s with s the number of
+        vertices after v, as in incidence.
+        """
+        table = self._faces.get(k)
+        if table is None:
+            below = self._positions.get(k - 1, {})
+            table = self._faces[k] = tuple(
+                tuple(
+                    (below[sigma.facet(i)], -1 if (k - i) % 2 else 1, v)
+                    for i, v in enumerate(sigma.vertices)
+                )
+                for sigma in self._levels.get(k, ())
+            )
+        return table
 
     def __repr__(self) -> str:
         counts = ", ".join(f"{self.count(d)}x{d}" for d in range(0, self.dim + 1))
@@ -120,23 +149,36 @@ def build_flag_complex(g: SimplicialGraph, max_dim: Optional[int] = None) -> Fla
     return FlagComplex(g, levels)
 
 
-def boundary_matrix(f: FlagComplex, k: int) -> list[list[int]]:
-    """Matrix of the augmented boundary in degree k.
+def boundary_matrix(
+    f: FlagComplex,
+    k: int,
+    cols: Optional[Sequence[int]] = None,
+    rows: Optional[Sequence[int]] = None,
+    entry: Optional[Callable[[int, str], object]] = None,
+    zero: object = 0,
+) -> list[list]:
+    """Matrix of the augmented boundary in degree k; the one builder every
+    chain complex of the package goes through.
 
     Rows are (k-1)-simplices (the empty simplex when k = 0), columns are
-    k-simplices; entry (tau, sigma) is incidence(sigma, tau).  Out of
-    range k gives an empty matrix of the correct shape.
+    k-simplices; entry (tau, sigma) is incidence(sigma, tau).  cols and
+    rows restrict both to the simplices at the given positions, in that
+    order; a facet outside rows is dropped, which gives the boundary of
+    the quotient by the sub-complex left out.  entry(sign, v) replaces
+    the sign of the facet missing vertex v, and zero fills the rest.
+    Out of range k gives an empty matrix of the correct shape.
     """
-    rows = f.count(k - 1)
-    cols = f.count(k)
-    mat = [[0] * cols for _ in range(rows)]
-    if rows and cols:
-        for c, sigma in enumerate(f.simplices(k)):
-            for i in range(len(sigma.indices)):
-                face = sigma.facet(i)
-                r = f.position(k - 1, face)
-                later = len(sigma.indices) - 1 - i
-                mat[r][c] = -1 if later % 2 else 1
+    faces = f.faces(k)
+    if cols is None:
+        cols = range(len(faces))
+    slot = None if rows is None else {p: r for r, p in enumerate(rows)}
+    nrows = f.count(k - 1) if rows is None else len(rows)
+    mat = [[zero] * len(cols) for _ in range(nrows)]
+    for c, col in enumerate(cols):
+        for pos, sign, v in faces[col]:
+            r = pos if slot is None else slot.get(pos)
+            if r is not None:
+                mat[r][c] = sign if entry is None else entry(sign, v)
     return mat
 
 
@@ -162,23 +204,30 @@ class FiltrationLevel:
     weight: WeightFunction
     m: int
     j: int
-    _top: tuple[Simplex, ...] = field(init=False, repr=False, compare=False)
+    _top: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         top = tuple(
-            s for s in self.complex.simplices(self.m) if simplex_weight(s, self.weight) <= self.j
+            p
+            for p, s in enumerate(self.complex.simplices(self.m))
+            if simplex_weight(s, self.weight) <= self.j
         )
         object.__setattr__(self, "_top", top)
 
-    def simplices(self, dim: int) -> tuple[Simplex, ...]:
+    def positions(self, dim: int) -> Sequence[int]:
+        """Positions in the complex of the level's dim-simplices."""
         if dim < self.m:
-            return self.complex.simplices(dim)
+            return range(self.complex.count(dim))
         if dim == self.m:
             return self._top
         return ()
 
+    def simplices(self, dim: int) -> tuple[Simplex, ...]:
+        every = self.complex.simplices(dim)
+        return tuple(every[p] for p in self.positions(dim))
+
     def count(self, dim: int) -> int:
-        return len(self.simplices(dim))
+        return len(self.positions(dim))
 
     def top_dim(self) -> int:
         return self.m
@@ -204,14 +253,4 @@ def level_boundary_matrix(level: FiltrationLevel, k: int) -> list[list[int]]:
     Faces of retained simplices are always present, so the matrix is the
     full boundary with columns restricted to the level's k-simplices.
     """
-    f = level.complex
-    rows = f.count(k - 1)
-    cols = level.simplices(k)
-    mat = [[0] * len(cols) for _ in range(rows)]
-    if rows:
-        for c, sigma in enumerate(cols):
-            for i in range(len(sigma.indices)):
-                r = f.position(k - 1, sigma.facet(i))
-                later = len(sigma.indices) - 1 - i
-                mat[r][c] = -1 if later % 2 else 1
-    return mat
+    return boundary_matrix(level.complex, k, cols=level.positions(k))

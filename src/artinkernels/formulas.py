@@ -67,23 +67,10 @@ def _level_rank(level: FiltrationLevel, k: int) -> int:
     return rank_rational(level_boundary_matrix(level, k))
 
 
-def _relative_cells(x: FiltrationLevel, a: FiltrationLevel, dim: int):
-    inside = set(a.simplices(dim))
-    return [s for s in x.simplices(dim) if s not in inside]
-
-
-def _relative_boundary(x: FiltrationLevel, a: FiltrationLevel, i: int) -> list[list[int]]:
-    rows = _relative_cells(x, a, i - 1)
-    cols = _relative_cells(x, a, i)
-    pos = {s.indices: r for r, s in enumerate(rows)}
-    mat = [[0] * len(cols) for _ in range(len(rows))]
-    for c, sigma in enumerate(cols):
-        for drop in range(len(sigma.indices)):
-            r = pos.get(sigma.facet(drop))
-            if r is not None:
-                later = len(sigma.indices) - 1 - drop
-                mat[r][c] = -1 if later % 2 else 1
-    return mat
+def _relative_cells(x: FiltrationLevel, a: FiltrationLevel, dim: int) -> list[int]:
+    """Positions of the dim-simplices of x that are not in a."""
+    inside = set(a.positions(dim))
+    return [p for p in x.positions(dim) if p not in inside]
 
 
 def relative_betti(
@@ -95,12 +82,12 @@ def relative_betti(
     """Dimension of the reduced relative homology of a sub-complex pair,
     computed from the quotient chain complex."""
     x, a = pair
-    cells = len(_relative_cells(x, a, i))
-    if cells == 0:
+    cells = _relative_cells(x, a, i)
+    if not cells:
         return 0
-    lower = rank_rational(_relative_boundary(x, a, i))
-    upper = rank_rational(_relative_boundary(x, a, i + 1))
-    return cells - lower - upper
+    lower = rank_rational(boundary_matrix(f, i, cols=cells, rows=_relative_cells(x, a, i - 1)))
+    upper = rank_rational(boundary_matrix(f, i + 1, cols=_relative_cells(x, a, i + 1), rows=cells))
+    return len(cells) - lower - upper
 
 
 # ---------------------------------------------------------------------------
@@ -154,20 +141,11 @@ class AntiInvariantComplex:
 def anti_invariant_complex(f: FlagComplex, rho: Character) -> AntiInvariantComplex:
     _check_even_values(rho)
     rho.check_domain(f.graph)
-    mats: dict[int, list[list[int]]] = {}
-    for m in range(0, f.dim + 3):
-        rows = f.count(m - 2)
-        cols = f.simplices(m - 1)
-        mat = [[0] * len(cols) for _ in range(rows)]
-        if rows:
-            for c, sigma in enumerate(cols):
-                for drop, v in enumerate(sigma.vertices):
-                    if rho[v] != 1:
-                        continue
-                    r = f.position(m - 2, sigma.facet(drop))
-                    later = len(sigma.indices) - 1 - drop
-                    mat[r][c] = 2 if later % 2 else -2
-        mats[m] = mat
+    coeff = {v: -2 if rho[v] == 1 else 0 for v in f.graph.vertices}
+    mats = {
+        m: boundary_matrix(f, m - 1, entry=lambda sign, v: coeff[v] * sign)
+        for m in range(0, f.dim + 3)
+    }
     ranks = {m: rank_rational(mat) for m, mat in mats.items()}
     dims = tuple(
         f.count(m - 1) - ranks[m] - ranks.get(m + 1, 0) for m in range(0, f.dim + 2)
@@ -230,7 +208,7 @@ def _cycle_columns(f: FlagComplex, w: WeightFunction, k: int, j: int) -> list[li
     mat = level_boundary_matrix(level, k)
     local = nullspace(mat, level.count(k))
     total = f.count(k)
-    slots = [f.position(k, s.indices) for s in level.simplices(k)]
+    slots = level.positions(k)
     cols = []
     for vec in local:
         full = [0] * total
@@ -315,7 +293,9 @@ def max_exponent(
 # ---------------------------------------------------------------------------
 
 
-def _component_count(n: int, edges: Sequence[tuple[int, int]]) -> int:
+def _roots(n: int, edges: Sequence[tuple[int, int]]) -> list[int]:
+    """Union-find root of each of the n vertices of the graph on edges;
+    two vertices share a root exactly when they share a component."""
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -324,13 +304,9 @@ def _component_count(n: int, edges: Sequence[tuple[int, int]]) -> int:
             x = parent[x]
         return x
 
-    comps = n
     for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            comps -= 1
-    return comps
+        parent[find(a)] = find(b)
+    return [find(x) for x in range(n)]
 
 
 def h1_even_summary(g: SimplicialGraph, rho: Character) -> tuple[int, int]:
@@ -357,22 +333,12 @@ def h1_even_summary(g: SimplicialGraph, rho: Character) -> tuple[int, int]:
             e0.append((ia, ib))
         if ew <= 1:
             e1.append((ia, ib))
-    h0_gamma0 = _component_count(n, e0)
-    h0_gamma1 = _component_count(n, e1)
+    roots1 = _roots(n, e1)
+    h0_gamma0 = len(set(_roots(n, e0)))
+    h0_gamma1 = len(set(roots1))
     omega_v = sum(wt.values())
     dim = h0_gamma0 + h0_gamma1 - 2 - omega_v
-
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in e1:
-        parent[find(a)] = find(b)
-    hit = {find(g.index(v)) for v in g.vertices if wt[v] == 0}
+    hit = {roots1[g.index(v)] for v in g.vertices if wt[v] == 0}
     blocks = max(len(hit) - 1, 0)
     return dim, blocks
 

@@ -13,6 +13,7 @@ the torsion, and the ranks of the two boundaries give the free rank.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 from .flagcomplex import FlagComplex, Simplex, boundary_matrix
@@ -66,14 +67,19 @@ class TwistedBoundary:
         return out
 
 
-def _laurent_label(n: int) -> LaurentClass:
-    """t^n - 1 as a Laurent element, for any integer n (0 gives 0)."""
+@lru_cache(maxsize=256)
+def _laurent_label(n: int, sign: int) -> LaurentClass:
+    """sign * (t^n - 1) as a Laurent element, for any integer n (0 gives 0).
+
+    Cached process-wide: the values are immutable, and every twisted
+    boundary of a character asks for the same few labels.
+    """
     if n == 0:
         return LaurentClass(ZERO, 0)
     if n > 0:
-        return LaurentClass.from_poly(t_power_minus_one(n))
+        return LaurentClass.from_poly(sign * t_power_minus_one(n))
     # t^n - 1 = -t^n * (t^{-n} - 1) for n < 0
-    return LaurentClass.from_poly(-t_power_minus_one(-n), n)
+    return LaurentClass.from_poly(-sign * t_power_minus_one(-n), n)
 
 
 def require_admissible(f: FlagComplex, chi: Character, allow_degenerate: bool) -> CharacterClass:
@@ -89,21 +95,11 @@ def twisted_boundary(
     f: FlagComplex, chi: Character, k: int, allow_degenerate: bool = False
 ) -> TwistedBoundary:
     require_admissible(f, chi, allow_degenerate)
-    rows = f.simplices(k - 1)
-    cols = f.simplices(k)
-    zero = LaurentClass(ZERO, 0)
-    labels = {v: _laurent_label(n) for v, n in chi.values.items()}
-    mat = [[zero] * len(cols) for _ in range(len(rows))]
-    for c, sigma in enumerate(cols):
-        for i, v in enumerate(sigma.vertices):
-            lab = labels[v]
-            if lab.is_zero():
-                continue
-            r = f.position(k - 1, sigma.facet(i))
-            later = len(sigma.indices) - 1 - i
-            entry = LaurentClass(-lab.poly if later % 2 else lab.poly, lab.shift)
-            mat[r][c] = entry
-    return TwistedBoundary(k=k, matrix=mat, row_basis=rows, col_basis=cols)
+    values = chi.values
+    mat = boundary_matrix(
+        f, k, entry=lambda sign, v: _laurent_label(values[v], sign), zero=_laurent_label(0, 1)
+    )
+    return TwistedBoundary(k=k, matrix=mat, row_basis=f.simplices(k - 1), col_basis=f.simplices(k))
 
 
 @dataclass

@@ -36,24 +36,8 @@ class AcyclicPair:
 
 def _boundary_columns(f: FlagComplex, k: int, simplices: Iterable[Simplex]) -> list[list[int]]:
     """Boundary vectors of the given (k+1)-simplices in k-chain coordinates."""
-    cols = []
-    for sigma in simplices:
-        vec = [0] * f.count(k)
-        for drop in range(len(sigma.indices)):
-            r = f.position(k, sigma.facet(drop))
-            later = len(sigma.indices) - 1 - drop
-            vec[r] = -1 if later % 2 else 1
-        cols.append(vec)
-    return cols
-
-
-def _unit_columns(f: FlagComplex, k: int, simplices: Iterable[Simplex]) -> list[list[int]]:
-    cols = []
-    for tau in simplices:
-        vec = [0] * f.count(k)
-        vec[f.position(k, tau.indices)] = 1
-        cols.append(vec)
-    return cols
+    cols = [f.position(k + 1, sigma.indices) for sigma in simplices]
+    return [list(col) for col in zip(*boundary_matrix(f, k + 1, cols=cols))]
 
 
 def is_acyclic(
@@ -84,12 +68,10 @@ def is_acyclic(
     # homological route
     independent = span_rank(cols) == len(K)
     if independent:
-        dk = boundary_matrix(f, k)
-        n_cycles = n_k - rank_rational(dk)
+        n_cycles = n_k - rank_rational(boundary_matrix(f, k))
         l_slots = [f.position(k, tau.indices) for tau in L]
         # cycles supported on L: nullspace of the boundary restricted to L columns
-        dk_l = [[row[slot] for slot in l_slots] for row in dk]
-        local = nullspace(dk_l, len(L))
+        local = nullspace(boundary_matrix(f, k, cols=l_slots), len(L))
         s_cols = []
         for vec in local:
             full = [0] * n_k
@@ -123,8 +105,7 @@ def minimal_acyclic_pair(f: FlagComplex, w: WeightFunction, k: int) -> AcyclicPa
     order_k = sorted(
         f.simplices(k + 1), key=lambda s: (simplex_weight(s, w), s.indices)
     )
-    for sigma in order_k:
-        col = _boundary_columns(f, k, [sigma])[0]
+    for sigma, col in zip(order_k, _boundary_columns(f, k, order_k)):
         if rank_inc.add(col):
             chosen_k.append(sigma)
 

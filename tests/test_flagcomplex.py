@@ -14,7 +14,9 @@ from artinkernels import (
     simplex_weight,
     total_weight,
 )
+from artinkernels import Character, WeightFunction, relative_betti, twisted_boundary
 from artinkernels.flagcomplex import full_skeleton, level_boundary_matrix
+from artinkernels.formulas import anti_invariant_complex
 
 from conftest import (
     brute_force_cliques,
@@ -216,3 +218,94 @@ def test_level_boundary_matrix_matches_full():
     w = derive_weight(chi, 2)
     level = full_skeleton(f, w, 2)
     assert level_boundary_matrix(level, 2) == boundary_matrix(f, 2)
+
+
+# -- every builder against dense matrices from incidence ---------------------
+
+
+def oracle_boundary(cols, rows, coeff=lambda sign, v: sign):
+    """Dense boundary from incidence alone: coeff(sign, dropped vertex)
+    where tau is a facet of sigma, 0 elsewhere."""
+    mat = [[0] * len(cols) for _ in rows]
+    for c, sigma in enumerate(cols):
+        for r, tau in enumerate(rows):
+            sign = incidence(sigma, tau)
+            if sign:
+                (v,) = set(sigma.vertices) - set(tau.vertices)
+                mat[r][c] = coeff(sign, v)
+    return mat
+
+
+def oracle_level(f, w, m, j, dim):
+    if dim < m:
+        return f.simplices(dim)
+    if dim == m:
+        return tuple(s for s in f.simplices(m) if sum(w[v] for v in s.vertices) <= j)
+    return ()
+
+
+def oracle_relative_betti(f, w, i, k, j):
+    """Betti number of (full (k+1)-skeleton, level (k, j)) from the
+    quotient complex, with ranks from the fraction oracle."""
+
+    def cells(dim):
+        inside = set(oracle_level(f, w, k, j, dim))
+        return [s for s in oracle_level(f, w, k + 1, k + 2, dim) if s not in inside]
+
+    if not cells(i):
+        return 0
+    lower = oracle_rank(oracle_boundary(cells(i), cells(i - 1)))
+    upper = oracle_rank(oracle_boundary(cells(i + 1), cells(i)))
+    return len(cells(i)) - lower - upper
+
+
+def laurent_terms(entry):
+    return {e + entry.shift: c for e, c in enumerate(entry.poly.coeffs) if c}
+
+
+def test_boundary_builders_against_incidence_oracle():
+    rng = random.Random(29)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        names = [f"x{i}" for i in range(n)]
+        edges = [
+            (names[a], names[b]) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.6
+        ]
+        g = SimplicialGraph(names, edges)
+        f = build_flag_complex(g)
+        labels = {v: rng.choice([-1, 1]) * rng.randint(1, 12) for v in names}
+        w = WeightFunction({v: rng.randint(0, 1) for v in names}, 2)
+        rho = Character({v: rng.choice([1, 2]) for v in names})
+        chi = Character(labels)
+        anti = anti_invariant_complex(f, rho).matrices
+        for k in range(-1, f.dim + 3):
+            full = oracle_boundary(f.simplices(k), f.simplices(k - 1))
+            assert boundary_matrix(f, k) == full
+
+            for m in range(0, f.dim + 2):
+                for j in range(0, m + 2):
+                    level = filtration_level(f, w, m, j)
+                    want = oracle_boundary(oracle_level(f, w, m, j, k), f.simplices(k - 1))
+                    assert level_boundary_matrix(level, k) == want
+
+            if 0 <= k <= f.dim:
+                x = full_skeleton(f, w, k + 1)
+                for j in range(0, k + 2):
+                    pair = (x, filtration_level(f, w, k, j))
+                    for i in range(0, k + 3):
+                        assert relative_betti(f, w, i, pair) == oracle_relative_betti(f, w, i, k, j)
+
+            tb = twisted_boundary(f, chi, k, allow_degenerate=True)
+            terms = [[laurent_terms(e) or 0 for e in row] for row in tb.matrix]
+            assert terms == oracle_boundary(
+                f.simplices(k),
+                f.simplices(k - 1),
+                lambda sign, v: {labels[v]: sign, 0: -sign},
+            )
+
+            if k + 1 in anti:
+                assert anti[k + 1] == oracle_boundary(
+                    f.simplices(k),
+                    f.simplices(k - 1),
+                    lambda sign, v: -2 * sign if rho[v] == 1 else 0,
+                )

@@ -178,3 +178,17 @@ def test_cli_main(tmp_path, capsys):
 def test_cli_fuzz_smoke(capsys):
     assert main(["fuzz", "--trials", "3", "--seed", "5", "--max-vertices", "5"]) == 0
     assert "0 mismatches" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag, value", [("--max-vertices", "1"), ("--max-label", "0")])
+def test_cli_fuzz_rejects_degenerate_generator_bounds(capsys, monkeypatch, flag, value):
+    import artinkernels.crosscheck as crosscheck
+
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(crosscheck, "random_connected_graph", no_trial)
+    assert main(["fuzz", "--trials", "3", flag, value]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and flag[2:].replace("-", " ") in err
