@@ -80,17 +80,24 @@ def cross_validate_once(g: SimplicialGraph, chi: Character, tag: str = "", direc
 
 def even_reduction_check(g: SimplicialGraph, chi: Character, tag: str = "", direct=None) -> list[str]:
     """Order-d exponents of chi must equal order-2 exponents of the
-    associated even character, both through the direct pipeline."""
+    associated even character, both through the direct pipeline.
+
+    Orders with the same 0/1 weight vector have the same even character,
+    so its decomposition is computed once per weight class and compared
+    with every order of the class.
+    """
     f = build_flag_complex(g)
     if direct is None:
         direct = full_decomposition(f, chi)
     issues = []
+    reduced_by_class = {}
     for d in candidate_torsion_orders(chi):
-        w = derive_weight(chi, d)
-        if all(x == 0 for x in w.weights.values()):
+        key = tuple(derive_weight(chi, d).weights.values())
+        if not any(key):
             continue
-        rho = even_reduction(chi, d)
-        reduced = full_decomposition(f, rho)
+        reduced = reduced_by_class.get(key)
+        if reduced is None:
+            reduced = reduced_by_class[key] = full_decomposition(f, even_reduction(chi, d))
         for m in direct:
             lhs = direct[m].exponent_vector(d)
             rhs = reduced[m].exponent_vector(2)
@@ -133,6 +140,8 @@ def fuzz(
     check_monodromy: bool = False,
     progress: Optional[callable] = None,
 ) -> CrossCheckResult:
+    if trials < 0:
+        raise InputError(f"trials must be at least 0, got {trials}")
     if max_vertices < 2:
         raise InputError(f"max vertices must be at least 2, got {max_vertices}")
     if max_label < 1:

@@ -8,6 +8,15 @@ vertex v.  Homology in degree k+1 is kernel mod image of consecutive such
 matrices; the decomposition over the principal ideal domain Q[t^±1] comes
 from Smith normal forms: the invariant factors of the upper boundary give
 the torsion, and the ranks of the two boundaries give the free rank.
+
+The pipeline builds those matrices on integer coefficient tuples.  A
+negative label needs no power of t^-1: since t^n - 1 = -t^n(t^|n| - 1),
+rescaling the cell over each simplex sigma by t^a(sigma), where a(sigma)
+sums |n_v| over the vertices of sigma with n_v < 0, is a unit change of
+basis of every chain group, after which the facet missing v carries
+-sign * (t^|n_v| - 1).  The Smith forms are unchanged up to units.
+TwistedBoundary keeps the Laurent entries themselves, for callers that
+want the matrix as it is written.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from .graphs import (
     classify_character,
     divisors,
 )
-from .linalg import rank_rational, smith_normal_form
+from .linalg import SmithForm, rank_rational, smith_normal_form
 from .polys import ZERO, ExactPoly, LaurentClass, factor_cyclotomic, t_power_minus_one
 
 
@@ -68,11 +77,26 @@ class TwistedBoundary:
 
 
 @lru_cache(maxsize=256)
+def _label_coeffs(n: int, sign: int) -> tuple[int, ...]:
+    """Integer coefficients of sign * (t^n - 1), and of -sign * (t^|n| - 1)
+    for n < 0 after the change of basis of the module docstring; () for 0.
+    Cached process-wide, like _laurent_label.
+    """
+    if n < 0:
+        n, sign = -n, -sign
+    if n == 0:
+        return ()
+    return (-sign,) + (0,) * (n - 1) + (sign,)
+
+
+@lru_cache(maxsize=256)
 def _laurent_label(n: int, sign: int) -> LaurentClass:
     """sign * (t^n - 1) as a Laurent element, for any integer n (0 gives 0).
 
     Cached process-wide: the values are immutable, and every twisted
-    boundary of a character asks for the same few labels.
+    boundary of a character asks for the same few labels.  Kept apart
+    from _label_coeffs, because these labels are the reference that the
+    integer path is tested against.
     """
     if n == 0:
         return LaurentClass(ZERO, 0)
@@ -80,6 +104,14 @@ def _laurent_label(n: int, sign: int) -> LaurentClass:
         return LaurentClass.from_poly(sign * t_power_minus_one(n))
     # t^n - 1 = -t^n * (t^{-n} - 1) for n < 0
     return LaurentClass.from_poly(-sign * t_power_minus_one(-n), n)
+
+
+def _twisted_smith(f: FlagComplex, chi: Character, k: int) -> SmithForm:
+    """Smith form of the degree-k twisted boundary, built on integer
+    coefficients; admissibility is the caller's check."""
+    values = chi.values
+    rows = boundary_matrix(f, k, entry=lambda sign, v: _label_coeffs(values[v], sign), zero=())
+    return smith_normal_form(rows, ncols=f.count(k))
 
 
 def require_admissible(f: FlagComplex, chi: Character, allow_degenerate: bool) -> CharacterClass:
@@ -210,10 +242,8 @@ def homology_module(
     is the homology torsion, and the two ranks give the free rank.
     """
     cls = require_admissible(f, chi, allow_degenerate)
-    lower = twisted_boundary(f, chi, k, allow_degenerate)
-    upper = twisted_boundary(f, chi, k + 1, allow_degenerate)
-    snf_lower = smith_normal_form(lower.polynomial_matrix(), ncols=lower.ncols)
-    snf_upper = smith_normal_form(upper.polynomial_matrix(), ncols=upper.ncols)
+    snf_lower = _twisted_smith(f, chi, k)
+    snf_upper = _twisted_smith(f, chi, k + 1)
     return _decomposition_from_smith(f, chi, k, cls, snf_lower, snf_upper)
 
 
@@ -232,10 +262,7 @@ def full_decomposition(
     top = f.dim + 1
     if max_degree is not None:
         top = min(top, max_degree)
-    snfs = {}
-    for k in range(-1, top + 1):
-        tb = twisted_boundary(f, chi, k, allow_degenerate)
-        snfs[k] = smith_normal_form(tb.polynomial_matrix(), ncols=tb.ncols)
+    snfs = {k: _twisted_smith(f, chi, k) for k in range(-1, top + 1)}
     return {
         k + 1: _decomposition_from_smith(f, chi, k, cls, snfs[k], snfs[k + 1])
         for k in range(-1, top)

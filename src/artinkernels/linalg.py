@@ -9,31 +9,35 @@ the formula pipeline never leave the integers.  One fraction-free
 incremental independence tests; kernels come back as primitive integer
 vectors.
 
-Polynomial matrices hold ExactPoly entries.  The Smith form routine
-scales each row to integer coefficients and then works on plain-int
-coefficient lists: it diagonalizes with degree-minimal pivoting (ties
-broken by coefficient height, then position), using pseudo-division and
-fused two-by-two Bezout moves built from an integer cofactor remainder
-sequence, and divides rows and columns by their integer content and
-their power of t after every step to control coefficient growth.  It
-then repairs the divisibility chain with two-by-two moves on the
-diagonal, which cause no fill-in.  Every move is unimodular over the
-Laurent ring Q[t^±1], where nonzero constants and powers of t are units,
-and the reported invariant factors are monic with their t-power content
-stripped, the normalization of that ring.
+Polynomial matrices hold ExactPoly entries or integer coefficient
+sequences (constant term first).  The Smith form routine scales each row
+holding an ExactPoly to integer coefficients, takes integer rows as they
+are, and eliminates on plain-int coefficient lists with the arithmetic
+of polys (pseudo-division, exact quotients, cofactor gcd).  It
+diagonalizes with degree-minimal pivoting (ties broken by coefficient
+height, then position), using fused two-by-two Bezout moves built from
+an integer cofactor remainder sequence, and divides rows and columns by
+their integer content and their power of t after every step to control
+coefficient growth.  It then repairs the divisibility chain with
+two-by-two moves on the diagonal, which cause no fill-in.  Every move is
+unimodular over the Laurent ring Q[t^±1], where nonzero constants and
+powers of t are units, and the reported invariant factors are monic with
+their t-power content stripped, the normalization of that ring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
-from .polys import ExactPoly
+from .polys import ExactPoly, _exquo, _integer_coeffs, _lin, _mul, _pdivmod, _trim, _xgcd
 
 Row = list
 Matrix = list  # list of rows
+PolyEntry = Union[ExactPoly, Sequence[int]]
 _INT = frozenset((int,))
 
 
@@ -194,106 +198,9 @@ class IncrementalRank:
 # Smith normal form over Q[t]: integer coefficient lists
 # ---------------------------------------------------------------------------
 #
-# Inside the elimination a polynomial is a list of ints, constant term
-# first, with no trailing zeros; [] is zero.  Entries are never mutated,
-# so zero entries may share one list.
-
-
-def _trim(a: list[int]) -> list[int]:
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _mul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    if len(a) == 1:
-        c = a[0]
-        return [c * y for y in b]
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                out[j] += x * y
-    return out
-
-
-def _lin(u: list[int], a: list[int], v: list[int], b: list[int]) -> list[int]:
-    """u*a + v*b."""
-    p, q = _mul(u, a), _mul(v, b)
-    if len(p) < len(q):
-        p, q = q, p
-    for i, y in enumerate(q):
-        p[i] += y
-    return _trim(p)
-
-
-def _pdivmod(a: list[int], b: list[int]) -> tuple[int, list[int], list[int]]:
-    """Pseudo-division: (c, q, r) with c*a == q*b + r, c a positive int
-    and deg r < deg b.  Each step scales by no more than it needs to make
-    the leading coefficient divisible, so c is 1 whenever the quotient
-    has integer coefficients."""
-    db = len(b) - 1
-    if len(a) <= db:
-        return 1, [], a
-    lead = b[-1]
-    r = list(a)
-    q = [0] * (len(a) - db)
-    c = 1
-    for k in range(len(q) - 1, -1, -1):
-        x = r[k + db]
-        if not x:
-            continue
-        if x % lead:
-            m = abs(lead) // gcd(x, lead)
-            c *= m
-            r = [m * y for y in r]
-            q = [m * y for y in q]
-            x *= m
-        y = x // lead
-        q[k] = y
-        for j, z in enumerate(b, k):
-            r[j] -= y * z
-    return c, q, _trim(r[:db])
-
-
-def _exquo(a: list[int], b: list[int]) -> list[int]:
-    """a / b for a primitive b dividing a over Q[t]; by Gauss's lemma the
-    quotient has integer coefficients."""
-    c, q, r = _pdivmod(a, b)
-    if c != 1 or r:
-        raise ArithmeticError("inexact polynomial division")
-    return q
-
-
-def _xgcd(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[int], int]:
-    """(g, x, y, s) with x*a + y*b == s*g, g the primitive gcd with a
-    positive leading coefficient and s a nonzero int.
-
-    An integer cofactor remainder sequence: every pseudo-remainder is
-    divided by its content and every cofactor triple (x, y, s) by its
-    common content, which keeps coefficients small (Collins, J. ACM 1967).
-    """
-    r0, x0, y0, s0 = a, [1], [], 1
-    r1, x1, y1, s1 = b, [], [1], 1
-    # invariant: x_i*a + y_i*b == s_i*r_i
-    while r1:
-        c, q, r = _pdivmod(r0, r1)
-        # s0*s1*r == c*s1*(x0*a + y0*b) - s0*q*(x1*a + y1*b)
-        u, v = [c * s1], [-s0 * z for z in q]
-        x, y, s = _lin(u, x0, v, x1), _lin(u, y0, v, y1), s0 * s1
-        if r:
-            h = gcd(*r)
-            r = [z // h for z in r]
-            s *= h
-        h = gcd(s, *x, *y)
-        if h != 1:
-            x, y, s = [z // h for z in x], [z // h for z in y], s // h
-        r0, x0, y0, s0 = r1, x1, y1, s1
-        r1, x1, y1, s1 = r, x, y, s
-    h = gcd(*r0) if r0[-1] > 0 else -gcd(*r0)
-    return [z // h for z in r0], x0, y0, s0 * h
+# A polynomial is a list of ints, constant term first, with no trailing
+# zeros; [] is zero.  The arithmetic on these lists lives in polys.
+# Entries are never mutated, so entries may share one list or tuple.
 
 
 def _clearing_move(p: list[int], e: list[int]) -> tuple[list[int], list[int], list[int], list[int]]:
@@ -403,18 +310,26 @@ class SmithForm:
     ncols: int
 
 
-def smith_normal_form(matrix: Sequence[Sequence[ExactPoly]], ncols: Optional[int] = None) -> SmithForm:
-    """Smith normal form over Q[t] (matrix as a list of rows of ExactPoly).
+def _coefficient_row(row: Sequence) -> list:
+    """A matrix row as integer coefficient lists spanning the same line:
+    integer sequences are taken as they are, and a row holding an
+    ExactPoly or a Fraction is scaled by the lcm of its denominators."""
+    coeffs = [e.coeffs if isinstance(e, ExactPoly) else e for e in row]
+    if _INT.issuperset(map(type, chain.from_iterable(coeffs))):
+        return [e if not e or e[-1] else _trim(list(e)) for e in coeffs]
+    return _integer_coeffs(coeffs)
+
+
+def smith_normal_form(matrix: Sequence[Sequence[PolyEntry]], ncols: Optional[int] = None) -> SmithForm:
+    """Smith normal form over Q[t] of a list of rows whose entries are
+    ExactPoly values or integer coefficient sequences, constant term first.
 
     ncols is only needed when the matrix has no rows.  Every move is
-    unimodular over the Laurent ring Q[t^±1]: each row is first scaled
-    to integer coefficients, and rows and columns are divided by their
-    content and t-power after every step.
+    unimodular over the Laurent ring Q[t^±1]: each row holding a
+    fraction is first scaled to integer coefficients, and rows and
+    columns are divided by their content and t-power after every step.
     """
-    a = []
-    for row in matrix:
-        den = lcm(*(c.denominator for e in row for c in e.coeffs))
-        a.append([[c.numerator * (den // c.denominator) for c in e.coeffs] for e in row])
+    a = [_coefficient_row(row) for row in matrix]
     nrows = len(a)
     if nrows:
         ncols = len(a[0])

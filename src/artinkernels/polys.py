@@ -6,6 +6,13 @@ of Q[t^±1] are represented by a polynomial with nonzero constant term
 together with the power of t that was factored out; the unit group of the
 Laurent ring is {c*t^k}, so two Laurent elements generate the same ideal
 exactly when their polynomial parts agree up to a nonzero rational scalar.
+
+The module also holds the integer coefficient-list kernel that the exact
+computations run on: plain lists of ints, constant term first, with
+pseudo-division, exact quotients and an integer cofactor gcd.  The Smith
+normal form of linalg eliminates with it, and cyclotomic and
+factor_cyclotomic divide by the integer cyclotomic polynomials through
+the same pseudo-division; ExactPoly values are built only for results.
 """
 
 from __future__ import annotations
@@ -13,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
-from typing import Iterable, Iterator, Union
+from math import gcd, lcm
+from typing import Iterable, Iterator, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -215,6 +222,119 @@ ONE = ExactPoly([1])
 T = ExactPoly([0, 1])
 
 
+# ---------------------------------------------------------------------------
+# integer coefficient lists
+# ---------------------------------------------------------------------------
+#
+# A polynomial is a list of ints, constant term first, with no trailing
+# zeros; [] is zero.  Only _trim changes its argument, so the other
+# helpers take tuples as well.
+
+
+def _trim(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _integer_coeffs(polys: Sequence[Sequence[Scalar]]) -> list[list[int]]:
+    """Coefficient sequences of ints and Fractions, all scaled by the lcm
+    of their denominators, as integer coefficient lists."""
+    den = lcm(*(c.denominator for e in polys for c in e))
+    return [_trim([c.numerator * (den // c.denominator) for c in e]) for e in polys]
+
+
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    if len(a) == 1:
+        c = a[0]
+        return [c * y for y in b]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _lin(u: list[int], a: list[int], v: list[int], b: list[int]) -> list[int]:
+    """u*a + v*b."""
+    p, q = _mul(u, a), _mul(v, b)
+    if len(p) < len(q):
+        p, q = q, p
+    for i, y in enumerate(q):
+        p[i] += y
+    return _trim(p)
+
+
+def _pdivmod(a: list[int], b: list[int]) -> tuple[int, list[int], list[int]]:
+    """Pseudo-division: (c, q, r) with c*a == q*b + r, c a positive int
+    and deg r < deg b.  Each step scales by no more than it needs to make
+    the leading coefficient divisible, so c is 1 whenever the quotient
+    has integer coefficients."""
+    db = len(b) - 1
+    if len(a) <= db:
+        return 1, [], a
+    lead = b[-1]
+    r = list(a)
+    q = [0] * (len(a) - db)
+    c = 1
+    for k in range(len(q) - 1, -1, -1):
+        x = r[k + db]
+        if not x:
+            continue
+        if x % lead:
+            m = abs(lead) // gcd(x, lead)
+            c *= m
+            r = [m * y for y in r]
+            q = [m * y for y in q]
+            x *= m
+        y = x // lead
+        q[k] = y
+        for j, z in enumerate(b, k):
+            r[j] -= y * z
+    return c, q, _trim(r[:db])
+
+
+def _exquo(a: list[int], b: list[int]) -> list[int]:
+    """a / b for a primitive b dividing a over Q[t]; by Gauss's lemma the
+    quotient has integer coefficients."""
+    c, q, r = _pdivmod(a, b)
+    if c != 1 or r:
+        raise ArithmeticError("inexact polynomial division")
+    return q
+
+
+def _xgcd(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[int], int]:
+    """(g, x, y, s) with x*a + y*b == s*g, g the primitive gcd with a
+    positive leading coefficient and s a nonzero int.
+
+    An integer cofactor remainder sequence: every pseudo-remainder is
+    divided by its content and every cofactor triple (x, y, s) by its
+    common content, which keeps coefficients small (Collins, J. ACM 1967).
+    """
+    r0, x0, y0, s0 = a, [1], [], 1
+    r1, x1, y1, s1 = b, [], [1], 1
+    # invariant: x_i*a + y_i*b == s_i*r_i
+    while r1:
+        c, q, r = _pdivmod(r0, r1)
+        # s0*s1*r == c*s1*(x0*a + y0*b) - s0*q*(x1*a + y1*b)
+        u, v = [c * s1], [-s0 * z for z in q]
+        x, y, s = _lin(u, x0, v, x1), _lin(u, y0, v, y1), s0 * s1
+        if r:
+            h = gcd(*r)
+            r = [z // h for z in r]
+            s *= h
+        h = gcd(s, *x, *y)
+        if h != 1:
+            x, y, s = [z // h for z in x], [z // h for z in y], s // h
+        r0, x0, y0, s0 = r1, x1, y1, s1
+        r1, x1, y1, s1 = r, x, y, s
+    h = gcd(*r0) if r0[-1] > 0 else -gcd(*r0)
+    return [z // h for z in r0], x0, y0, s0 * h
+
+
 def poly_from_ints(*coeffs: int) -> ExactPoly:
     return ExactPoly(coeffs)
 
@@ -263,22 +383,22 @@ def poly_xgcd(a: ExactPoly, b: ExactPoly) -> tuple[ExactPoly, ExactPoly, ExactPo
 
 
 @lru_cache(maxsize=None)
-def cyclotomic(d: int) -> ExactPoly:
-    """The d-th cyclotomic polynomial, monic with integer coefficients.
-
-    Computed by dividing t^d - 1 by the cyclotomic polynomials of all
-    proper divisors of d.
-    """
+def _cyclotomic_coeffs(d: int) -> tuple[int, ...]:
+    """Integer coefficients of Phi_d: t^d - 1 divided exactly by the
+    cyclotomic polynomials of all proper divisors of d."""
     if d < 1:
         raise ValueError("need d >= 1")
-    p = t_power_minus_one(d)
+    p = [-1] + [0] * (d - 1) + [1]
     for e in range(1, d):
         if d % e == 0:
-            q, r = divmod(p, cyclotomic(e))
-            if not r.is_zero():
-                raise AssertionError(f"cyclotomic division failed at d={d}, e={e}")
-            p = q
-    return p
+            p = _exquo(p, _cyclotomic_coeffs(e))
+    return tuple(p)
+
+
+@lru_cache(maxsize=None)
+def cyclotomic(d: int) -> ExactPoly:
+    """The d-th cyclotomic polynomial, monic with integer coefficients."""
+    return ExactPoly(_cyclotomic_coeffs(d))
 
 
 def factor_cyclotomic(
@@ -287,23 +407,26 @@ def factor_cyclotomic(
     """Split off cyclotomic factors Phi_d for d in candidates (1 is always tried).
 
     Returns (multiplicities, remainder) with
-    p == remainder * prod(Phi_d ** mult[d]) and no Phi_d dividing the
-    remainder for tried d.  A remainder different from 1 is a legal
-    outcome; callers decide whether it violates their hypotheses.
+    p == remainder * prod(Phi_d ** mult[d]) up to a nonzero scalar, the
+    remainder monic and no Phi_d dividing it for tried d.  A remainder
+    different from 1 is a legal outcome; callers decide whether it
+    violates their hypotheses.  The division runs on integer
+    coefficients: Phi_d is monic, so an exact quotient of an integer
+    polynomial by it is again integer.
     """
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
-    rem = p.monic()
+    rem = _integer_coeffs([p.coeffs])[0]
     mults: dict[int, int] = {}
     for d in sorted(set(candidates) | {1}):
-        phi = cyclotomic(d)
-        while True:
-            q, r = divmod(rem, phi)
-            if not r.is_zero():
+        phi = _cyclotomic_coeffs(d)
+        while len(rem) >= len(phi):
+            _, q, r = _pdivmod(rem, phi)
+            if r:
                 break
             rem = q
             mults[d] = mults.get(d, 0) + 1
-    return mults, rem.monic()
+    return mults, ExactPoly(rem).monic()
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,12 @@ from artinkernels import (
     full_decomposition,
     homology_module,
     rank_rational,
+    smith_normal_form,
     t_minus_1_part,
     twisted_boundary,
 )
 from artinkernels.crosscheck import random_connected_graph, random_nonresonant_character
+from artinkernels.homology import _decomposition_from_smith, require_admissible
 from artinkernels.polys import ExactPoly, t_power_minus_one
 
 from conftest import make_kite, make_square_frame, make_tree, make_tree_resonant, oracle_rank
@@ -210,3 +212,26 @@ def test_negative_labels_against_positive_mirror():
         for m, d in full_decomposition(f, neg, allow_degenerate=True).items()
     }
     assert got == ref
+
+
+def test_integer_boundaries_match_laurent_boundaries():
+    # full_decomposition builds its boundaries on integer coefficients and
+    # rescales cells to clear negative labels; the Laurent matrices of
+    # twisted_boundary with their per-column t-lift are the reference
+    rng = random.Random(61)
+    labels = [n for n in range(-12, 13) if n] + [0] * 3
+    for _ in range(200):
+        g = random_connected_graph(rng, 6)
+        chi = Character({v: rng.choice(labels) for v in g.vertices})
+        f = build_flag_complex(g)
+        cls = require_admissible(f, chi, allow_degenerate=True)
+        snfs = {}
+        for k in range(-1, f.dim + 2):
+            tb = twisted_boundary(f, chi, k, allow_degenerate=True)
+            snfs[k] = smith_normal_form(tb.polynomial_matrix(), ncols=tb.ncols)
+        want = {
+            k + 1: _decomposition_from_smith(f, chi, k, cls, snfs[k], snfs[k + 1]).sort_key()
+            for k in range(-1, f.dim + 1)
+        }
+        got = {m: d.sort_key() for m, d in full_decomposition(f, chi, allow_degenerate=True).items()}
+        assert got == want

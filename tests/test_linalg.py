@@ -12,9 +12,6 @@ from artinkernels import build_flag_complex, boundary_matrix
 from artinkernels.linalg import (
     IncrementalRank,
     intersect_spans,
-    _exquo,
-    _pdivmod,
-    _xgcd,
     nullspace,
     rank_rational,
     smith_normal_form,
@@ -22,7 +19,7 @@ from artinkernels.linalg import (
 )
 from artinkernels.crosscheck import random_connected_graph, random_nonresonant_character
 from artinkernels.homology import twisted_boundary
-from artinkernels.polys import ONE, ZERO, ExactPoly, poly_gcd, t_power_minus_one
+from artinkernels.polys import ONE, ZERO, ExactPoly, _exquo, _pdivmod, _xgcd, poly_gcd, t_power_minus_one
 
 from conftest import make_tree, make_triforce, oracle_rank
 
@@ -382,3 +379,25 @@ def test_cofactor_gcd_identity():
         assert ExactPoly(g).monic() == poly_gcd(ExactPoly(a), ExactPoly(b))
         # the usual degree bounds of Bezout cofactors
         assert len(x) <= max(len(b) - len(g), 1) and len(y) <= max(len(a) - len(g), 1)
+
+
+def test_snf_integer_rows_match_exactpoly_rows():
+    rng = random.Random(31)
+    for trial in range(80):
+        n, m = rng.randint(0, 5), rng.randint(1, 5)
+        ints = []
+        for _ in range(n):
+            row = []
+            for _ in range(m):
+                if rng.random() < 0.3:
+                    row.append(())
+                elif trial % 2:
+                    # labels as the twisted boundaries carry them
+                    e = rng.choice((1, -1))
+                    row.append((-e,) + (0,) * (rng.randint(1, 8) - 1) + (e,))
+                else:
+                    # lists with trailing zeros are accepted too
+                    row.append([rng.randint(-3, 3) for _ in range(rng.randint(1, 4))] + [0] * rng.randint(0, 1))
+            ints.append(row)
+        polys = [[ExactPoly(e) for e in row] for row in ints]
+        assert smith_normal_form(ints, ncols=m) == smith_normal_form(polys, ncols=m)

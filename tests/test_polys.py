@@ -6,6 +6,7 @@ divmod arithmetic (division oracle) and then asserted against the API.
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -160,3 +161,50 @@ def test_str_rendering():
     assert str(p(-1, 0, 1)) == "t^2 - 1"
     assert str(ZERO) == "0"
     assert str(p(1, -1, 1)) == "t^2 - t + 1"
+
+
+@lru_cache(maxsize=None)
+def oracle_cyclotomic(d):
+    """Phi_d by ExactPoly division of t^d - 1 by the proper-divisor Phi_e."""
+    num = t_power_minus_one(d)
+    for e in range(1, d):
+        if d % e == 0:
+            num, r = divmod(num, oracle_cyclotomic(e))
+            assert r.is_zero()
+    return num
+
+
+def oracle_factor_cyclotomic(poly, candidates):
+    """Trial division by each Phi_d over the rationals."""
+    rem = poly.monic()
+    mults = {}
+    for d in sorted(set(candidates) | {1}):
+        while True:
+            q, r = divmod(rem, oracle_cyclotomic(d))
+            if not r.is_zero():
+                break
+            rem = q
+            mults[d] = mults.get(d, 0) + 1
+    return mults, rem.monic()
+
+
+def test_factor_cyclotomic_against_trial_division_oracle():
+    rng = random.Random(17)
+    cofactors = [ONE, p(2, 0, 1), p(1, 3, 0, 1), p(Fraction(-1, 3), Fraction(1, 2))]
+    for trial in range(120):
+        d1, d2 = rng.randint(1, 18), rng.randint(1, 18)
+        q = rng.choice(cofactors)
+        if trial % 3 == 0:
+            # a random cofactor with fraction coefficients
+            q = ExactPoly([Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(rng.randint(1, 4))])
+            if q.is_zero():
+                q = ONE
+        prod = q * Fraction(rng.randint(1, 6), rng.randint(1, 6)) * rng.choice((1, -1))
+        prod = prod * cyclotomic(d1) ** rng.randint(0, 3) * cyclotomic(d2) ** rng.randint(0, 2)
+        candidates = rng.sample(range(2, 19), rng.randint(0, 8)) + [d1, d2][: rng.randint(0, 2)]
+        assert factor_cyclotomic(prod, candidates) == oracle_factor_cyclotomic(prod, candidates)
+
+
+def test_cyclotomic_matches_division_oracle():
+    for d in range(1, 61):
+        assert cyclotomic(d) == oracle_cyclotomic(d)

@@ -180,7 +180,9 @@ def test_cli_fuzz_smoke(capsys):
     assert "0 mismatches" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("flag, value", [("--max-vertices", "1"), ("--max-label", "0")])
+@pytest.mark.parametrize(
+    "flag, value", [("--max-vertices", "1"), ("--max-label", "0"), ("--trials", "-3")]
+)
 def test_cli_fuzz_rejects_degenerate_generator_bounds(capsys, monkeypatch, flag, value):
     import artinkernels.crosscheck as crosscheck
 
