@@ -38,9 +38,12 @@ def _parse_orders(spec: str | None) -> list[int] | None:
     if spec is None:
         return None
     try:
-        return [int(x) for x in spec.split(",") if x.strip()]
+        orders = [int(x) for x in spec.split(",") if x.strip()]
     except ValueError as exc:
         raise InputError(f"bad --d list {spec!r}") from exc
+    if not orders or min(orders) < 1:
+        raise InputError(f"--d list {spec!r} must name orders of at least 1")
+    return orders
 
 
 def _run_job(args: argparse.Namespace, method: str) -> int:

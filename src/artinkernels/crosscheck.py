@@ -15,15 +15,15 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Optional
 
-from .flagcomplex import build_flag_complex
+from .flagcomplex import FlagComplex, build_flag_complex
 from .formulas import formula_decomposition
 from .graphs import (
     Character,
     InputError,
     SimplicialGraph,
     candidate_torsion_orders,
-    derive_weight,
     even_reduction,
+    weight_classes,
 )
 from .homology import full_decomposition
 from .report import compare_pipelines
@@ -67,9 +67,8 @@ class CrossCheckResult:
         return not self.mismatches
 
 
-def cross_validate_once(g: SimplicialGraph, chi: Character, tag: str = "", direct=None) -> list[str]:
+def cross_validate_once(f: FlagComplex, chi: Character, tag: str = "", direct=None) -> list[str]:
     """Compare the two pipelines on one input; returns mismatch strings."""
-    f = build_flag_complex(g)
     orders = candidate_torsion_orders(chi)
     if direct is None:
         direct = full_decomposition(f, chi)
@@ -78,7 +77,7 @@ def cross_validate_once(g: SimplicialGraph, chi: Character, tag: str = "", direc
     return [f"{tag}{msg}" for msg in issues] if tag else issues
 
 
-def even_reduction_check(g: SimplicialGraph, chi: Character, tag: str = "", direct=None) -> list[str]:
+def even_reduction_check(f: FlagComplex, chi: Character, tag: str = "", direct=None) -> list[str]:
     """Order-d exponents of chi must equal order-2 exponents of the
     associated even character, both through the direct pipeline.
 
@@ -86,13 +85,11 @@ def even_reduction_check(g: SimplicialGraph, chi: Character, tag: str = "", dire
     so its decomposition is computed once per weight class and compared
     with every order of the class.
     """
-    f = build_flag_complex(g)
     if direct is None:
         direct = full_decomposition(f, chi)
     issues = []
     reduced_by_class = {}
-    for d in candidate_torsion_orders(chi):
-        key = tuple(derive_weight(chi, d).weights.values())
+    for d, key in weight_classes(f.graph, chi, candidate_torsion_orders(chi)).items():
         if not any(key):
             continue
         reduced = reduced_by_class.get(key)
@@ -109,11 +106,10 @@ def even_reduction_check(g: SimplicialGraph, chi: Character, tag: str = "", dire
     return issues
 
 
-def monodromy_check(g: SimplicialGraph, chi: Character, tag: str = "", direct=None) -> list[str]:
+def monodromy_check(f: FlagComplex, chi: Character, tag: str = "", direct=None) -> list[str]:
     """Non-resonant invariants: cyclotomic-only factors with orders
     dividing a label, order-1 vectors of length <= 1, order-d vectors in
     degree k+1 of length <= k+2."""
-    f = build_flag_complex(g)
     allowed = set(candidate_torsion_orders(chi)) | {1}
     if direct is None:
         direct = full_decomposition(f, chi)
@@ -156,11 +152,11 @@ def fuzz(
         result.comparisons += 1
         f = build_flag_complex(g)
         direct = full_decomposition(f, chi)
-        result.mismatches.extend(cross_validate_once(g, chi, tag, direct=direct))
+        result.mismatches.extend(cross_validate_once(f, chi, tag, direct=direct))
         if check_reduction:
-            result.mismatches.extend(even_reduction_check(g, chi, tag, direct=direct))
+            result.mismatches.extend(even_reduction_check(f, chi, tag, direct=direct))
         if check_monodromy:
-            result.mismatches.extend(monodromy_check(g, chi, tag, direct=direct))
+            result.mismatches.extend(monodromy_check(f, chi, tag, direct=direct))
         if progress is not None:
             progress(trial + 1, trials)
     return result

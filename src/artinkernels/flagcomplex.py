@@ -73,9 +73,11 @@ class FlagComplex:
     """All cliques of a graph, graded by dimension, in lexicographic order.
 
     boundary_ranks memoizes the rational rank of the untwisted boundary
-    in each degree, filled lazily by homology.boundary_rank, and faces
-    memoizes the face table of each dimension.  Every entry of either is
-    a function of the complex alone, so threads sharing a complex can at
+    in each degree, filled lazily by homology.boundary_rank; weight_pairs
+    memoizes the weight-ordered elimination of each boundary per 0/1
+    weight vector, filled lazily by the formula pipeline; faces memoizes
+    the face table of each dimension.  Every entry of these is a function
+    of the complex and its key alone, so threads sharing a complex can at
     worst compute an entry twice and store the same value.
     """
 
@@ -87,6 +89,7 @@ class FlagComplex:
             d: {s.indices: i for i, s in enumerate(simps)} for d, simps in levels.items()
         }
         self.boundary_ranks: dict[int, int] = {}
+        self.weight_pairs: dict[tuple[tuple[int, ...], int], tuple[tuple[int, int], ...]] = {}
         self._faces: dict[int, tuple[tuple[tuple[int, int, str], ...], ...]] = {}
 
     def simplices(self, dim: int) -> tuple[Simplex, ...]:

@@ -8,6 +8,12 @@ pieces and of relative pairs give the weighted sum of torsion exponents;
 the anti-invariant homology of the double cover of the associated even
 character counts the summands; ranks of inclusion-induced maps between
 cycle spaces bound and locate the largest Jordan blocks.
+
+For one weight class and degree these are all persistence ranks of one
+filtration (Edelsbrunner, Letscher and Zomorodian, DCG 2002; Zomorodian
+and Carlsson, DCG 2005), counted over the pivots of one weight-ordered
+elimination of the boundary (_weight_pairs).  filtration_betti and
+relative_betti compute single levels and pairs from their own matrices.
 """
 
 from __future__ import annotations
@@ -20,9 +26,7 @@ from .flagcomplex import (
     FlagComplex,
     boundary_matrix,
     filtration_level,
-    full_skeleton,
     level_boundary_matrix,
-    simplex_weight,
 )
 from .graphs import (
     Character,
@@ -33,9 +37,10 @@ from .graphs import (
     derive_weight,
     even_character_from_weight,
     even_reduction,
+    weight_classes,
 )
 from .homology import boundary_rank, free_rank_check, t_minus_1_part
-from .linalg import intersect_spans, nullspace, rank_rational, span_rank
+from .linalg import columns_to_rows, leading_columns, rank_rational
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +96,57 @@ def relative_betti(
 
 
 # ---------------------------------------------------------------------------
+# one weight-ordered elimination per (weight class, degree)
+# ---------------------------------------------------------------------------
+
+
+def _check_degree(f: FlagComplex, k: int) -> None:
+    if not 0 <= k <= f.dim:
+        raise InputError(f"degree index {k} out of range for dim-{f.dim} complex")
+
+
+def _weight_pairs(f: FlagComplex, w: WeightFunction, m: int) -> tuple[tuple[int, int], ...]:
+    """(weight, lead weight) of each paired m-simplex tau, from one
+    elimination of the degree-m boundary in weight order.
+
+    The m-simplices are taken in ascending weight, and the boundary of
+    each is reduced against those before it; tau is paired when its
+    reduced boundary is nonzero.  The (m-1)-simplices run in descending
+    weight, so the leading column of a reduced vector is the largest
+    weight in its support, its lead weight.  The reduced vectors of the
+    paired tau of weight <= q are a basis of B_q, the image of the
+    simplices of weight <= q, with distinct leading columns, so a vector
+    of B_q lies in the chains of weight <= p exactly when it combines
+    paired tau of lead weight <= p.
+
+    Memoized on f, keyed by the 0/1 weights in vertex order (the key of
+    graphs.weight_classes) and m.
+    """
+    key = (tuple(w[v] for v in f.graph.vertices), m)
+    table = f.weight_pairs.get(key)
+    if table is None:
+        vertex_weights = key[0]
+        top = [sum(vertex_weights[i] for i in s.indices) for s in f.simplices(m)]
+        low = [sum(vertex_weights[i] for i in s.indices) for s in f.simplices(m - 1)]
+        cols = sorted(range(len(top)), key=top.__getitem__)
+        rows = sorted(range(len(low)), key=low.__getitem__, reverse=True)
+        mat = boundary_matrix(f, m, cols=cols, rows=rows)
+        leads = leading_columns(columns_to_rows(mat), len(rows))
+        table = f.weight_pairs[key] = tuple(
+            (top[c], low[rows[lead]]) for c, lead in zip(cols, leads) if lead is not None
+        )
+    return table
+
+
+def _located_rank(f: FlagComplex, w: WeightFunction, k: int, p: int, q: int) -> int:
+    """Rank of the inclusion-induced map from the k-cycles of weight <= p
+    that bound in the full complex to the classes of the weight-<=q
+    (k+1)-level: dim(Z_p ∩ B) - dim(Z_p ∩ B_q), the number of paired
+    tau with lead weight <= p and weight > q."""
+    return sum(1 for weight, lead in _weight_pairs(f, w, k + 1) if lead <= p and weight > q)
+
+
+# ---------------------------------------------------------------------------
 # weighted exponent sum (dimension of the primary part, per irreducible)
 # ---------------------------------------------------------------------------
 
@@ -99,20 +155,18 @@ def weighted_exponent_sum(f: FlagComplex, w: WeightFunction, k: int) -> int:
     """Sum of j * (number of exponent-j summands) for the order of w.
 
     Equals the top non-unit Fitting valuation of the localized boundary:
-    filtration Betti numbers of the (k+1)-skeleton plus relative pairs
-    against the filtered k-skeleton, with full-skeleton corrections.
+    with X the (k+1)-skeleton, F_j its filtration levels and F'_j those
+    of the k-skeleton X',
+
+        sum_{j <= k+1} (b_k(F_j) - b_k(X)) + sum_{j <= k} (b_{k+1}(X, F'_j) - b_{k+1}(X, X')).
+
+    On the weight pairs of the degree-(k+1) boundary, the first summand
+    is the number of paired tau of weight > j and the second is minus the
+    number of paired tau of lead weight > j, so the sum is the total of
+    weight - lead weight over the paired tau.
     """
-    if k < 0 or k > f.dim:
-        raise InputError(f"degree index {k} out of range")
-    betti_full = free_rank_check(f, k)
-    top = full_skeleton(f, w, k + 1)
-    total = sum(filtration_betti(f, w, k, k + 1, j) for j in range(k + 2))
-    total -= (k + 2) * betti_full
-    total += sum(
-        relative_betti(f, w, k + 1, (top, filtration_level(f, w, k, j))) for j in range(k + 1)
-    )
-    total -= (k + 1) * relative_betti(f, w, k + 1, (top, full_skeleton(f, w, k)))
-    return total
+    _check_degree(f, k)
+    return sum(weight - lead for weight, lead in _weight_pairs(f, w, k + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -201,63 +255,24 @@ def summand_counts(f: FlagComplex, rho: Character, up_to_k: Optional[int] = None
 # ---------------------------------------------------------------------------
 
 
-def _cycle_columns(f: FlagComplex, w: WeightFunction, k: int, j: int) -> list[list]:
-    """Cycles of the filtered k-skeleton, as columns in full k-chain
-    coordinates."""
-    level = filtration_level(f, w, k, j)
-    mat = level_boundary_matrix(level, k)
-    local = nullspace(mat, level.count(k))
-    total = f.count(k)
-    slots = level.positions(k)
-    cols = []
-    for vec in local:
-        full = [0] * total
-        for v, slot in zip(vec, slots):
-            full[slot] = v
-        cols.append(full)
-    return cols
-
-
-def _image_columns(f: FlagComplex, w: WeightFunction, k: int, j: Optional[int]) -> list[list]:
-    """Columns of the boundary out of the (k+1)-simplices of weight <= j
-    (all of them when j is None), as vectors in k-chain coordinates."""
-    full = boundary_matrix(f, k + 1)
-    keep = []
-    for c, sigma in enumerate(f.simplices(k + 1)):
-        if j is None or simplex_weight(sigma, w) <= j:
-            keep.append(c)
-    return [[row[c] for row in full] for c in keep]
-
-
-def _kernel_map_rank(f: FlagComplex, w: WeightFunction, k: int, p: int, q: int) -> int:
-    """Rank of the inclusion-induced map between boundary-trivial cycle
-    classes: from cycles of the weight-<=p k-skeleton that die in the full
-    complex, to the same kind of classes of the weight-<=q (k+1)-level."""
-    z_sub = _cycle_columns(f, w, k, p)
-    b_full = _image_columns(f, w, k, None)
-    source = intersect_spans(z_sub, b_full)
-    if not source:
-        return 0
-    b_q = _image_columns(f, w, k, q)
-    return span_rank(source + b_q) - span_rank(b_q)
-
-
 def top_jordan_count(f: FlagComplex, w: WeightFunction, k: int) -> int:
     """Number of maximal (exponent k+2) summands in degree k+1: the rank
     of the map from weight-0 k-cycles dying in the full complex into the
     classes of the level just below the full (k+1)-skeleton."""
-    return _kernel_map_rank(f, w, k, 0, k + 1)
+    _check_degree(f, k)
+    return _located_rank(f, w, k, 0, k + 1)
 
 
 def c_rank(f: FlagComplex, w: WeightFunction, k: int, i: int, j: int) -> int:
     """Rank of the located-cycle map with source level j and target level
     i - 1; requires i > j.  A nonzero value certifies an exponent of at
     least i - j."""
+    _check_degree(f, k)
     if i <= j:
         raise InputError("need i > j")
     if not (0 <= j <= k + 1) or not (0 <= i - 1 <= k + 2):
         raise InputError("filtration indices out of range")
-    return _kernel_map_rank(f, w, k, j, i - 1)
+    return _located_rank(f, w, k, j, i - 1)
 
 
 def max_exponent(
@@ -268,7 +283,10 @@ def max_exponent(
     0 when there is no torsion; with a single summand the exponent equals
     the weighted sum; otherwise it is the largest level gap q - p + 1
     over nonzero located-cycle ranks (target level q, source level p).
+    A paired tau counts in those ranks exactly when lead weight <= p and
+    q < weight, so the largest gap is the largest weight - lead weight.
     """
+    _check_degree(f, k)
     if summands is None:
         rho = even_character_from_weight(f.graph, w)
         if set(rho.values.values()) != {1, 2}:
@@ -278,14 +296,7 @@ def max_exponent(
         return 0
     if summands == 1:
         return weighted_exponent_sum(f, w, k)
-    best = 0
-    for p in range(k + 2):
-        for q in range(p, k + 2):
-            if q - p + 1 <= best:
-                continue
-            if _kernel_map_rank(f, w, k, p, q) > 0:
-                best = q - p + 1
-    return best
+    return max((weight - lead for weight, lead in _weight_pairs(f, w, k + 1)), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +453,7 @@ def torsion_profile(
     summands: Optional[int] = None,
 ) -> TorsionProfile:
     """Assemble the profile of the order-d part in degree k+1."""
+    _check_degree(f, k)
     w = derive_weight(chi, d)
     if all(x == 0 for x in w.weights.values()):
         return TorsionProfile(k, d, 0, 0, 0, 0, ())
@@ -475,10 +487,9 @@ def formula_decomposition(
     out: dict[int, dict] = {}
     if top >= 0:
         out[0] = {"free_rank": 0, "torsion": {1: (1,)}, "profiles": {}}
-    # Every statistic sees (chi, d) only through derive_weight and
-    # even_reduction, both functions of the 0/1 weight vector, so orders
-    # sharing that vector share their summand counts and profiles.
-    classes = {d: tuple(derive_weight(chi, d).weights.values()) for d in orders}
+    # Orders sharing a 0/1 weight vector share their summand counts and
+    # profiles.
+    classes = weight_classes(f.graph, chi, orders)
     counts: dict[tuple[int, ...], list[int]] = {}
     for d, key in classes.items():
         if key in counts:

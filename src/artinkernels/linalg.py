@@ -116,6 +116,25 @@ def _echelon(rows: Sequence[list[int]], ncols: int, reduced: bool = False) -> li
     return pivots
 
 
+def leading_columns(rows: Sequence[Sequence], ncols: int) -> list[Optional[int]]:
+    """For each row, in the order given, the column at which the
+    elimination makes it a new pivot, or None when it depends on the
+    rows before it.
+
+    Each pivot row is its input row reduced against the earlier ones, and
+    the pivot rows have distinct leading columns, so a nonzero combination
+    of them leads at the first leading column it involves.
+    """
+    pivots: list[tuple[int, list[int]]] = []
+    leads: list[Optional[int]] = []
+    for row in _integer_rows(rows):
+        if len(pivots) < ncols and any(row) and _add_row(pivots, row):
+            leads.append(pivots[-1][0])
+        else:
+            leads.append(None)
+    return leads
+
+
 def rank_rational(rows: Sequence[Sequence]) -> int:
     """Rank over the rationals via fraction-free integer elimination."""
     if not rows:

@@ -3,7 +3,11 @@
 The oracles deliberately avoid the library's own code paths: ranks use a
 plain fraction Gaussian elimination, cliques come from brute-force subset
 enumeration, and polynomial expectations are computed with raw divmod
-arithmetic in the tests themselves.
+arithmetic in the tests themselves.  The located-cycle ranks of the
+formula pipeline are checked against their definition, from explicit
+cycle and boundary spans of single filtration levels built with the
+library's kernels and span intersections, which test_linalg checks
+against oracle_rank.
 """
 
 from fractions import Fraction
@@ -11,7 +15,9 @@ from itertools import combinations
 
 import pytest
 
-from artinkernels import Character, SimplicialGraph
+from artinkernels import Character, SimplicialGraph, boundary_matrix, filtration_level, simplex_weight
+from artinkernels.flagcomplex import level_boundary_matrix
+from artinkernels.linalg import intersect_spans, nullspace, span_rank
 
 
 # -- the worked example graphs ---------------------------------------------
@@ -132,3 +138,41 @@ def brute_force_cliques(g: SimplicialGraph):
 
 def oracle_divisors(n: int):
     return [d for d in range(1, abs(n) + 1) if n % d == 0]
+
+
+# -- located-cycle ranks from explicit cycle and boundary spans ---------------
+
+
+def cycle_columns(f, w, k, j):
+    """Cycles of the filtered k-skeleton, as columns in full k-chain
+    coordinates."""
+    level = filtration_level(f, w, k, j)
+    local = nullspace(level_boundary_matrix(level, k), level.count(k))
+    cols = []
+    for vec in local:
+        full = [0] * f.count(k)
+        for v, slot in zip(vec, level.positions(k)):
+            full[slot] = v
+        cols.append(full)
+    return cols
+
+
+def image_columns(f, w, k, j=None):
+    """Columns of the boundary out of the (k+1)-simplices of weight <= j
+    (all of them when j is None), as vectors in k-chain coordinates."""
+    full = boundary_matrix(f, k + 1)
+    keep = [
+        c for c, sigma in enumerate(f.simplices(k + 1)) if j is None or simplex_weight(sigma, w) <= j
+    ]
+    return [[row[c] for row in full] for c in keep]
+
+
+def kernel_map_rank(f, w, k, p, q):
+    """Rank of the inclusion-induced map between boundary-trivial cycle
+    classes: from cycles of the weight-<=p k-skeleton that die in the full
+    complex, to the same kind of classes of the weight-<=q (k+1)-level."""
+    source = intersect_spans(cycle_columns(f, w, k, p), image_columns(f, w, k))
+    if not source:
+        return 0
+    b_q = image_columns(f, w, k, q)
+    return span_rank(source + b_q) - span_rank(b_q)

@@ -60,7 +60,7 @@ def corpus():
         chi = random_nonresonant_character(rng, g, 12)
         f = build_flag_complex(g)
         direct = full_decomposition(f, chi)
-        cases.append((g, chi, direct))
+        cases.append((f, chi, direct))
     return cases
 
 
@@ -137,22 +137,22 @@ def test_criterion_5_square_frame_fixture():
 
 def test_criterion_6_pipeline_cross_validation(corpus):
     failures = []
-    for idx, (g, chi, direct) in enumerate(corpus):
-        failures.extend(cross_validate_once(g, chi, f"trial {idx}: ", direct=direct))
+    for idx, (f, chi, direct) in enumerate(corpus):
+        failures.extend(cross_validate_once(f, chi, f"trial {idx}: ", direct=direct))
     _report(6, f"pipeline agreement on {len(corpus)} random graphs", failures)
 
 
 def test_criterion_7_even_reduction(corpus):
     failures = []
-    for idx, (g, chi, direct) in enumerate(corpus):
-        failures.extend(even_reduction_check(g, chi, f"trial {idx}: ", direct=direct))
+    for idx, (f, chi, direct) in enumerate(corpus):
+        failures.extend(even_reduction_check(f, chi, f"trial {idx}: ", direct=direct))
     _report(7, "order-d exponents match the even character's order-2 exponents", failures)
 
 
 def test_criterion_8_monodromy_invariants(corpus):
     failures = []
-    for idx, (g, chi, direct) in enumerate(corpus):
-        failures.extend(monodromy_check(g, chi, f"trial {idx}: ", direct=direct))
+    for idx, (f, chi, direct) in enumerate(corpus):
+        failures.extend(monodromy_check(f, chi, f"trial {idx}: ", direct=direct))
     _report(8, "cyclotomic factors, semisimple order-1 part, exponent bounds", failures)
 
 

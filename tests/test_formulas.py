@@ -16,6 +16,7 @@ from artinkernels import (
     InputError,
     SimplicialGraph,
     TorsionProfile,
+    WeightFunction,
     anti_invariant_homology,
     boundary_matrix,
     build_flag_complex,
@@ -45,8 +46,9 @@ from artinkernels.crosscheck import (
 )
 from artinkernels.flagcomplex import full_skeleton
 from artinkernels.formulas import anti_invariant_complex
+from artinkernels.graphs import weight_classes
 
-from conftest import make_kite, make_square_frame, make_tree, make_triforce, oracle_rank
+from conftest import kernel_map_rank, make_kite, make_square_frame, make_tree, make_triforce, oracle_rank
 
 
 def w2(pair):
@@ -273,6 +275,62 @@ def test_max_exponent_examples():
     assert max_exponent(f, derive_weight(chi, 6), 0) == 2
 
 
+def per_level_weighted_sum(f, w, k):
+    """The weighted exponent sum as its per-level formula: filtration
+    Betti numbers of the (k+1)-skeleton and relative pairs against the
+    filtered k-skeleton, with full-skeleton corrections."""
+    top = full_skeleton(f, w, k + 1)
+    total = sum(filtration_betti(f, w, k, k + 1, j) for j in range(k + 2))
+    total -= (k + 2) * free_rank_check(f, k)
+    total += sum(relative_betti(f, w, k + 1, (top, filtration_level(f, w, k, j))) for j in range(k + 1))
+    total -= (k + 1) * relative_betti(f, w, k + 1, (top, full_skeleton(f, w, k)))
+    return total
+
+
+def test_weight_pair_readers_match_level_oracles():
+    # random 0/1 weights as well as weights derived from characters; every
+    # degree and every source/target level of the located-cycle ranks
+    rng = random.Random(67)
+    checked = 0
+    for trial in range(160):
+        g = random_connected_graph(rng, 8)
+        if trial % 2:
+            w = WeightFunction({v: rng.randint(0, 1) for v in g.vertices}, 2)
+        else:
+            chi = random_nonresonant_character(rng, g, 12)
+            w = derive_weight(chi, rng.choice(candidate_torsion_orders(chi)))
+        f = build_flag_complex(g)
+        for k in range(0, f.dim + 1):
+            assert weighted_exponent_sum(f, w, k) == per_level_weighted_sum(f, w, k), (trial, k)
+            ranks = {
+                (p, q): kernel_map_rank(f, w, k, p, q) for p in range(k + 2) for q in range(p, k + 3)
+            }
+            assert top_jordan_count(f, w, k) == ranks[0, k + 1], (trial, k)
+            for (p, q), rank in ranks.items():
+                assert c_rank(f, w, k, q + 1, p) == rank, (trial, k, p, q)
+            gaps = [q - p + 1 for (p, q), rank in ranks.items() if q <= k + 1 and rank > 0]
+            assert max_exponent(f, w, k, summands=2) == max(gaps, default=0), (trial, k)
+            checked += 1
+    assert checked > 300
+
+
+@pytest.mark.parametrize("make", [make_kite, make_square_frame, make_triforce, make_tree])
+def test_formula_readers_reject_degrees_out_of_range(make):
+    g, chi = make()
+    f = build_flag_complex(g)
+    w = derive_weight(chi, 2)
+    for k in (-1, f.dim + 1):
+        for call in (
+            lambda: weighted_exponent_sum(f, w, k),
+            lambda: top_jordan_count(f, w, k),
+            lambda: c_rank(f, w, k, 1, 0),
+            lambda: max_exponent(f, w, k),
+            lambda: torsion_profile(f, chi, 2, k),
+        ):
+            with pytest.raises(InputError, match="degree index"):
+                call()
+
+
 # -- degree-1 closed form -----------------------------------------------------
 
 
@@ -397,8 +455,50 @@ def test_pipeline_agreement_small_corpus():
     for _ in range(20):
         g = random_connected_graph(rng, 6)
         chi = random_nonresonant_character(rng, g, 10)
-        issues = cross_validate_once(g, chi)
+        issues = cross_validate_once(build_flag_complex(g), chi)
         assert not issues, issues
+
+
+def test_thorough_fuzz_builds_one_complex_per_trial(monkeypatch, capsys):
+    import artinkernels.crosscheck as crosscheck
+    from artinkernels.cli import main
+
+    built = []
+
+    def counting_build(g, *args, **kwargs):
+        built.append(g)
+        return build_flag_complex(g, *args, **kwargs)
+
+    monkeypatch.setattr(crosscheck, "build_flag_complex", counting_build)
+    result = crosscheck.fuzz(1, 11, check_reduction=True, check_monodromy=True)
+    assert (result.trials, result.comparisons, result.mismatches) == (1, 1, [])
+    assert len(built) == 1
+    assert main(["fuzz", "--seed", "11", "--trials", "12", "--max-vertices", "7", "--thorough"]) == 0
+    assert capsys.readouterr().out == "12 trials, 0 mismatches\n"
+    assert len(built) == 13
+
+
+def test_weight_classes_and_pair_memo_key_by_vertex():
+    g, chi = make_kite()
+    permuted = Character(dict(reversed(list(chi.values.items()))))
+    assert weight_classes(g, permuted, [2, 3]) == weight_classes(g, chi, [2, 3]) == {
+        2: (1, 1, 1, 0, 0, 0),
+        3: (0, 0, 0, 0, 0, 0),
+    }
+    with pytest.raises(InputError):
+        weight_classes(g, chi, [1])
+    # the weight-pair memo keys by vertex too: the same map listed in
+    # another order shares its entries, and another map with the same
+    # values in its own order does not
+    w = derive_weight(chi, 2)
+    flipped = WeightFunction({v: w[v] for v in reversed(g.vertices)}, 2)
+    mirrored = WeightFunction(dict(zip(reversed(g.vertices), w.weights.values())), 2)
+    f = build_flag_complex(g)
+    for weights in (w, flipped, mirrored):
+        for k in range(f.dim + 1):
+            assert weighted_exponent_sum(f, weights, k) == per_level_weighted_sum(f, weights, k)
+            assert top_jordan_count(f, weights, k) == kernel_map_rank(f, weights, k, 0, k + 1)
+    assert len({key for key, _ in f.weight_pairs}) == 2
 
 
 # -- per-complex rank memo and per-weight-class profiles ----------------------
@@ -413,8 +513,13 @@ def test_profiles_shared_per_weight_class_match_fresh_profiles():
         orders = candidate_torsion_orders(chi)
         f = build_flag_complex(g)
         out = formula_decomposition(f, chi, orders)
-        classes = {tuple(derive_weight(chi, d).weights.values()) for d in orders}
+        classes = set(weight_classes(g, chi, orders).values())
         shared_classes += len(orders) - len(classes)
+        # the weight-pair memo is keyed by the same class keys, one table
+        # per degree of every class with a weight-1 vertex
+        assert f.weight_pairs.keys() == {
+            (key, m) for key in classes if any(key) for m in range(1, f.dim + 2)
+        }
         fresh = build_flag_complex(g)
         for m, entry in out.items():
             for d, profile in entry["profiles"].items():
@@ -462,5 +567,6 @@ def test_shared_complex_across_threads_matches_serial():
                 assert not t.is_alive()
             assert results == [expected] * 4
             assert shared.boundary_ranks == serial_complex.boundary_ranks
+            assert shared.weight_pairs == serial_complex.weight_pairs
     finally:
         sys.setswitchinterval(old_interval)

@@ -12,6 +12,7 @@ from artinkernels import build_flag_complex, boundary_matrix
 from artinkernels.linalg import (
     IncrementalRank,
     intersect_spans,
+    leading_columns,
     nullspace,
     rank_rational,
     smith_normal_form,
@@ -193,6 +194,24 @@ def test_incremental_rank_matches_oracle():
             added.append(row)
             assert inc.rank == oracle_rank(added)
             assert grew == (inc.rank == before + 1)
+
+
+def test_leading_columns_match_prefix_ranks():
+    # the leads among the first i rows that fall before column c number
+    # exactly the rank of those rows cut to their first c columns, which
+    # pins down every lead, and None for dependent rows
+    rng = random.Random(47)
+    mats = property_matrices(47)
+    mats += [as_columns(mat) for mat in random_boundaries(rng, 8)]
+    for mat in mats:
+        rows = mat + [[0] * len(mat[0])]
+        ncols = len(rows[0])
+        leads = leading_columns(rows, ncols)
+        assert len(leads) == len(rows)
+        for i in range(len(rows) + 1):
+            for c in range(ncols + 1):
+                below = sum(1 for lead in leads[:i] if lead is not None and lead < c)
+                assert below == oracle_rank([row[:c] for row in rows[:i]]), (mat, i, c)
 
 
 # -- Smith normal form -------------------------------------------------------

@@ -138,6 +138,17 @@ def test_negative_max_degree_is_rejected(tmp_path, capsys):
     assert code == 0 and set(report.degrees) == {0}
 
 
+@pytest.mark.parametrize("spec", [",,", "0,-2", "", "2,0"])
+def test_cli_rejects_order_lists_that_select_nothing(tmp_path, capsys, spec):
+    target = tmp_path / "kite.json"
+    target.write_bytes(fixture_bytes("kite"))
+    assert main(["check", "--input", str(target), "--d", spec]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "--d" in err
+    assert main(["check", "--input", str(target), "--d", "2,3"]) == 0
+
+
 def test_goldens_match():
     for name in FIXTURES:
         assert run_fixture(name) == golden_bytes(name), name
