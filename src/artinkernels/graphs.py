@@ -198,14 +198,21 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def candidate_torsion_orders(chi: Character) -> list[int]:
-    """All d >= 2 dividing at least one label; torsion elsewhere is zero."""
-    if any(n == 0 for n in chi.values.values()):
-        raise InputError("resonant character: every d divides a zero label")
+def torsion_candidates(chi: Character) -> list[int]:
+    """All d >= 2 dividing a nonzero label: the orders whose torsion is
+    reported.  Zero labels have no divisors here, so the list is defined
+    for degenerate characters too."""
     out: set[int] = set()
     for n in chi.values.values():
         out.update(d for d in divisors(n) if d >= 2)
     return sorted(out)
+
+
+def candidate_torsion_orders(chi: Character) -> list[int]:
+    """All d >= 2 dividing at least one label; torsion elsewhere is zero."""
+    if any(n == 0 for n in chi.values.values()):
+        raise InputError("resonant character: every d divides a zero label")
+    return torsion_candidates(chi)
 
 
 def even_character_from_weight(g: SimplicialGraph, w: WeightFunction) -> Character:

@@ -31,9 +31,8 @@ from .graphs import (
     CharacterClass,
     ConsistencyError,
     InputError,
-    candidate_torsion_orders,
     classify_character,
-    divisors,
+    torsion_candidates,
 )
 from .linalg import SmithForm, rank_rational, smith_normal_form
 from .polys import ZERO, ExactPoly, LaurentClass, factor_cyclotomic, t_power_minus_one
@@ -201,12 +200,11 @@ def _torsion_from_factors(
 
 
 def _decomposition_from_smith(
-    f: FlagComplex,
-    chi: Character,
     k: int,
     cls: CharacterClass,
-    snf_lower,
-    snf_upper,
+    orders: list[int],
+    snf_lower: SmithForm,
+    snf_upper: SmithForm,
 ) -> ModuleDecomposition:
     # Over a PID the chain group modulo the kernel is free, so the
     # homology splits off the full torsion of coker(upper boundary);
@@ -217,13 +215,8 @@ def _decomposition_from_smith(
     if free_rank < 0:
         raise ConsistencyError("image rank exceeds kernel rank; not a chain complex")
     nontrivial = [q for q in snf_upper.invariant_factors if not q.is_one()]
-
-    cand: set[int] = set()
-    for n in chi.values.values():
-        if n != 0:
-            cand.update(d for d in divisors(n) if d >= 2)
     strict = cls is CharacterClass.NON_RESONANT_SURJECTIVE
-    torsion, remainders = _torsion_from_factors(nontrivial, sorted(cand), strict)
+    torsion, remainders = _torsion_from_factors(nontrivial, orders, strict)
     return ModuleDecomposition(
         degree=k + 1,
         free_rank=free_rank,
@@ -244,7 +237,7 @@ def homology_module(
     cls = require_admissible(f, chi, allow_degenerate)
     snf_lower = _twisted_smith(f, chi, k)
     snf_upper = _twisted_smith(f, chi, k + 1)
-    return _decomposition_from_smith(f, chi, k, cls, snf_lower, snf_upper)
+    return _decomposition_from_smith(k, cls, torsion_candidates(chi), snf_lower, snf_upper)
 
 
 def full_decomposition(
@@ -262,9 +255,10 @@ def full_decomposition(
     top = f.dim + 1
     if max_degree is not None:
         top = min(top, max_degree)
+    orders = torsion_candidates(chi)
     snfs = {k: _twisted_smith(f, chi, k) for k in range(-1, top + 1)}
     return {
-        k + 1: _decomposition_from_smith(f, chi, k, cls, snfs[k], snfs[k + 1])
+        k + 1: _decomposition_from_smith(k, cls, orders, snfs[k], snfs[k + 1])
         for k in range(-1, top)
     }
 
@@ -295,15 +289,3 @@ def t_minus_1_part(f: FlagComplex, k: int) -> int:
     untwisted boundary out of the (k+1)-simplices.  That part is always
     semisimple, so its exponent vector is (rank,) or empty."""
     return boundary_rank(f, k + 1)
-
-
-def torsion_candidates(chi: Character) -> list[int]:
-    """Candidate torsion orders for reporting; degenerate-safe."""
-    try:
-        return candidate_torsion_orders(chi)
-    except InputError:
-        out: set[int] = set()
-        for n in chi.values.values():
-            if n:
-                out.update(d for d in divisors(n) if d >= 2)
-        return sorted(out)

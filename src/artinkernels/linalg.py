@@ -13,13 +13,15 @@ Polynomial matrices hold ExactPoly entries or integer coefficient
 sequences (constant term first).  The Smith form routine scales each row
 holding an ExactPoly to integer coefficients, takes integer rows as they
 are, and eliminates on plain-int coefficient lists with the arithmetic
-of polys (pseudo-division, exact quotients, cofactor gcd).  It
+of polys (pseudo-division, exact quotients, primitive gcd).  It
 diagonalizes with degree-minimal pivoting (ties broken by coefficient
-height, then position), using fused two-by-two Bezout moves built from
-an integer cofactor remainder sequence, and divides rows and columns by
-their integer content and their power of t after every step to control
-coefficient growth.  It then repairs the divisibility chain with
-two-by-two moves on the diagonal, which cause no fill-in.  Every move is
+height, then position) by Euclidean steps: an entry is reduced by a
+pseudo-quotient multiple of the pivot line, and a nonzero remainder is
+swapped in as the new pivot, of lower degree (Newman, Integral
+Matrices, 1972, ch. II).  Rows and columns are divided by their integer
+content and their power of t after every step to control coefficient
+growth.  It then repairs the divisibility chain with two-by-two moves on
+the diagonal, which cause no fill-in and need only a gcd.  Every move is
 unimodular over the Laurent ring Q[t^±1], where nonzero constants and
 powers of t are units, and the reported invariant factors are monic with
 their t-power content stripped, the normalization of that ring.
@@ -33,7 +35,7 @@ from itertools import chain
 from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
-from .polys import ExactPoly, _exquo, _integer_coeffs, _lin, _mul, _pdivmod, _trim, _xgcd
+from .polys import ExactPoly, _exquo, _gcd, _integer_coeffs, _lin, _mul, _pdivmod, _trim
 
 Row = list
 Matrix = list  # list of rows
@@ -222,20 +224,6 @@ class IncrementalRank:
 # Entries are never mutated, so entries may share one list or tuple.
 
 
-def _clearing_move(p: list[int], e: list[int]) -> tuple[list[int], list[int], list[int], list[int]]:
-    """A 2x2 move (u, v, w, z) with w*p + z*e == 0 whose determinant
-    u*z - v*w is a nonzero constant, so it is unimodular over Q[t].
-    Applied to the lines holding the pivot p and the entry e, it clears e;
-    when p does not divide e the new pivot u*p + v*e is an associate of
-    gcd(p, e), of lower degree than p.  v == [] means the pivot line is
-    left alone."""
-    c, q, r = _pdivmod(e, p)
-    if not r:
-        return [1], [], [-y for y in q], [c]
-    g, x, y, _ = _xgcd(p, e)
-    return x, y, [-z for z in _exquo(e, g)], _exquo(p, g)
-
-
 def _divisor(entries) -> tuple[int, int]:
     """(content, t-power) of a row or column: the gcd of all coefficients
     and the least t-adic order of its nonzero entries."""
@@ -272,28 +260,32 @@ def _strip_col(a: list[list[list[int]]], j: int) -> None:
 
 
 def _row_step(a: list[list[list[int]]], t: int, i: int) -> None:
-    """Clear a[i][t] against the pivot a[t][t]."""
-    u, v, w, z = _clearing_move(a[t][t], a[i][t])
-    rt, ri = a[t], a[i]
-    a[i] = [_lin(w, x, z, y) if x or y else x for x, y in zip(rt, ri)]
-    _strip_row(a[i])
-    if v:
-        a[t] = [_lin(u, x, v, y) if x or y else x for x, y in zip(rt, ri)]
-        _strip_row(a[t])
+    """Clear a[i][t] against the pivot a[t][t] by Euclidean division:
+    row i becomes c*row i - q*row t, which leaves the remainder at
+    a[i][t]; a nonzero remainder has lower degree than the pivot, so the
+    two rows swap and the division repeats."""
+    while a[i][t]:
+        c, q, _ = _pdivmod(a[i][t], a[t][t])
+        u, v = [c], [-x for x in q]
+        a[i] = [_lin(u, y, v, x) if x or y else y for x, y in zip(a[t], a[i])]
+        _strip_row(a[i])
+        if a[i][t]:
+            a[t], a[i] = a[i], a[t]
 
 
 def _col_step(a: list[list[list[int]]], t: int, j: int) -> None:
-    """Clear a[t][j] against the pivot a[t][t]."""
-    u, v, w, z = _clearing_move(a[t][t], a[t][j])
-    for row in a:
-        x, y = row[t], row[j]
-        if x or y:
-            row[j] = _lin(w, x, z, y)
-            if v:
-                row[t] = _lin(u, x, v, y)
-    _strip_col(a, j)
-    if v:
-        _strip_col(a, t)
+    """Clear a[t][j] against the pivot a[t][t]; _row_step on columns."""
+    while a[t][j]:
+        c, q, _ = _pdivmod(a[t][j], a[t][t])
+        u, v = [c], [-x for x in q]
+        for row in a:
+            x, y = row[t], row[j]
+            if x or y:
+                row[j] = _lin(u, y, v, x)
+        _strip_col(a, j)
+        if a[t][j]:
+            for row in a:
+                row[t], row[j] = row[j], row[t]
 
 
 def _find_pivot(a: list[list[list[int]]], t: int) -> Optional[tuple[int, int]]:
@@ -355,9 +347,9 @@ def smith_normal_form(matrix: Sequence[Sequence[PolyEntry]], ncols: Optional[int
     elif ncols is None:
         raise ValueError("ncols required for a matrix with no rows")
 
-    # phase 1: diagonalize (no divisibility enforcement); a step that is
-    # not an exact division is a fused Bezout move that strictly drops
-    # the pivot degree, so the row/column alternation terminates quickly
+    # phase 1: diagonalize (no divisibility enforcement); a division
+    # that leaves a remainder swaps it in as a pivot of lower degree, so
+    # the row/column alternation terminates
     t = 0
     while t < min(nrows, ncols):
         pos = _find_pivot(a, t)
@@ -374,8 +366,8 @@ def smith_normal_form(matrix: Sequence[Sequence[PolyEntry]], ncols: Optional[int
             for j in range(t + 1, ncols):
                 if a[t][j]:
                     _col_step(a, t, j)
-            # the column pass leaves row t clear, but a Bezout column
-            # move can refill column t
+            # the column pass leaves row t clear, but a column swap can
+            # refill column t
             if not any(a[i][t] for i in range(t + 1, nrows)):
                 break
         t += 1
@@ -383,7 +375,8 @@ def smith_normal_form(matrix: Sequence[Sequence[PolyEntry]], ncols: Optional[int
 
     # phase 2: repair the divisibility chain on the diagonal; replacing
     # (a, b) by (gcd, a*b/gcd) is a unimodular 2x2 move on rows and
-    # columns that are otherwise zero, so there is no fill-in
+    # columns that are otherwise zero, so there is no fill-in; only the
+    # new diagonal is computed, which needs the gcd but no cofactors
     diag = []
     for i in range(rank):
         g, low = _divisor([a[i][i]])
@@ -394,7 +387,7 @@ def smith_normal_form(matrix: Sequence[Sequence[PolyEntry]], ncols: Optional[int
         for i in range(rank):
             for j in range(i + 1, rank):
                 if _pdivmod(diag[j], diag[i])[2]:
-                    g = _xgcd(diag[i], diag[j])[0]
+                    g = _gcd(diag[i], diag[j])
                     diag[i], diag[j] = g, _mul(diag[i], _exquo(diag[j], g))
                     changed = True
     invariant = tuple(ExactPoly([Fraction(x, d[-1]) for x in d]) for d in diag)

@@ -9,10 +9,10 @@ exactly when their polynomial parts agree up to a nonzero rational scalar.
 
 The module also holds the integer coefficient-list kernel that the exact
 computations run on: plain lists of ints, constant term first, with
-pseudo-division, exact quotients and an integer cofactor gcd.  The Smith
-normal form of linalg eliminates with it, and cyclotomic and
-factor_cyclotomic divide by the integer cyclotomic polynomials through
-the same pseudo-division; ExactPoly values are built only for results.
+pseudo-division, exact quotients and a primitive gcd.  The Smith normal
+form of linalg eliminates with it, and cyclotomic and factor_cyclotomic
+divide by the integer cyclotomic polynomials through the same
+pseudo-division; ExactPoly values are built only for results.
 """
 
 from __future__ import annotations
@@ -57,18 +57,6 @@ class ExactPoly:
 
     def constant(self) -> Fraction:
         return self.coeffs[0] if self.coeffs else Fraction(0)
-
-    def content(self) -> Fraction:
-        """Positive rational c with self/c integer-primitive; 0 for zero."""
-        if not self.coeffs:
-            return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.coeffs:
-            if c:
-                num = gcd(num, c.numerator)
-                den = den * c.denominator // gcd(den, c.denominator)
-        return Fraction(abs(num), den)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -219,7 +207,6 @@ class ExactPoly:
 
 ZERO = ExactPoly()
 ONE = ExactPoly([1])
-T = ExactPoly([0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -306,37 +293,17 @@ def _exquo(a: list[int], b: list[int]) -> list[int]:
     return q
 
 
-def _xgcd(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[int], int]:
-    """(g, x, y, s) with x*a + y*b == s*g, g the primitive gcd with a
-    positive leading coefficient and s a nonzero int.
-
-    An integer cofactor remainder sequence: every pseudo-remainder is
-    divided by its content and every cofactor triple (x, y, s) by its
-    common content, which keeps coefficients small (Collins, J. ACM 1967).
-    """
-    r0, x0, y0, s0 = a, [1], [], 1
-    r1, x1, y1, s1 = b, [], [1], 1
-    # invariant: x_i*a + y_i*b == s_i*r_i
-    while r1:
-        c, q, r = _pdivmod(r0, r1)
-        # s0*s1*r == c*s1*(x0*a + y0*b) - s0*q*(x1*a + y1*b)
-        u, v = [c * s1], [-s0 * z for z in q]
-        x, y, s = _lin(u, x0, v, x1), _lin(u, y0, v, y1), s0 * s1
-        if r:
-            h = gcd(*r)
-            r = [z // h for z in r]
-            s *= h
-        h = gcd(s, *x, *y)
-        if h != 1:
-            x, y, s = [z // h for z in x], [z // h for z in y], s // h
-        r0, x0, y0, s0 = r1, x1, y1, s1
-        r1, x1, y1, s1 = r, x, y, s
-    h = gcd(*r0) if r0[-1] > 0 else -gcd(*r0)
-    return [z // h for z in r0], x0, y0, s0 * h
-
-
-def poly_from_ints(*coeffs: int) -> ExactPoly:
-    return ExactPoly(coeffs)
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """The primitive gcd with a positive leading coefficient, by a
+    primitive pseudo-remainder sequence: each remainder is divided by its
+    content (Collins, J. ACM 1967).  a and b must not both be zero."""
+    while b:
+        a, b = b, _pdivmod(a, b)[2]
+        if b:
+            h = gcd(*b)
+            b = [x // h for x in b]
+    h = gcd(*a) if a[-1] > 0 else -gcd(*a)
+    return [x // h for x in a]
 
 
 def t_power_minus_one(n: int) -> ExactPoly:
@@ -353,33 +320,6 @@ def poly_gcd(a: ExactPoly, b: ExactPoly) -> ExactPoly:
     while not b.is_zero():
         a, b = b, a % b
     return a.monic()
-
-
-def poly_xgcd(a: ExactPoly, b: ExactPoly) -> tuple[ExactPoly, ExactPoly, ExactPoly]:
-    """Extended Euclid: (g, x, y) with g monic, x*a + y*b = g.
-
-    Each remainder is rescaled to primitive integer form (with the Bezout
-    row rescaled alongside), the primitive-sequence cure for the
-    exponential coefficient growth of the naive remainder sequence.
-    """
-    if a.is_zero() and b.is_zero():
-        raise ValueError("gcd(0, 0) is undefined")
-    r0, r1 = a, b
-    x0, x1 = ONE, ZERO
-    y0, y1 = ZERO, ONE
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        x2 = x0 - q * x1
-        y2 = y0 - q * y1
-        c = r.content()
-        if c and c != 1:
-            inv = 1 / c
-            r, x2, y2 = r * inv, x2 * inv, y2 * inv
-        r0, x0, y0 = r1, x1, y1
-        r1, x1, y1 = r, x2, y2
-    lead = r0.leading()
-    inv = 1 / lead
-    return r0 * inv, x0 * inv, y0 * inv
 
 
 @lru_cache(maxsize=None)

@@ -253,11 +253,17 @@ def run(job: JobSpec) -> tuple[Report, int]:
             f"{cls.value} character unsupported by the formula pipeline; "
             "use --method direct (with --allow-resonant for degenerate labels)"
         )
-    f = build_flag_complex(graph)
     orders = torsion_candidates(chi)
     if job.d_filter is not None:
+        for d in job.d_filter:
+            if d != 1 and d not in orders:
+                raise InputError(
+                    f"--d order {d} is neither 1 nor a candidate torsion order "
+                    f"(candidates: {', '.join(map(str, orders)) or 'none'})"
+                )
         wanted = set(job.d_filter)
         orders = [d for d in orders if d in wanted]
+    f = build_flag_complex(graph)
 
     report = Report(method=job.method, degrees={}, provenance=_provenance(job.data, graph))
     if job.method in ("direct", "both"):

@@ -18,7 +18,6 @@ from artinkernels.polys import (
     cyclotomic,
     factor_cyclotomic,
     poly_gcd,
-    poly_xgcd,
     t_power_minus_one,
 )
 
@@ -100,19 +99,6 @@ def test_poly_gcd_examples():
     assert poly_gcd(cyclotomic(6), cyclotomic(3)) == ONE
     with pytest.raises(ValueError):
         poly_gcd(ZERO, ZERO)
-
-
-def test_xgcd_bezout_identity():
-    rng = random.Random(5)
-    for _ in range(100):
-        a = ExactPoly([rng.randint(-3, 3) for _ in range(rng.randint(0, 6))])
-        b = ExactPoly([rng.randint(-3, 3) for _ in range(rng.randint(0, 6))])
-        if a.is_zero() and b.is_zero():
-            continue
-        g, x, y = poly_xgcd(a, b)
-        assert x * a + y * b == g
-        if not a.is_zero() and not b.is_zero():
-            assert (a % g).is_zero() and (b % g).is_zero()
 
 
 def test_factor_cyclotomic_flagship_product():

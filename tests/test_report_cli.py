@@ -122,6 +122,9 @@ def test_d_filter_and_max_degree():
     assert set(doc["profiles"]["1"]) == {"6"}
     # direct degrees keep all orders; the filter limits the formula side
     assert doc["degrees"]["1"]["torsion"]["6"] == [0, 1]
+    # an order that is neither 1 nor a candidate could only select nothing
+    with pytest.raises(InputError, match=r"order 7 .*\(candidates: 2, 3, 4, 6, 9, 12, 18\)"):
+        run(JobSpec(data=fixture_bytes("tree"), method="both", d_filter=[6, 7]))
 
 
 def test_negative_max_degree_is_rejected(tmp_path, capsys):
@@ -138,7 +141,7 @@ def test_negative_max_degree_is_rejected(tmp_path, capsys):
     assert code == 0 and set(report.degrees) == {0}
 
 
-@pytest.mark.parametrize("spec", [",,", "0,-2", "", "2,0"])
+@pytest.mark.parametrize("spec", [",,", "0,-2", "", "2,0", "7", "2,7"])
 def test_cli_rejects_order_lists_that_select_nothing(tmp_path, capsys, spec):
     target = tmp_path / "kite.json"
     target.write_bytes(fixture_bytes("kite"))
@@ -146,7 +149,7 @@ def test_cli_rejects_order_lists_that_select_nothing(tmp_path, capsys, spec):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and "--d" in err
-    assert main(["check", "--input", str(target), "--d", "2,3"]) == 0
+    assert main(["check", "--input", str(target), "--d", "1,2"]) == 0
 
 
 def test_goldens_match():
