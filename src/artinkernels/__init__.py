@@ -29,7 +29,6 @@ from .formulas import (
     max_exponent,
     relative_betti,
     solve_exponents,
-    summand_count,
     summand_counts,
     top_jordan_count,
     torsion_profile,
@@ -52,7 +51,6 @@ from .homology import (
     TwistedBoundary,
     free_rank_check,
     full_decomposition,
-    homology_module,
     t_minus_1_part,
     twisted_boundary,
 )
@@ -98,7 +96,6 @@ __all__ = [
     "free_rank_check",
     "full_decomposition",
     "h1_even_summary",
-    "homology_module",
     "incidence",
     "is_acyclic",
     "max_exponent",
@@ -111,7 +108,6 @@ __all__ = [
     "simplex_weight",
     "smith_normal_form",
     "solve_exponents",
-    "summand_count",
     "summand_counts",
     "t_minus_1_part",
     "top_jordan_count",

@@ -54,7 +54,6 @@ def _run_job(args: argparse.Namespace, method: str) -> int:
         max_degree=args.max_degree,
         d_filter=_parse_orders(args.d),
         allow_resonant=args.allow_resonant,
-        fmt=args.format,
     )
     report, code = run(job)
     payload = emit_report(report, args.format)

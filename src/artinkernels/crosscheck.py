@@ -13,7 +13,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Optional
 
 from .flagcomplex import FlagComplex, build_flag_complex
 from .formulas import formula_decomposition
@@ -67,17 +66,15 @@ class CrossCheckResult:
         return not self.mismatches
 
 
-def cross_validate_once(f: FlagComplex, chi: Character, tag: str = "", direct=None) -> list[str]:
-    """Compare the two pipelines on one input; returns mismatch strings."""
+def cross_validate_once(f: FlagComplex, chi: Character, tag: str, direct: dict) -> list[str]:
+    """Compare the two pipelines on one input, given the direct
+    decomposition; returns mismatch strings prefixed with tag."""
     orders = candidate_torsion_orders(chi)
-    if direct is None:
-        direct = full_decomposition(f, chi)
     formula = formula_decomposition(f, chi, orders)
-    issues = compare_pipelines(direct, formula, orders)
-    return [f"{tag}{msg}" for msg in issues] if tag else issues
+    return [tag + msg for msg in compare_pipelines(direct, formula, orders)]
 
 
-def even_reduction_check(f: FlagComplex, chi: Character, tag: str = "", direct=None) -> list[str]:
+def even_reduction_check(f: FlagComplex, chi: Character, tag: str, direct: dict) -> list[str]:
     """Order-d exponents of chi must equal order-2 exponents of the
     associated even character, both through the direct pipeline.
 
@@ -85,8 +82,6 @@ def even_reduction_check(f: FlagComplex, chi: Character, tag: str = "", direct=N
     so its decomposition is computed once per weight class and compared
     with every order of the class.
     """
-    if direct is None:
-        direct = full_decomposition(f, chi)
     issues = []
     reduced_by_class = {}
     for d, key in weight_classes(f.graph, chi, candidate_torsion_orders(chi)).items():
@@ -106,13 +101,11 @@ def even_reduction_check(f: FlagComplex, chi: Character, tag: str = "", direct=N
     return issues
 
 
-def monodromy_check(f: FlagComplex, chi: Character, tag: str = "", direct=None) -> list[str]:
+def monodromy_check(f: FlagComplex, chi: Character, tag: str, direct: dict) -> list[str]:
     """Non-resonant invariants: cyclotomic-only factors with orders
     dividing a label, order-1 vectors of length <= 1, order-d vectors in
     degree k+1 of length <= k+2."""
     allowed = set(candidate_torsion_orders(chi)) | {1}
-    if direct is None:
-        direct = full_decomposition(f, chi)
     issues = []
     for m, dec in direct.items():
         if dec.remainder_factors:
@@ -134,7 +127,6 @@ def fuzz(
     max_label: int = 12,
     check_reduction: bool = False,
     check_monodromy: bool = False,
-    progress: Optional[callable] = None,
 ) -> CrossCheckResult:
     if trials < 0:
         raise InputError(f"trials must be at least 0, got {trials}")
@@ -152,11 +144,9 @@ def fuzz(
         result.comparisons += 1
         f = build_flag_complex(g)
         direct = full_decomposition(f, chi)
-        result.mismatches.extend(cross_validate_once(f, chi, tag, direct=direct))
+        result.mismatches.extend(cross_validate_once(f, chi, tag, direct))
         if check_reduction:
-            result.mismatches.extend(even_reduction_check(f, chi, tag, direct=direct))
+            result.mismatches.extend(even_reduction_check(f, chi, tag, direct))
         if check_monodromy:
-            result.mismatches.extend(monodromy_check(f, chi, tag, direct=direct))
-        if progress is not None:
-            progress(trial + 1, trials)
+            result.mismatches.extend(monodromy_check(f, chi, tag, direct))
     return result

@@ -232,9 +232,6 @@ class FiltrationLevel:
     def count(self, dim: int) -> int:
         return len(self.positions(dim))
 
-    def top_dim(self) -> int:
-        return self.m
-
 
 def filtration_level(f: FlagComplex, w: WeightFunction, m: int, j: int) -> FiltrationLevel:
     """The filtration piece at skeleton dimension m and weight bound j."""

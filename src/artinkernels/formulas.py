@@ -35,7 +35,6 @@ from .graphs import (
     SimplicialGraph,
     WeightFunction,
     derive_weight,
-    even_character_from_weight,
     even_reduction,
     weight_classes,
 )
@@ -213,39 +212,24 @@ def anti_invariant_homology(f: FlagComplex, rho: Character) -> tuple[int, ...]:
     return anti_invariant_complex(f, rho).dims
 
 
-def summand_count(f: FlagComplex, rho: Character, k: int, lower: int) -> int:
-    """Number of torsion summands of the (t+1)-part in degree k+1.
+def summand_counts(f: FlagComplex, rho: Character) -> list[int]:
+    """Number of torsion summands of the (t+1)-part in degree k+1, for
+    k = 0 .. dim F.
 
     Recursion in k: anti-invariant dimension in degree k+1 minus the
     reduced Betti number of the flag complex minus the previous count;
     the base case below degree 0 is zero.
     """
     _check_even_values(rho)
-    vals = set(rho.values.values())
-    if vals != {1, 2}:
-        raise InputError("constant even character: no double cover to use")
-    dims = anti_invariant_homology(f, rho)
-    return _summand_from_dims(f, dims, k, lower)
-
-
-def _summand_from_dims(f: FlagComplex, dims: Sequence[int], k: int, lower: int) -> int:
-    value = dims[k + 1] - free_rank_check(f, k) - lower
-    if value < 0:
-        raise ConsistencyError(f"negative summand count {value} in degree {k + 1}")
-    return value
-
-
-def summand_counts(f: FlagComplex, rho: Character, up_to_k: Optional[int] = None) -> list[int]:
-    """The counts for k = 0 .. up_to_k (default: dim F), via the recursion."""
-    _check_even_values(rho)
     if set(rho.values.values()) != {1, 2}:
         raise InputError("constant even character: no double cover to use")
-    top = f.dim if up_to_k is None else up_to_k
     dims = anti_invariant_homology(f, rho)
     out: list[int] = []
     prev = 0
-    for k in range(top + 1):
-        prev = _summand_from_dims(f, dims, k, prev)
+    for k in range(f.dim + 1):
+        prev = dims[k + 1] - free_rank_check(f, k) - prev
+        if prev < 0:
+            raise ConsistencyError(f"negative summand count {prev} in degree {k + 1}")
         out.append(prev)
     return out
 
@@ -275,9 +259,7 @@ def c_rank(f: FlagComplex, w: WeightFunction, k: int, i: int, j: int) -> int:
     return _located_rank(f, w, k, j, i - 1)
 
 
-def max_exponent(
-    f: FlagComplex, w: WeightFunction, k: int, summands: Optional[int] = None
-) -> int:
+def max_exponent(f: FlagComplex, w: WeightFunction, k: int, summands: int) -> int:
     """Largest exponent j with a summand of exponent j in degree k+1.
 
     0 when there is no torsion; with a single summand the exponent equals
@@ -287,11 +269,6 @@ def max_exponent(
     q < weight, so the largest gap is the largest weight - lead weight.
     """
     _check_degree(f, k)
-    if summands is None:
-        rho = even_character_from_weight(f.graph, w)
-        if set(rho.values.values()) != {1, 2}:
-            return 0
-        summands = summand_counts(f, rho, k)[k]
     if summands == 0:
         return 0
     if summands == 1:
@@ -393,56 +370,46 @@ class TorsionProfile:
                 raise ConsistencyError("exponent vector weight mismatch")
 
 
-def _trim(vec: Sequence[int]) -> tuple[int, ...]:
-    out = list(vec)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def _search_exponents(
-    profile: TorsionProfile, length: int, pos: int, remaining: int, weight: int, acc: list[int], solutions: list
-) -> None:
-    """Depth-first search for solve_exponents; a module-level function, so
-    the recursion creates no reference cycle."""
-    k = length - 2
-    if pos == length:
-        if remaining == 0 and weight == profile.weighted_sum:
-            vec = tuple(acc)
-            maxe = max((j + 1 for j, r in enumerate(vec) if r), default=0)
-            if vec[k + 1] == profile.top_count and maxe == profile.max_exponent:
-                solutions.append(vec)
-        return
-    j = pos + 1
-    for r in range(remaining + 1):
-        new_weight = weight + j * r
-        if new_weight > profile.weighted_sum:
-            break
-        acc.append(r)
-        _search_exponents(profile, length, pos + 1, remaining - r, new_weight, acc, solutions)
-        acc.pop()
-
-
 def solve_exponents(profile: TorsionProfile, k: int) -> Optional[tuple[int, ...]]:
-    """The unique exponent vector consistent with the profile, or None.
+    """The unique exponent vector (r_1 .. r_{k+2}) with the profiled count,
+    weighted sum, top count and maximal exponent, trailing zeros trimmed;
+    None when several vectors match, and no match raises.
 
-    Enumerates vectors (r_1 .. r_{k+2}) with the profiled count, weighted
-    sum, top count and maximal exponent; a unique match is returned with
-    trailing zeros trimmed, no match raises, several matches yield None.
+    A nonzero top count pins r_{k+2} (the maximal exponent is then k+2);
+    otherwise a maximal exponent M pins one summand at M.  The other
+    `rest` summands split the remaining weight into parts of 1 .. bound.
+    Every such split lies between the most even and the most uneven one
+    in dominance order (Macdonald, Symmetric Functions and Hall
+    Polynomials, 1995, I.1), so the vector is unique exactly when those
+    two coincide.
     """
-    count = profile.summand_count
-    want_sum = profile.weighted_sum
-    solutions: list[tuple[int, ...]] = []
-    _search_exponents(profile, k + 2, 0, count, 0, [], solutions)
-    if not solutions:
+    top, maxe = profile.top_count, profile.max_exponent
+    rest, weight, bound = profile.summand_count, profile.weighted_sum, 0
+    vec = [0] * (k + 2)
+    if maxe == k + 2 and top > 0:
+        vec[k + 1] = top
+        rest, weight, bound = rest - top, weight - top * (k + 2), k + 1
+    elif 0 < maxe < k + 2 and top == 0:
+        vec[maxe - 1] = 1
+        rest, weight, bound = rest - 1, weight - maxe, maxe
+    elif maxe != 0 or top != 0:
+        rest = -1  # no vector has this top count and maximal exponent
+    if not 0 <= rest <= weight <= rest * bound:
         raise ConsistencyError(
             f"no exponent vector matches profile k={profile.k} d={profile.d}: "
-            f"count={count} sum={want_sum} top={profile.top_count} "
-            f"max={profile.max_exponent}"
+            f"count={profile.summand_count} sum={profile.weighted_sum} "
+            f"top={top} max={maxe}"
         )
-    if len(solutions) > 1:
+    even = [weight // rest + (i < weight % rest) for i in range(rest)]
+    uneven, left = [], weight
+    for i in range(rest):
+        uneven.append(min(bound, left - (rest - 1 - i)))
+        left -= uneven[-1]
+    if even != uneven:
         return None
-    return _trim(solutions[0])
+    for part in even:
+        vec[part - 1] += 1
+    return tuple(vec[:maxe])
 
 
 def torsion_profile(
@@ -450,19 +417,17 @@ def torsion_profile(
     chi: Character,
     d: int,
     k: int,
-    summands: Optional[int] = None,
+    summands: int,
 ) -> TorsionProfile:
-    """Assemble the profile of the order-d part in degree k+1."""
+    """Assemble the profile of the order-d part in degree k+1, given its
+    summand count (summand_counts of the even reduction)."""
     _check_degree(f, k)
     w = derive_weight(chi, d)
     if all(x == 0 for x in w.weights.values()):
         return TorsionProfile(k, d, 0, 0, 0, 0, ())
-    if summands is None:
-        rho = even_reduction(chi, d)
-        summands = summand_counts(f, rho, k)[k]
     total = weighted_exponent_sum(f, w, k)
     top = top_jordan_count(f, w, k)
-    maxe = max_exponent(f, w, k, summands=summands)
+    maxe = max_exponent(f, w, k, summands)
     profile = TorsionProfile(k, d, total, summands, top, maxe)
     profile.validate()
     profile.exponents = solve_exponents(profile, k)
@@ -495,7 +460,7 @@ def formula_decomposition(
         if key in counts:
             continue
         if any(key):
-            counts[key] = summand_counts(f, even_reduction(chi, d), f.dim)
+            counts[key] = summand_counts(f, even_reduction(chi, d))
         else:
             counts[key] = [0] * (f.dim + 1)
     for k in range(0, top):
@@ -507,7 +472,7 @@ def formula_decomposition(
         for d, key in classes.items():
             shared = by_class.get(key)
             if shared is None:
-                profile = by_class[key] = torsion_profile(f, chi, d, k, summands=counts[key][k])
+                profile = by_class[key] = torsion_profile(f, chi, d, k, counts[key][k])
             else:
                 profile = replace(shared, d=d)
             entry["profiles"][d] = profile

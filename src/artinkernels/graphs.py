@@ -60,9 +60,6 @@ class SimplicialGraph:
     def index(self, v: str) -> int:
         return self._index[v]
 
-    def neighbors(self, i: int) -> frozenset[int]:
-        return self._adjacency[i]
-
     def adjacent(self, i: int, j: int) -> bool:
         return j in self._adjacency[i]
 
@@ -213,8 +210,3 @@ def candidate_torsion_orders(chi: Character) -> list[int]:
     if any(n == 0 for n in chi.values.values()):
         raise InputError("resonant character: every d divides a zero label")
     return torsion_candidates(chi)
-
-
-def even_character_from_weight(g: SimplicialGraph, w: WeightFunction) -> Character:
-    """The even character 2^weight associated with a 0/1 weight function."""
-    return Character({v: 2 ** w[v] for v in g.vertices})

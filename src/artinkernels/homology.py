@@ -225,21 +225,6 @@ def _decomposition_from_smith(
     )
 
 
-def homology_module(
-    f: FlagComplex, chi: Character, k: int, allow_degenerate: bool = False
-) -> ModuleDecomposition:
-    """Decomposition of the degree-(k+1) homology of the cover, k >= -1.
-
-    Smith normal forms of the two twisted boundaries meeting the degree
-    give everything: the upper one presents the cokernel, whose torsion
-    is the homology torsion, and the two ranks give the free rank.
-    """
-    cls = require_admissible(f, chi, allow_degenerate)
-    snf_lower = _twisted_smith(f, chi, k)
-    snf_upper = _twisted_smith(f, chi, k + 1)
-    return _decomposition_from_smith(k, cls, torsion_candidates(chi), snf_lower, snf_upper)
-
-
 def full_decomposition(
     f: FlagComplex,
     chi: Character,

@@ -151,7 +151,6 @@ class JobSpec:
     max_degree: Optional[int] = None
     d_filter: Optional[Sequence[int]] = None
     allow_resonant: bool = False
-    fmt: str = "json"  # text | json
 
 
 @dataclass

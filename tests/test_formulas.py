@@ -4,9 +4,11 @@ oracle), Jordan block counts, the degree-1 closed form, and the exponent
 solver."""
 
 import gc
+import itertools
 import random
 import sys
 import threading
+from collections import defaultdict
 
 import pytest
 
@@ -33,7 +35,6 @@ from artinkernels import (
     max_exponent,
     relative_betti,
     solve_exponents,
-    summand_count,
     summand_counts,
     top_jordan_count,
     torsion_profile,
@@ -54,6 +55,14 @@ from conftest import kernel_map_rank, make_kite, make_square_frame, make_tree, m
 def w2(pair):
     g, chi = pair
     return build_flag_complex(g), derive_weight(chi, 2), chi
+
+
+def summands_of(f, chi, d, k):
+    """Summand count of the order-d part in degree k+1: 0 when no label
+    is divisible by d, else from the double cover of the even reduction."""
+    if all(n % d for n in chi.values.values()):
+        return 0
+    return summand_counts(f, even_reduction(chi, d))[k]
 
 
 # -- filtration and relative Betti numbers ----------------------------------
@@ -226,7 +235,6 @@ def test_double_cover_identity_on_fixtures_and_random():
 def test_summand_count_kite():
     g, rho = make_kite()
     f = build_flag_complex(g)
-    assert summand_count(f, rho, 0, lower=0) == 2
     assert summand_counts(f, rho) == [2, 1, 0]
 
 
@@ -240,7 +248,7 @@ def test_summand_count_rejects_constant():
     g, _ = make_kite()
     f = build_flag_complex(g)
     with pytest.raises(InputError):
-        summand_count(f, Character({v: 1 for v in g.vertices}), 0, lower=0)
+        summand_counts(f, Character({v: 1 for v in g.vertices}))
 
 
 # -- Jordan block ranks -------------------------------------------------------
@@ -265,14 +273,14 @@ def test_c_rank_examples():
 
 
 def test_max_exponent_examples():
-    f, w, _ = w2(make_square_frame())
-    assert max_exponent(f, w, 1) == 3
-    f, w, _ = w2(make_triforce())
-    assert max_exponent(f, w, 1) == 2
+    f, w, chi = w2(make_square_frame())
+    assert max_exponent(f, w, 1, summands_of(f, chi, 2, 1)) == 3
+    f, w, chi = w2(make_triforce())
+    assert max_exponent(f, w, 1, summands_of(f, chi, 2, 1)) == 2
     g, chi = make_tree()
     f = build_flag_complex(g)
-    assert max_exponent(f, derive_weight(chi, 2), 0) == 1
-    assert max_exponent(f, derive_weight(chi, 6), 0) == 2
+    assert max_exponent(f, derive_weight(chi, 2), 0, summands_of(f, chi, 2, 0)) == 1
+    assert max_exponent(f, derive_weight(chi, 6), 0, summands_of(f, chi, 6, 0)) == 2
 
 
 def per_level_weighted_sum(f, w, k):
@@ -324,8 +332,8 @@ def test_formula_readers_reject_degrees_out_of_range(make):
             lambda: weighted_exponent_sum(f, w, k),
             lambda: top_jordan_count(f, w, k),
             lambda: c_rank(f, w, k, 1, 0),
-            lambda: max_exponent(f, w, k),
-            lambda: torsion_profile(f, chi, 2, k),
+            lambda: max_exponent(f, w, k, 1),
+            lambda: torsion_profile(f, chi, 2, k, 1),
         ):
             with pytest.raises(InputError, match="degree index"):
                 call()
@@ -382,6 +390,53 @@ def test_solve_exponents_undetermined_and_inconsistent():
         solve_exponents(TorsionProfile(0, 2, 5, 1, 0, 1), 0)
 
 
+def small_exponent_vectors(k, most):
+    """Every exponent vector (r_1 .. r_{k+2}) with at most `most` summands."""
+    for count in range(most + 1):
+        for parts in itertools.combinations_with_replacement(range(1, k + 3), count):
+            vec = [0] * (k + 2)
+            for j in parts:
+                vec[j - 1] += 1
+            yield tuple(vec)
+
+
+def test_solve_exponents_against_enumeration():
+    # every vector with <= 8 summands, grouped by its profile (weighted
+    # sum, count, top count, max exponent): a profile of one vector gives
+    # that vector, a profile of several gives None, and a profile one
+    # step off that no vector has raises
+    solved = raised = 0
+    for k in range(5):
+        groups = defaultdict(list)
+        for vec in small_exponent_vectors(k, 8):
+            maxe = max((j + 1 for j, r in enumerate(vec) if r), default=0)
+            groups[sum((j + 1) * r for j, r in enumerate(vec)), sum(vec), vec[-1], maxe].append(vec)
+        for (total, count, top, maxe), vecs in groups.items():
+            want = vecs[0][:maxe] if len(vecs) == 1 else None
+            assert solve_exponents(TorsionProfile(k, 2, total, count, top, maxe), k) == want
+            solved += 1
+            for off in (
+                (total - 1, count, top, maxe),
+                (total + 1, count, top, maxe),
+                (total, count, top - 1, maxe),
+                (total, count, top + 1, maxe),
+                (total, count, top, maxe - 1),
+                (total, count, top, maxe + 1),
+            ):
+                if off not in groups:
+                    with pytest.raises(ConsistencyError, match="no exponent vector"):
+                        solve_exponents(TorsionProfile(k, 2, *off), k)
+                    raised += 1
+    assert (solved, raised) == (1705, 5750)
+
+
+@pytest.mark.parametrize("count", [20, 40, 60])
+def test_solve_exponents_many_summands(count):
+    # one maximal block and the rest anywhere in 1 .. 5: many vectors
+    assert solve_exponents(TorsionProfile(4, 2, 3 * count, count, 1, 6), 4) is None
+    assert solve_exponents(TorsionProfile(4, 2, count, count, 0, 1), 4) == (count,)
+
+
 def test_complex_and_solver_leave_no_cyclic_garbage():
     # nothing built here may need the cycle collector: with it switched
     # off, every object must be freed by reference counting alone
@@ -403,7 +458,7 @@ def test_complex_and_solver_leave_no_cyclic_garbage():
 def test_torsion_profile_square_frame():
     g, rho = make_square_frame()
     f = build_flag_complex(g)
-    profile = torsion_profile(f, rho, 2, 1)
+    profile = torsion_profile(f, rho, 2, 1, summand_counts(f, rho)[1])
     assert (profile.weighted_sum, profile.summand_count, profile.top_count) == (3, 1, 1)
     assert profile.max_exponent == 3
     assert profile.exponents == (0, 0, 1)
@@ -412,7 +467,7 @@ def test_torsion_profile_square_frame():
 def test_torsion_profile_no_divisible_vertex():
     g, chi = make_tree()
     f = build_flag_complex(g)
-    profile = torsion_profile(f, chi, 5, 0)
+    profile = torsion_profile(f, chi, 5, 0, summands_of(f, chi, 5, 0))
     assert profile.exponents == () and profile.summand_count == 0
 
 
@@ -443,7 +498,7 @@ def test_zero_summands_means_zero_sum_and_exponent():
         f = build_flag_complex(g)
         for d in candidate_torsion_orders(chi):
             for k in range(0, f.dim + 1):
-                profile = torsion_profile(f, chi, d, k)
+                profile = torsion_profile(f, chi, d, k, summands_of(f, chi, d, k))
                 if profile.summand_count == 0:
                     assert profile.weighted_sum == 0
                     assert profile.max_exponent == 0
@@ -455,7 +510,8 @@ def test_pipeline_agreement_small_corpus():
     for _ in range(20):
         g = random_connected_graph(rng, 6)
         chi = random_nonresonant_character(rng, g, 10)
-        issues = cross_validate_once(build_flag_complex(g), chi)
+        f = build_flag_complex(g)
+        issues = cross_validate_once(f, chi, "", full_decomposition(f, chi))
         assert not issues, issues
 
 
@@ -524,7 +580,7 @@ def test_profiles_shared_per_weight_class_match_fresh_profiles():
         for m, entry in out.items():
             for d, profile in entry["profiles"].items():
                 assert profile.d == d
-                assert profile == torsion_profile(fresh, chi, d, m - 1)
+                assert profile == torsion_profile(fresh, chi, d, m - 1, summands_of(fresh, chi, d, m - 1))
     assert shared_classes > 0
 
 

@@ -15,7 +15,7 @@ from artinkernels import (
     derive_weight,
     even_reduction,
 )
-from artinkernels.graphs import divisors, even_character_from_weight
+from artinkernels.graphs import divisors
 
 from conftest import make_tree, oracle_divisors
 
@@ -119,10 +119,3 @@ def test_candidate_torsion_orders(tree):
 def test_divisors_helper():
     for n in (1, 2, 12, 36, 97):
         assert divisors(n) == oracle_divisors(n)
-
-
-def test_even_character_from_weight(tree):
-    g, chi = tree
-    w = derive_weight(chi, 6)
-    rho = even_character_from_weight(g, w)
-    assert rho.values == even_reduction(chi, 6).values

@@ -13,7 +13,6 @@ from artinkernels import (
     build_flag_complex,
     free_rank_check,
     full_decomposition,
-    homology_module,
     rank_rational,
     smith_normal_form,
     t_minus_1_part,
@@ -82,13 +81,13 @@ def test_twisted_boundary_requires_admissible_character():
     with pytest.raises(InputError):
         twisted_boundary(f, chi, 0)
     with pytest.raises(InputError):
-        homology_module(f, chi, 0)
+        full_decomposition(f, chi)
 
 
 def test_tree_h1_decomposition(tree):
     g, chi = tree
     f = build_flag_complex(g)
-    dec = homology_module(f, chi, 0)
+    dec = full_decomposition(f, chi)[1]
     assert dec.free_rank == 0
     assert dec.torsion == {
         1: (3,), 2: (2,), 3: (2,), 4: (1,), 6: (0, 1), 9: (1,), 12: (1,), 18: (1,)
@@ -108,9 +107,10 @@ def test_resonant_decomposition():
 def test_square_frame_even_character():
     g, rho = make_square_frame()
     f = build_flag_complex(g)
-    h1 = homology_module(f, rho, 0)
+    full = full_decomposition(f, rho)
+    h1 = full[1]
     assert h1.free_rank == 0 and h1.torsion == {1: (6,)}
-    h2 = homology_module(f, rho, 1)
+    h2 = full[2]
     assert h2.torsion == {1: (8,), 2: (0, 0, 1)}
 
 

@@ -115,6 +115,23 @@ def test_text_format():
     assert "H_3 = 0" in text
 
 
+@pytest.mark.parametrize("name", ["tree", "kite", "triforce", "square_frame"])
+def test_formulas_report_matches_direct_report(name):
+    # a formulas-only report serializes its own degree entries; on the
+    # fixtures they must read exactly as the direct pipeline's modules
+    reports = {
+        method: run(JobSpec(data=fixture_bytes(name), method=method))[0]
+        for method in ("formulas", "direct")
+    }
+    docs = {method: json.loads(emit_report(r, "json")) for method, r in reports.items()}
+    assert docs["formulas"]["degrees"] == docs["direct"]["degrees"]
+    lines = {
+        method: [line for line in emit_report(r, "text").decode().splitlines() if line.startswith("H_")]
+        for method, r in reports.items()
+    }
+    assert lines["formulas"] == lines["direct"] and lines["direct"]
+
+
 def test_d_filter_and_max_degree():
     report, _ = run(JobSpec(data=fixture_bytes("tree"), method="both", d_filter=[6], max_degree=1))
     doc = json.loads(emit_report(report, "json"))
