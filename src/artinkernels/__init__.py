@@ -1,10 +1,11 @@
 """Exact computation of the K[t^±1]-module structure of the homology of
 Artin kernels of right-angled Artin groups.
 
-Two independent pipelines: a direct one via Smith normal forms of the
-twisted boundary matrices over Q[t], and a combinatorial one via weight
-filtrations of the flag complex and the double cover of the toric
-complex.  They cross-validate each other; see the CLI (artin-kernels) and
+Two independent pipelines: a direct one via Smith forms of the twisted
+boundary matrices (over the local rings at t = 1 and t = -1 for
+non-resonant characters, over Q[t] otherwise), and a combinatorial one
+via weight filtrations of the flag complex and the double cover of the
+toric complex.  They cross-validate each other; see the CLI (artin-kernels) and
 the README for usage.
 """
 

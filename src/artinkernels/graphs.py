@@ -160,7 +160,8 @@ def weight_classes(g: SimplicialGraph, chi: Character, orders: Sequence[int]) ->
     Every formula statistic and every even reduction sees (chi, d) only
     through this vector, so orders with equal keys share their answers;
     the formula pipeline memoizes its weight-ordered eliminations on the
-    flag complex under the same key.
+    flag complex under the same key, and the direct pipeline takes one
+    local Smith form per key and degree.
     """
     chi.check_domain(g)
     return {d: tuple(derive_weight(chi, d)[v] for v in g.vertices) for d in orders}

@@ -5,11 +5,32 @@ A k-simplex of the flag complex contributes a (k+1)-cell to the cover,
 so the degree-(k+1) chain group is free on the k-simplices and the
 boundary sends a cell to its facets scaled by t^{n_v} - 1 for the dropped
 vertex v.  Homology in degree k+1 is kernel mod image of consecutive such
-matrices; the decomposition over the principal ideal domain Q[t^±1] comes
-from Smith normal forms: the invariant factors of the upper boundary give
-the torsion, and the ranks of the two boundaries give the free rank.
+matrices; over the principal ideal domain Q[t^±1] the invariant factors
+of the upper boundary D_{k+1} give the torsion, and the ranks of the two
+boundaries give the free rank.
 
-The pipeline builds those matrices on integer coefficient tuples.  A
+For a non-resonant surjective character every invariant factor is a
+product of cyclotomic polynomials, so full_decomposition needs no Smith
+form over Q[t]:
+- ranks over Q(t) are ranks at t = 2, where no cyclotomic polynomial
+  vanishes, taken on integer matrices;
+- the Phi_1-part of D_j is (t - 1) times the part of U at s = t - 1,
+  where D_j = (t - 1) U and U has entries sign * (1 + t + ... + t^{n-1});
+- the Phi_d-part for d >= 2 is, by even reduction, the Phi_2-part of the
+  even character that takes 2 on the d-divisible labels and 1 elsewhere.
+  Its boundary is t - 1 times a matrix with entries sign (weight 0) and
+  sign * s (weight 1) at s = t + 1, and t - 1 is a unit there.  Orders
+  with the same 0/1 weight class share one such matrix.
+Each part is a Smith form over the local ring at one prime, truncated at
+s^K with K one above the largest exponent the non-resonant bounds allow
+(linalg.local_smith_valuations; Domich, Kannan and Trotter, Math. Oper.
+Res. 12, 1987, for computing modulo a known bound).  A pivot count that
+differs from the rank at t = 2 raises ConsistencyError.  Every other
+character class goes through smith_decomposition, the Smith form over
+Q[t] with cyclotomic trial division, which `fuzz --thorough` also uses as
+the oracle of the local path.
+
+smith_decomposition builds its matrices on integer coefficient tuples.  A
 negative label needs no power of t^-1: since t^n - 1 = -t^n(t^|n| - 1),
 rescaling the cell over each simplex sigma by t^a(sigma), where a(sigma)
 sums |n_v| over the vertices of sigma with n_v < 0, is a unit change of
@@ -23,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import comb
 from typing import Optional
 
 from .flagcomplex import FlagComplex, Simplex, boundary_matrix
@@ -33,8 +55,9 @@ from .graphs import (
     InputError,
     classify_character,
     torsion_candidates,
+    weight_classes,
 )
-from .linalg import SmithForm, rank_rational, smith_normal_form
+from .linalg import SmithForm, local_smith_valuations, rank_rational, smith_normal_form
 from .polys import ZERO, ExactPoly, LaurentClass, factor_cyclotomic, t_power_minus_one
 
 
@@ -225,13 +248,14 @@ def _decomposition_from_smith(
     )
 
 
-def full_decomposition(
+def smith_decomposition(
     f: FlagComplex,
     chi: Character,
     max_degree: Optional[int] = None,
     allow_degenerate: bool = False,
 ) -> dict[int, ModuleDecomposition]:
-    """Decompositions for all homology degrees 0 .. dim F + 1.
+    """Decompositions for all homology degrees 0 .. dim F + 1 from Smith
+    forms over Q[t], for any admissible character.
 
     Each twisted boundary is Smith-reduced once and shared between the
     two degrees it touches.
@@ -246,6 +270,78 @@ def full_decomposition(
         k + 1: _decomposition_from_smith(k, cls, orders, snfs[k], snfs[k + 1])
         for k in range(-1, top)
     }
+
+
+@lru_cache(maxsize=256)
+def _unit_series(n: int, sign: int, K: int) -> tuple[int, ...]:
+    """sign * (t^n - 1)/(t - 1) at t = 1 + s, cut at s^K: the
+    coefficient of s^i is sign * C(n, i + 1)."""
+    return tuple(sign * comb(n, i + 1) for i in range(min(n, K)))
+
+
+def _local_vector(rows: list[list[tuple[int, ...]]], K: int, rank: int, shift: int = 0) -> tuple[int, ...]:
+    """Exponent vector (r_1, r_2, ...) of a matrix's local Smith form,
+    each valuation raised by shift; the pivots must number the rank."""
+    vals = local_smith_valuations(rows, K)
+    if len(vals) != rank:
+        raise ConsistencyError(
+            f"{len(vals)} local pivots below s^{K} for rank {rank}: an exponent "
+            "reached the truncation or the rank dropped at t = 2"
+        )
+    vec = [0] * max((v + shift for v in vals), default=0)
+    for v in vals:
+        if v + shift:
+            vec[v + shift - 1] += 1
+    return tuple(vec)
+
+
+def full_decomposition(
+    f: FlagComplex,
+    chi: Character,
+    max_degree: Optional[int] = None,
+    allow_degenerate: bool = False,
+) -> dict[int, ModuleDecomposition]:
+    """Decompositions for all homology degrees 0 .. dim F + 1.
+
+    For a non-resonant surjective character: free ranks from ranks at
+    t = 2, and torsion from local Smith forms, one per degree for order 1
+    and one per degree and 0/1 weight class for the orders d >= 2 (see
+    the module docstring).  Every other class, admitted by
+    allow_degenerate, goes through smith_decomposition.
+    """
+    cls = require_admissible(f, chi, allow_degenerate)
+    if cls is not CharacterClass.NON_RESONANT_SURJECTIVE:
+        return smith_decomposition(f, chi, max_degree, allow_degenerate)
+    top = f.dim + 1
+    if max_degree is not None:
+        top = min(top, max_degree)
+    values = chi.values
+    ranks = {
+        j: rank_rational(boundary_matrix(f, j, entry=lambda sign, v: sign * ((1 << values[v]) - 1)))
+        for j in range(-1, top + 1)
+    }
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for d, key in weight_classes(f.graph, chi, torsion_candidates(chi)).items():
+        classes.setdefault(key, []).append(d)
+    out = {}
+    for j in range(0, top + 1):
+        free_rank = f.count(j - 1) - ranks[j - 1] - ranks[j]
+        if free_rank < 0:
+            raise ConsistencyError("image rank exceeds kernel rank; not a chain complex")
+        torsion = {}
+        if ranks[j]:
+            # order 1: D_j = (t - 1) U, so each valuation of U at t = 1 gains 1
+            rows = boundary_matrix(f, j, entry=lambda sign, v: _unit_series(values[v], sign, j + 1), zero=())
+            torsion[1] = _local_vector(rows, j + 1, ranks[j], shift=1)
+            # orders d >= 2: exponents in degree j are at most j + 1
+            for key, orders in classes.items():
+                weight = dict(zip(f.graph.vertices, key))
+                rows = boundary_matrix(f, j, entry=lambda sign, v: (0, sign) if weight[v] else (sign,), zero=())
+                vec = _local_vector(rows, j + 2, ranks[j])
+                if vec:
+                    torsion.update((d, vec) for d in orders)
+        out[j] = ModuleDecomposition(degree=j, free_rank=free_rank, torsion=dict(sorted(torsion.items())))
+    return out
 
 
 def boundary_rank(f: FlagComplex, k: int) -> int:

@@ -1,5 +1,5 @@
-"""Exact linear algebra: integer elimination over Q and Smith normal form
-over Q[t].
+"""Exact linear algebra: integer elimination over Q, local Smith forms
+over Q[s]/s^K and the Smith normal form over Q[t].
 
 Rational matrices are plain lists of rows with int or Fraction entries.
 Rows of ints are used as they are and only rows holding a Fraction are
@@ -9,11 +9,20 @@ the formula pipeline never leave the integers.  One fraction-free
 incremental independence tests; kernels come back as primitive integer
 vectors.
 
+local_smith_valuations takes a matrix of integer series in s, cut at s^K,
+and returns the valuations of its Smith form over the local ring
+Q[s]_(s) that lie below K.  It pivots on an entry of least valuation and
+clears the pivot column with row moves scaled by the pivot's unit, so it
+needs no gcd of series and no fraction, and no degree reaches K.  The
+direct pipeline runs it at t = 1 and t = -1 for non-resonant characters,
+whose exponents have a known bound.
+
 Polynomial matrices hold ExactPoly entries or integer coefficient
-sequences (constant term first).  The Smith form routine scales each row
-holding an ExactPoly to integer coefficients, takes integer rows as they
-are, and eliminates on plain-int coefficient lists with the arithmetic
-of polys (pseudo-division, exact quotients, primitive gcd).  It
+sequences (constant term first).  The Smith form over Q[t] serves
+degenerate characters and is the oracle of the local path.  It scales
+each row holding an ExactPoly to integer coefficients, takes integer
+rows as they are, and eliminates on plain-int coefficient lists with the
+arithmetic of polys (pseudo-division, exact quotients, primitive gcd).  It
 diagonalizes with degree-minimal pivoting (ties broken by coefficient
 height, then position) by Euclidean steps: an entry is reduced by a
 pseudo-quotient multiple of the pivot line, and a nonzero remainder is
@@ -214,6 +223,119 @@ class IncrementalRank:
     def add(self, vec: Sequence) -> bool:
         """Add vec if independent from the current set; True when added."""
         return _add_row(self._pivots, _integer_rows([list(vec)])[0])
+
+
+# ---------------------------------------------------------------------------
+# local Smith form over Q[s]/s^K
+# ---------------------------------------------------------------------------
+#
+# A truncated series is a tuple of ints, index = power of s, with no
+# trailing zeros and fewer than K terms; () is zero.
+
+
+def _truncated(e: Sequence[int], K: int) -> tuple[int, ...]:
+    n = min(len(e), K)
+    while n and not e[n - 1]:
+        n -= 1
+    return tuple(e[:n])
+
+
+def _local_move(u: tuple[int, ...], x, q: tuple[int, ...], y, K: int) -> tuple[int, ...]:
+    """u*x - q*y mod s^K, for series x and y of which either may be None."""
+    if len(u) == 1 and len(q) == 1:
+        c, a = u[0], -q[0]
+        if y is None:
+            return x if c == 1 else tuple(c * b for b in x)
+        if x is None:
+            return tuple(a * b for b in y)
+        out = [c * b for b in x]
+        out.extend([0] * (len(y) - len(x)))
+        for j, b in enumerate(y):
+            out[j] += a * b
+        return _truncated(out, K)
+    out = [0] * K
+    for a, b, sign in ((u, x, 1), (q, y, -1)):
+        if b:
+            for i, c in enumerate(a):
+                if c:
+                    c *= sign
+                    for j in range(min(len(b), K - i)):
+                        out[i + j] += c * b[j]
+    return _truncated(out, K)
+
+
+def local_smith_valuations(rows: Sequence[Sequence[Sequence[int]]], K: int) -> list[int]:
+    """Valuations of the Smith form of a matrix over the local ring
+    Q[s]_(s), truncated at K: one valuation below K per pivot, in
+    elimination order.
+
+    Entries are series in s (index = power of s, () for zero), cut at
+    s^K.  Each step pivots on an entry of least valuation v, s^v times a
+    unit u, and gives every other row holding an entry e in the pivot
+    column the move row <- u*row - (e / s^v)*pivot row, mod s^K, which
+    is invertible over the local ring; the row is then divided by its
+    integer content.  The pivot row and column are dropped: the other
+    entries of the pivot row have valuation at least v, so column moves
+    would clear them without touching another row.  The elimination stops
+    when every entry is 0 mod s^K, so the Smith form has one diagonal
+    entry s^e per pivot with e < K and its other nonzero entries have
+    e >= K; a caller that knows the rank over Q(s) sees them as missing
+    pivots.  No gcd of series, no division and no Fraction: every degree
+    stays below K (Newman, Integral Matrices, 1972, ch. II).
+    """
+    live = []
+    for row in rows:
+        sparse = {}
+        for c, e in enumerate(row):
+            if e and (len(e) > K or not e[-1]):
+                e = _truncated(e, K)
+            if e:
+                sparse[c] = e
+        if sparse:
+            live.append(sparse)
+    vals = []
+    while live:
+        best = (K, 0, 0)
+        for i, row in enumerate(live):
+            for c, e in row.items():
+                v = 0
+                while not e[v]:
+                    v += 1
+                if v < best[0]:
+                    best = (v, i, c)
+                    if not v:
+                        break
+            if not best[0]:
+                break
+        v, i, c = best
+        pivot = live.pop(i)
+        unit = pivot.pop(c)[v:]
+        rest = []
+        for row in live:
+            e = row.pop(c, None)
+            if e is not None:
+                q = e[v:]
+                # a unit times a nonzero series is nonzero mod s^K, so
+                # only the pivot row's columns can cancel
+                if unit == (1,):
+                    moved = row
+                else:
+                    moved = {col: _local_move(unit, x, q, None, K) for col, x in row.items()}
+                for col, y in pivot.items():
+                    x = _local_move(unit, row.get(col), q, y, K)
+                    if x:
+                        moved[col] = x
+                    else:
+                        moved.pop(col, None)
+                g = gcd(*chain.from_iterable(moved.values()))
+                if g > 1:
+                    moved = {col: tuple(a // g for a in x) for col, x in moved.items()}
+                row = moved
+            if row:
+                rest.append(row)
+        live = rest
+        vals.append(v)
+    return vals
 
 # ---------------------------------------------------------------------------
 # Smith normal form over Q[t]: integer coefficient lists

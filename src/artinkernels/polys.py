@@ -238,10 +238,11 @@ def _mul(a: list[int], b: list[int]) -> list[int]:
         c = a[0]
         return [c * y for y in b]
     out = [0] * (len(a) + len(b) - 1)
+    terms = [(j, y) for j, y in enumerate(b) if y]
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b, i):
-                out[j] += x * y
+            for j, y in terms:
+                out[i + j] += x * y
     return out
 
 

@@ -31,6 +31,7 @@ from artinkernels.crosscheck import (
     random_connected_graph,
     random_nonresonant_character,
 )
+from artinkernels.homology import smith_decomposition
 
 from conftest import (
     make_kite,
@@ -60,7 +61,7 @@ def corpus():
         chi = random_nonresonant_character(rng, g, 12)
         f = build_flag_complex(g)
         direct = full_decomposition(f, chi)
-        cases.append((f, chi, direct))
+        cases.append((f, chi, direct, smith_decomposition(f, chi)))
     return cases
 
 
@@ -137,22 +138,22 @@ def test_criterion_5_square_frame_fixture():
 
 def test_criterion_6_pipeline_cross_validation(corpus):
     failures = []
-    for idx, (f, chi, direct) in enumerate(corpus):
+    for idx, (f, chi, direct, _) in enumerate(corpus):
         failures.extend(cross_validate_once(f, chi, f"trial {idx}: ", direct=direct))
     _report(6, f"pipeline agreement on {len(corpus)} random graphs", failures)
 
 
 def test_criterion_7_even_reduction(corpus):
     failures = []
-    for idx, (f, chi, direct) in enumerate(corpus):
-        failures.extend(even_reduction_check(f, chi, f"trial {idx}: ", direct=direct))
-    _report(7, "order-d exponents match the even character's order-2 exponents", failures)
+    for idx, (f, chi, direct, raw) in enumerate(corpus):
+        failures.extend(even_reduction_check(f, chi, f"trial {idx}: ", direct=direct, raw=raw))
+    _report(7, "direct decompositions, by even reduction, match the raw Smith forms of chi", failures)
 
 
 def test_criterion_8_monodromy_invariants(corpus):
     failures = []
-    for idx, (f, chi, direct) in enumerate(corpus):
-        failures.extend(monodromy_check(f, chi, f"trial {idx}: ", direct=direct))
+    for idx, (f, chi, _, raw) in enumerate(corpus):
+        failures.extend(monodromy_check(f, chi, f"trial {idx}: ", raw=raw))
     _report(8, "cyclotomic factors, semisimple order-1 part, exponent bounds", failures)
 
 

@@ -1,16 +1,21 @@
 """Direct pipeline: twisted boundaries, module decompositions against the
-worked examples, free-rank and order-1 checks, invariants."""
+worked examples, free-rank and order-1 checks, invariants, and the local
+Smith forms against the raw Smith forms over Q[t]."""
 
+import dataclasses
 import random
 
 import pytest
 
 from artinkernels import (
     Character,
+    ConsistencyError,
     InputError,
     SimplicialGraph,
     boundary_matrix,
     build_flag_complex,
+    candidate_torsion_orders,
+    formula_decomposition,
     free_rank_check,
     full_decomposition,
     rank_rational,
@@ -18,12 +23,25 @@ from artinkernels import (
     t_minus_1_part,
     twisted_boundary,
 )
-from artinkernels.crosscheck import random_connected_graph, random_nonresonant_character
+from artinkernels import homology
+from artinkernels.crosscheck import (
+    even_reduction_check,
+    random_connected_graph,
+    random_nonresonant_character,
+)
 from artinkernels.graphs import torsion_candidates
-from artinkernels.homology import _decomposition_from_smith, require_admissible
+from artinkernels.homology import _decomposition_from_smith, require_admissible, smith_decomposition
+from artinkernels.report import compare_pipelines
 from artinkernels.polys import ExactPoly, t_power_minus_one
 
-from conftest import make_kite, make_square_frame, make_tree, make_tree_resonant, oracle_rank
+from conftest import (
+    make_kite,
+    make_square_frame,
+    make_tree,
+    make_tree_resonant,
+    make_triforce,
+    oracle_rank,
+)
 
 
 def entry(tb, r, c):
@@ -216,7 +234,7 @@ def test_negative_labels_against_positive_mirror():
 
 
 def test_integer_boundaries_match_laurent_boundaries():
-    # full_decomposition builds its boundaries on integer coefficients and
+    # smith_decomposition builds its boundaries on integer coefficients and
     # rescales cells to clear negative labels; the Laurent matrices of
     # twisted_boundary with their per-column t-lift are the reference
     rng = random.Random(61)
@@ -235,5 +253,98 @@ def test_integer_boundaries_match_laurent_boundaries():
             k + 1: _decomposition_from_smith(k, cls, orders, snfs[k], snfs[k + 1]).sort_key()
             for k in range(-1, f.dim + 1)
         }
-        got = {m: d.sort_key() for m, d in full_decomposition(f, chi, allow_degenerate=True).items()}
+        got = {m: d.sort_key() for m, d in smith_decomposition(f, chi, allow_degenerate=True).items()}
         assert got == want
+
+
+# -- local Smith forms against the raw Smith forms over Q[t] -------------------
+
+
+def sort_keys(full):
+    return {m: d.sort_key() for m, d in full.items()}
+
+
+def random_inputs(seed, count, max_vertices, max_label):
+    rng = random.Random(seed)
+    for _ in range(count):
+        g = random_connected_graph(rng, max_vertices)
+        yield build_flag_complex(g), random_nonresonant_character(rng, g, max_label)
+
+
+def test_local_decomposition_matches_smith_decomposition():
+    # 200 default-tier inputs, then the set "labels60_seed60": 40 graphs on
+    # at most 5 vertices with labels up to 60 drawn from seed 60, whose raw
+    # Smith forms take under 1 s in total
+    inputs = list(random_inputs(59, 200, 6, 12)) + list(random_inputs(60, 40, 5, 60))
+    with_order_d = 0
+    for f, chi in inputs:
+        local = full_decomposition(f, chi)
+        assert sort_keys(local) == sort_keys(smith_decomposition(f, chi))
+        with_order_d += any(d >= 2 for dec in local.values() for d in dec.torsion)
+    assert with_order_d >= 100
+
+
+def test_max_degree_cuts_both_paths_alike(square_frame):
+    g, chi = square_frame
+    f = build_flag_complex(g)
+    for top in (0, 1, 2):
+        local = full_decomposition(f, chi, max_degree=top)
+        assert sorted(local) == list(range(top + 1))
+        assert sort_keys(local) == sort_keys(smith_decomposition(f, chi, max_degree=top))
+
+
+def test_short_truncation_trips_the_pivot_guard(monkeypatch, square_frame):
+    # the square frame has an order-2 summand of exponent 3 in degree 2,
+    # one below the truncation s^4; cut one power shorter, it leaves one
+    # pivot fewer than the rank at t = 2
+    g, chi = square_frame
+    f = build_flag_complex(g)
+    assert full_decomposition(f, chi)[2].torsion[2] == (0, 0, 1)
+    real = homology.local_smith_valuations
+    monkeypatch.setattr(homology, "local_smith_valuations", lambda rows, K: real(rows, K - 1))
+    with pytest.raises(ConsistencyError, match="local pivots"):
+        full_decomposition(f, chi)
+
+
+def raw_smith_forbidden(*args, **kwargs):
+    raise AssertionError("raw Smith form taken for a non-resonant character")
+
+
+def test_labels_up_to_120_trial_finishes_without_raw_smith_forms(monkeypatch):
+    # trial 38 of `fuzz --seed 14 --max-label 120`: the raw Smith form of
+    # its 11 x 8 degree-2 boundary swells past 30 minutes
+    g = SimplicialGraph(
+        ["v0", "v1", "v2", "v3", "v4", "v5"],
+        [
+            ("v0", "v1"), ("v0", "v2"), ("v0", "v3"), ("v0", "v4"), ("v0", "v5"), ("v1", "v2"),
+            ("v2", "v3"), ("v2", "v4"), ("v2", "v5"), ("v3", "v4"), ("v3", "v5"),
+        ],
+    )
+    chi = Character({"v0": 40, "v1": 82, "v2": 65, "v3": 116, "v4": 35, "v5": 86})
+    f = build_flag_complex(g)
+    assert [f.count(k) for k in range(4)] == [6, 11, 8, 2]
+    monkeypatch.setattr(homology, "smith_normal_form", raw_smith_forbidden)
+    direct = full_decomposition(f, chi)
+    orders = candidate_torsion_orders(chi)
+    assert compare_pipelines(direct, formula_decomposition(f, chi, orders), orders) == []
+    for maker in (make_tree, make_kite, make_triforce, make_square_frame):
+        g, chi = maker()
+        full_decomposition(build_flag_complex(g), chi)
+
+
+def test_even_reduction_check_names_each_difference(kite):
+    g, chi = kite
+    f = build_flag_complex(g)
+    raw = smith_decomposition(f, chi)
+    assert even_reduction_check(f, chi, "", full_decomposition(f, chi), raw) == []
+    h1 = raw[1]
+    changes = {
+        "free rank": dataclasses.replace(h1, free_rank=h1.free_rank + 1),
+        "order-1": dataclasses.replace(h1, torsion={**h1.torsion, 1: (4,)}),
+        "order-2": dataclasses.replace(h1, torsion={**h1.torsion, 2: (1, 1)}),
+        "order-3": dataclasses.replace(h1, torsion={**h1.torsion, 3: (1,)}),
+        "remainder": dataclasses.replace(h1, remainder_factors=(ExactPoly([1, 1, 1, 1]),)),
+    }
+    for what, changed in changes.items():
+        issues = even_reduction_check(f, chi, "", {**raw, 1: changed}, raw)
+        assert len(issues) == 1 and issues[0].startswith("H_1: " + what), issues

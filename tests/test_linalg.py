@@ -1,7 +1,8 @@
 """Exact linear algebra: ranks, integer kernels, span intersections and
 incremental ranks against an independent elimination oracle, Smith forms
-against the determinantal-divisor (minor-gcd) oracle, identities of the
-integer polynomial helpers, permutation invariance."""
+against the determinantal-divisor (minor-gcd) oracle, local Smith forms
+against the Smith form over Q[t], identities of the integer polynomial
+helpers, permutation invariance."""
 
 import random
 from fractions import Fraction
@@ -13,6 +14,7 @@ from artinkernels.linalg import (
     IncrementalRank,
     intersect_spans,
     leading_columns,
+    local_smith_valuations,
     nullspace,
     rank_rational,
     smith_normal_form,
@@ -20,7 +22,17 @@ from artinkernels.linalg import (
 )
 from artinkernels.crosscheck import random_connected_graph, random_nonresonant_character
 from artinkernels.homology import twisted_boundary
-from artinkernels.polys import ONE, ZERO, ExactPoly, _exquo, _gcd, _pdivmod, poly_gcd, t_power_minus_one
+from artinkernels.polys import (
+    ONE,
+    ZERO,
+    ExactPoly,
+    _exquo,
+    _gcd,
+    _pdivmod,
+    factor_cyclotomic,
+    poly_gcd,
+    t_power_minus_one,
+)
 
 from conftest import make_tree, make_triforce, oracle_rank
 
@@ -358,6 +370,95 @@ def test_snf_determinantal_divisors_of_twisted_boundaries():
             mat = tb.polynomial_matrix()
             assert_determinantal_divisors(mat, smith_normal_form(mat))
             checked += min(tb.nrows, tb.ncols) > 1
+
+
+# -- local Smith forms over Q[s]/s^K -------------------------------------------
+
+
+def at_t_minus_1(series):
+    """Integer coefficients in t of sum c_i s^i at s = t - 1, by Horner."""
+    out = []
+    for c in reversed(series):
+        nxt = [0] * (len(out) + 1)
+        for i, x in enumerate(out):
+            nxt[i + 1] += x
+            nxt[i] -= x
+        nxt[0] += c
+        out = nxt
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def smith_valuations(mat, ncols):
+    """s-adic valuations of the invariant factors of smith_normal_form,
+    as multiplicities of t - 1 after s = t - 1; one per unit of rank."""
+    snf = smith_normal_form([[at_t_minus_1(e) for e in row] for row in mat], ncols=ncols)
+    return sorted(factor_cyclotomic(q, [])[0].get(1, 0) for q in snf.invariant_factors)
+
+
+def random_series_matrix(rng):
+    n, m = rng.randint(1, 4), rng.randint(1, 5)
+    if rng.random() < 0.5:
+        # random entries s^a * (unit + higher terms), some zero
+        def series():
+            if rng.random() < 0.3:
+                return ()
+            e = [0] * rng.randint(0, 3) + [rng.choice((-3, -2, -1, 1, 2, 3))]
+            e += [rng.randint(-3, 3) for _ in range(rng.randint(0, 3))]
+            while not e[-1]:
+                e.pop()
+            return tuple(e)
+
+        return [[series() for _ in range(m)] for _ in range(n)], m
+    # L diag(s^e) R with small integer L and R, whose ranks may drop
+    r = rng.randint(1, 4)
+    exps = [rng.randint(0, 4) for _ in range(r)]
+    left = rand_matrix(rng, n, r, -2, 2)
+    right = rand_matrix(rng, r, m, -2, 2)
+    mat = []
+    for i in range(n):
+        row = []
+        for j in range(m):
+            e = [0] * (max(exps) + 1)
+            for k, x in enumerate(exps):
+                e[x] += left[i][k] * right[k][j]
+            while e and not e[-1]:
+                e.pop()
+            row.append(tuple(e))
+        mat.append(row)
+    return mat, m
+
+
+def test_local_smith_valuations_against_smith_form():
+    rng = random.Random(31)
+    deep = 0
+    for _ in range(320):
+        mat, m = random_series_matrix(rng)
+        want = smith_valuations(mat, m)
+        K = max(want, default=0) + 1 + rng.randint(0, 2)
+        assert sorted(local_smith_valuations(mat, K)) == want
+        deep += max(want, default=0) >= 2
+    assert deep >= 50
+
+
+def test_local_smith_valuations_truncate_at_K():
+    rng = random.Random(37)
+    for _ in range(60):
+        exps = [rng.randint(0, 5) for _ in range(rng.randint(1, 5))]
+        K = rng.randint(1, 5)
+        size = len(exps)
+        diag = [[() for _ in range(size + 1)] for _ in range(size)]
+        cols = list(range(size + 1))
+        rng.shuffle(cols)
+        for i, e in enumerate(exps):
+            diag[i][cols[i]] = (0,) * e + (rng.choice((-2, -1, 1, 3)), rng.randint(-2, 2))
+        below = sorted(e for e in exps if e < K)
+        assert sorted(local_smith_valuations(diag, K)) == below
+    # an exponent below K is found, one at K is invisible
+    assert local_smith_valuations([[(0, 0, 5), ()], [(), (0, 0, 0, 1)]], 3) == [2]
+    assert local_smith_valuations([[(0, 0, 0, 7, 1)]], 3) == []
+    assert local_smith_valuations([], 3) == []
 
 
 # -- integer polynomial helpers ------------------------------------------------
