@@ -1,9 +1,9 @@
 """Exact computation of the K[t^±1]-module structure of the homology of
 Artin kernels of right-angled Artin groups.
 
-Two independent pipelines: a direct one via Smith forms of the twisted
-boundary matrices (over the local rings at t = 1 and t = -1 for
-non-resonant characters, over Q[t] otherwise), and a combinatorial one
+Two independent pipelines: a direct one via the twisted boundary
+matrices (a rank at t = 1 and local Smith forms at t = -1 for
+non-resonant characters, Smith forms over Q[t] otherwise), and a combinatorial one
 via weight filtrations of the flag complex and the double cover of the
 toric complex.  They cross-validate each other; see the CLI (artin-kernels) and
 the README for usage.

@@ -3,7 +3,8 @@
 Subcommands: decompose (run one or both pipelines on an input file),
 check (shorthand for --method both), fixtures (run the bundled example
 inputs against their golden reports), fuzz (randomized cross-validation).
-Exit codes: 0 success, 1 input error, 2 cross-validation mismatch.
+Exit codes: 0 success, 1 input error, 2 cross-validation mismatch or a
+failed internal consistency check.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .graphs import InputError
+from .graphs import ConsistencyError, InputError
 from .report import JobSpec, emit_report, run
 
 
@@ -165,12 +166,12 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_fixtures(args)
         if args.command == "fuzz":
             return _cmd_fuzz(args)
-    except InputError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except ConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2
     raise AssertionError("unreachable")
 
 

@@ -21,6 +21,7 @@ from .flagcomplex import FlagComplex, build_flag_complex
 from .formulas import formula_decomposition
 from .graphs import (
     Character,
+    ConsistencyError,
     InputError,
     SimplicialGraph,
     candidate_torsion_orders,
@@ -146,12 +147,15 @@ def fuzz(
         result.trials += 1
         result.comparisons += 1
         f = build_flag_complex(g)
-        direct = full_decomposition(f, chi)
-        result.mismatches.extend(cross_validate_once(f, chi, tag, direct))
-        if check_reduction or check_monodromy:
-            raw = smith_decomposition(f, chi)
-        if check_reduction:
-            result.mismatches.extend(even_reduction_check(f, chi, tag, direct, raw))
-        if check_monodromy:
-            result.mismatches.extend(monodromy_check(f, chi, tag, raw))
+        try:
+            direct = full_decomposition(f, chi)
+            result.mismatches.extend(cross_validate_once(f, chi, tag, direct))
+            if check_reduction or check_monodromy:
+                raw = smith_decomposition(f, chi)
+            if check_reduction:
+                result.mismatches.extend(even_reduction_check(f, chi, tag, direct, raw))
+            if check_monodromy:
+                result.mismatches.extend(monodromy_check(f, chi, tag, raw))
+        except ConsistencyError as exc:
+            result.mismatches.append(tag + str(exc))
     return result

@@ -455,28 +455,21 @@ def formula_decomposition(
     # Orders sharing a 0/1 weight vector share their summand counts and
     # profiles.
     classes = weight_classes(f.graph, chi, orders)
-    counts: dict[tuple[int, ...], list[int]] = {}
-    for d, key in classes.items():
-        if key in counts:
-            continue
-        if any(key):
-            counts[key] = summand_counts(f, even_reduction(chi, d))
-        else:
-            counts[key] = [0] * (f.dim + 1)
+    counts = {
+        key: summand_counts(f, even_reduction(chi, ds[0])) if any(key) else [0] * (f.dim + 1)
+        for key, ds in classes.items()
+    }
     for k in range(0, top):
         entry: dict = {"free_rank": free_rank_check(f, k), "torsion": {}, "profiles": {}}
         rank1 = t_minus_1_part(f, k)
         if rank1:
             entry["torsion"][1] = (rank1,)
-        by_class: dict[tuple[int, ...], TorsionProfile] = {}
-        for d, key in classes.items():
-            shared = by_class.get(key)
-            if shared is None:
-                profile = by_class[key] = torsion_profile(f, chi, d, k, counts[key][k])
-            else:
-                profile = replace(shared, d=d)
-            entry["profiles"][d] = profile
+        for key, ds in classes.items():
+            profile = torsion_profile(f, chi, ds[0], k, counts[key][k])
+            entry["profiles"][ds[0]] = profile
+            for d in ds[1:]:
+                entry["profiles"][d] = replace(profile, d=d)
             if profile.exponents is not None and any(profile.exponents):
-                entry["torsion"][d] = profile.exponents
+                entry["torsion"].update(dict.fromkeys(ds, profile.exponents))
         out[k + 1] = entry
     return out

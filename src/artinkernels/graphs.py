@@ -153,18 +153,21 @@ def derive_weight(chi: Character, d: int) -> WeightFunction:
     return WeightFunction({v: 1 if n % d == 0 else 0 for v, n in chi.values.items()}, d)
 
 
-def weight_classes(g: SimplicialGraph, chi: Character, orders: Sequence[int]) -> dict[int, tuple[int, ...]]:
-    """Each order's 0/1 weight class: the weights of derive_weight(chi, d)
-    in the graph's vertex order.
+def weight_classes(g: SimplicialGraph, chi: Character, orders: Sequence[int]) -> dict[tuple[int, ...], list[int]]:
+    """The orders grouped by 0/1 weight class, in ascending order, under
+    the weights of derive_weight(chi, d) in the graph's vertex order.
 
     Every formula statistic and every even reduction sees (chi, d) only
-    through this vector, so orders with equal keys share their answers;
+    through this key, so orders with equal keys share their answers;
     the formula pipeline memoizes its weight-ordered eliminations on the
     flag complex under the same key, and the direct pipeline takes one
     local Smith form per key and degree.
     """
     chi.check_domain(g)
-    return {d: tuple(derive_weight(chi, d)[v] for v in g.vertices) for d in orders}
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for d in sorted(orders):
+        classes.setdefault(tuple(derive_weight(chi, d)[v] for v in g.vertices), []).append(d)
+    return classes
 
 
 def even_reduction(chi: Character, d: int) -> Character:

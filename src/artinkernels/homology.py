@@ -14,21 +14,22 @@ product of cyclotomic polynomials, so full_decomposition needs no Smith
 form over Q[t]:
 - ranks over Q(t) are ranks at t = 2, where no cyclotomic polynomial
   vanishes, taken on integer matrices;
-- the Phi_1-part of D_j is (t - 1) times the part of U at s = t - 1,
-  where D_j = (t - 1) U and U has entries sign * (1 + t + ... + t^{n-1});
+- D_j = (t - 1) U with U = sign * (1 + t + ... + t^{n-1}), and order-1
+  exponents are at most 1, so the Phi_1-part is (r_j,) exactly when U
+  keeps the rank r_j at t = 1, where its entries are sign * n;
 - the Phi_d-part for d >= 2 is, by even reduction, the Phi_2-part of the
   even character that takes 2 on the d-divisible labels and 1 elsewhere.
   Its boundary is t - 1 times a matrix with entries sign (weight 0) and
   sign * s (weight 1) at s = t + 1, and t - 1 is a unit there.  Orders
-  with the same 0/1 weight class share one such matrix.
-Each part is a Smith form over the local ring at one prime, truncated at
-s^K with K one above the largest exponent the non-resonant bounds allow
-(linalg.local_smith_valuations; Domich, Kannan and Trotter, Math. Oper.
-Res. 12, 1987, for computing modulo a known bound).  A pivot count that
-differs from the rank at t = 2 raises ConsistencyError.  Every other
-character class goes through smith_decomposition, the Smith form over
-Q[t] with cyclotomic trial division, which `fuzz --thorough` also uses as
-the oracle of the local path.
+  with the same 0/1 weight class share one such matrix, whose Smith form
+  over the local ring is cut at s^K, K one above the largest exponent
+  the non-resonant bounds allow (linalg.local_smith_valuations; Domich,
+  Kannan and Trotter, Math. Oper. Res. 12, 1987).
+A rank at t = 1 or a pivot count that differs from the rank at t = 2
+raises ConsistencyError.  Every other character class goes through
+smith_decomposition, the Smith form over Q[t] with cyclotomic trial
+division, which `fuzz --thorough` also uses as the oracle of the local
+path; it reports non-cyclotomic content and never raises on it.
 
 smith_decomposition builds its matrices on integer coefficient tuples.  A
 negative label needs no power of t^-1: since t^n - 1 = -t^n(t^|n| - 1),
@@ -44,7 +45,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb
 from typing import Optional
 
 from .flagcomplex import FlagComplex, Simplex, boundary_matrix
@@ -163,7 +163,8 @@ class ModuleDecomposition:
     torsion maps each order d to the vector (r_1, r_2, ...) counting
     summands Q[t^±1]/Phi_d^j; trailing zeros are trimmed and orders with
     no torsion are omitted.  remainder_factors collects non-cyclotomic
-    invariant-factor content, possible only for degenerate characters.
+    invariant-factor content of a Smith form over Q[t], for any
+    character; `fuzz --thorough` flags it for a non-resonant one.
     """
 
     degree: int
@@ -199,32 +200,8 @@ class ModuleDecomposition:
         )
 
 
-def _torsion_from_factors(
-    factors: list[ExactPoly], candidates: list[int], strict: bool
-) -> tuple[dict[int, tuple[int, ...]], tuple[ExactPoly, ...]]:
-    per_d: dict[int, list[int]] = {}
-    remainders = []
-    for q in factors:
-        mults, rem = factor_cyclotomic(q, candidates)
-        if not rem.is_one():
-            if strict:
-                raise ConsistencyError(
-                    f"invariant factor {q} has non-cyclotomic content {rem} "
-                    "for a non-resonant character"
-                )
-            remainders.append(rem)
-        for d, mult in mults.items():
-            vec = per_d.setdefault(d, [])
-            while len(vec) < mult:
-                vec.append(0)
-            vec[mult - 1] += 1
-    torsion = {d: tuple(vec) for d, vec in sorted(per_d.items())}
-    return torsion, tuple(remainders)
-
-
 def _decomposition_from_smith(
     k: int,
-    cls: CharacterClass,
     orders: list[int],
     snf_lower: SmithForm,
     snf_upper: SmithForm,
@@ -237,61 +214,59 @@ def _decomposition_from_smith(
     free_rank = kernel_rank - snf_upper.rank
     if free_rank < 0:
         raise ConsistencyError("image rank exceeds kernel rank; not a chain complex")
-    nontrivial = [q for q in snf_upper.invariant_factors if not q.is_one()]
-    strict = cls is CharacterClass.NON_RESONANT_SURJECTIVE
-    torsion, remainders = _torsion_from_factors(nontrivial, orders, strict)
+    per_d: dict[int, list[int]] = {}
+    remainders = []
+    for q in snf_upper.invariant_factors:
+        if q.is_one():
+            continue
+        mults, rem = factor_cyclotomic(q, orders)
+        if not rem.is_one():
+            remainders.append(rem)
+        for d, mult in mults.items():
+            vec = per_d.setdefault(d, [])
+            vec.extend([0] * (mult - len(vec)))
+            vec[mult - 1] += 1
     return ModuleDecomposition(
         degree=k + 1,
         free_rank=free_rank,
-        torsion=torsion,
-        remainder_factors=remainders,
+        torsion={d: tuple(vec) for d, vec in sorted(per_d.items())},
+        remainder_factors=tuple(remainders),
     )
 
 
 def smith_decomposition(
-    f: FlagComplex,
-    chi: Character,
-    max_degree: Optional[int] = None,
-    allow_degenerate: bool = False,
+    f: FlagComplex, chi: Character, max_degree: Optional[int] = None
 ) -> dict[int, ModuleDecomposition]:
     """Decompositions for all homology degrees 0 .. dim F + 1 from Smith
-    forms over Q[t], for any admissible character.
+    forms over Q[t], for any character; admission is full_decomposition's.
 
     Each twisted boundary is Smith-reduced once and shared between the
     two degrees it touches.
     """
-    cls = require_admissible(f, chi, allow_degenerate)
     top = f.dim + 1
     if max_degree is not None:
         top = min(top, max_degree)
     orders = torsion_candidates(chi)
     snfs = {k: _twisted_smith(f, chi, k) for k in range(-1, top + 1)}
     return {
-        k + 1: _decomposition_from_smith(k, cls, orders, snfs[k], snfs[k + 1])
+        k + 1: _decomposition_from_smith(k, orders, snfs[k], snfs[k + 1])
         for k in range(-1, top)
     }
 
 
-@lru_cache(maxsize=256)
-def _unit_series(n: int, sign: int, K: int) -> tuple[int, ...]:
-    """sign * (t^n - 1)/(t - 1) at t = 1 + s, cut at s^K: the
-    coefficient of s^i is sign * C(n, i + 1)."""
-    return tuple(sign * comb(n, i + 1) for i in range(min(n, K)))
-
-
-def _local_vector(rows: list[list[tuple[int, ...]]], K: int, rank: int, shift: int = 0) -> tuple[int, ...]:
-    """Exponent vector (r_1, r_2, ...) of a matrix's local Smith form,
-    each valuation raised by shift; the pivots must number the rank."""
+def _local_vector(rows: list[list[tuple[int, ...]]], K: int, rank: int) -> tuple[int, ...]:
+    """Exponent vector (r_1, r_2, ...) of a matrix's local Smith form;
+    the pivots must number the rank."""
     vals = local_smith_valuations(rows, K)
     if len(vals) != rank:
         raise ConsistencyError(
             f"{len(vals)} local pivots below s^{K} for rank {rank}: an exponent "
             "reached the truncation or the rank dropped at t = 2"
         )
-    vec = [0] * max((v + shift for v in vals), default=0)
+    vec = [0] * max(vals, default=0)
     for v in vals:
-        if v + shift:
-            vec[v + shift - 1] += 1
+        if v:
+            vec[v - 1] += 1
     return tuple(vec)
 
 
@@ -304,14 +279,14 @@ def full_decomposition(
     """Decompositions for all homology degrees 0 .. dim F + 1.
 
     For a non-resonant surjective character: free ranks from ranks at
-    t = 2, and torsion from local Smith forms, one per degree for order 1
-    and one per degree and 0/1 weight class for the orders d >= 2 (see
-    the module docstring).  Every other class, admitted by
-    allow_degenerate, goes through smith_decomposition.
+    t = 2, the order-1 part from a rank at t = 1, and the orders d >= 2
+    from one local Smith form per degree and 0/1 weight class (see the
+    module docstring).  Every other class, admitted by allow_degenerate,
+    goes through smith_decomposition.
     """
     cls = require_admissible(f, chi, allow_degenerate)
     if cls is not CharacterClass.NON_RESONANT_SURJECTIVE:
-        return smith_decomposition(f, chi, max_degree, allow_degenerate)
+        return smith_decomposition(f, chi, max_degree)
     top = f.dim + 1
     if max_degree is not None:
         top = min(top, max_degree)
@@ -320,9 +295,7 @@ def full_decomposition(
         j: rank_rational(boundary_matrix(f, j, entry=lambda sign, v: sign * ((1 << values[v]) - 1)))
         for j in range(-1, top + 1)
     }
-    classes: dict[tuple[int, ...], list[int]] = {}
-    for d, key in weight_classes(f.graph, chi, torsion_candidates(chi)).items():
-        classes.setdefault(key, []).append(d)
+    classes = weight_classes(f.graph, chi, torsion_candidates(chi))
     out = {}
     for j in range(0, top + 1):
         free_rank = f.count(j - 1) - ranks[j - 1] - ranks[j]
@@ -330,9 +303,15 @@ def full_decomposition(
             raise ConsistencyError("image rank exceeds kernel rank; not a chain complex")
         torsion = {}
         if ranks[j]:
-            # order 1: D_j = (t - 1) U, so each valuation of U at t = 1 gains 1
-            rows = boundary_matrix(f, j, entry=lambda sign, v: _unit_series(values[v], sign, j + 1), zero=())
-            torsion[1] = _local_vector(rows, j + 1, ranks[j], shift=1)
+            # order 1: D_j = (t - 1) U with exponents at most 1, so U must
+            # keep its rank at t = 1
+            rank1 = rank_rational(boundary_matrix(f, j, entry=lambda sign, v: sign * values[v]))
+            if rank1 != ranks[j]:
+                raise ConsistencyError(
+                    f"degree-{j} boundary over t - 1 has rank {rank1} at t = 1 and "
+                    f"{ranks[j]} at t = 2: an order-1 exponent above 1"
+                )
+            torsion[1] = (ranks[j],)
             # orders d >= 2: exponents in degree j are at most j + 1
             for key, orders in classes.items():
                 weight = dict(zip(f.graph.vertices, key))

@@ -14,15 +14,14 @@ and returns the valuations of its Smith form over the local ring
 Q[s]_(s) that lie below K.  It pivots on an entry of least valuation and
 clears the pivot column with row moves scaled by the pivot's unit, so it
 needs no gcd of series and no fraction, and no degree reaches K.  The
-direct pipeline runs it at t = 1 and t = -1 for non-resonant characters,
-whose exponents have a known bound.
+direct pipeline runs it at t = -1 for non-resonant characters, whose
+exponents there have a known bound.
 
-Polynomial matrices hold ExactPoly entries or integer coefficient
-sequences (constant term first).  The Smith form over Q[t] serves
-degenerate characters and is the oracle of the local path.  It scales
-each row holding an ExactPoly to integer coefficients, takes integer
-rows as they are, and eliminates on plain-int coefficient lists with the
-arithmetic of polys (pseudo-division, exact quotients, primitive gcd).  It
+Polynomial matrices hold integer coefficient sequences only (constant
+term first), as the twisted boundaries are built.  The Smith form over
+Q[t] serves degenerate characters and is the oracle of the local path.
+It eliminates on plain-int coefficient lists with the arithmetic of
+polys (pseudo-division, exact quotients, primitive gcd).  It
 diagonalizes with degree-minimal pivoting (ties broken by coefficient
 height, then position) by Euclidean steps: an entry is reduced by a
 pseudo-quotient multiple of the pivot line, and a nonzero remainder is
@@ -42,13 +41,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from .polys import ExactPoly, _exquo, _gcd, _integer_coeffs, _lin, _mul, _pdivmod, _trim
+from .polys import ExactPoly, _exquo, _gcd, _lin, _mul, _pdivmod, _trim
 
-Row = list
-Matrix = list  # list of rows
-PolyEntry = Union[ExactPoly, Sequence[int]]
 _INT = frozenset((int,))
 
 
@@ -443,26 +439,15 @@ class SmithForm:
     ncols: int
 
 
-def _coefficient_row(row: Sequence) -> list:
-    """A matrix row as integer coefficient lists spanning the same line:
-    integer sequences are taken as they are, and a row holding an
-    ExactPoly or a Fraction is scaled by the lcm of its denominators."""
-    coeffs = [e.coeffs if isinstance(e, ExactPoly) else e for e in row]
-    if _INT.issuperset(map(type, chain.from_iterable(coeffs))):
-        return [e if not e or e[-1] else _trim(list(e)) for e in coeffs]
-    return _integer_coeffs(coeffs)
-
-
-def smith_normal_form(matrix: Sequence[Sequence[PolyEntry]], ncols: Optional[int] = None) -> SmithForm:
-    """Smith normal form over Q[t] of a list of rows whose entries are
-    ExactPoly values or integer coefficient sequences, constant term first.
+def smith_normal_form(matrix: Sequence[Sequence[Sequence[int]]], ncols: Optional[int] = None) -> SmithForm:
+    """Smith normal form over Q[t] of a list of rows of integer coefficient
+    sequences, constant term first, trailing zeros allowed.
 
     ncols is only needed when the matrix has no rows.  Every move is
-    unimodular over the Laurent ring Q[t^±1]: each row holding a
-    fraction is first scaled to integer coefficients, and rows and
-    columns are divided by their content and t-power after every step.
+    unimodular over the Laurent ring Q[t^±1]: rows and columns are
+    divided by their content and t-power after every step.
     """
-    a = [_coefficient_row(row) for row in matrix]
+    a = [[e if not e or e[-1] else _trim(list(e)) for e in row] for row in matrix]
     nrows = len(a)
     if nrows:
         ncols = len(a[0])

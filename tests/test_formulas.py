@@ -537,9 +537,10 @@ def test_thorough_fuzz_builds_one_complex_per_trial(monkeypatch, capsys):
 def test_weight_classes_and_pair_memo_key_by_vertex():
     g, chi = make_kite()
     permuted = Character(dict(reversed(list(chi.values.items()))))
-    assert weight_classes(g, permuted, [2, 3]) == weight_classes(g, chi, [2, 3]) == {
-        2: (1, 1, 1, 0, 0, 0),
-        3: (0, 0, 0, 0, 0, 0),
+    # key -> orders, each class's orders ascending whatever order they come in
+    assert weight_classes(g, permuted, [2, 3, 4]) == weight_classes(g, chi, [4, 2, 3]) == {
+        (1, 1, 1, 0, 0, 0): [2],
+        (0, 0, 0, 0, 0, 0): [3, 4],
     }
     with pytest.raises(InputError):
         weight_classes(g, chi, [1])
@@ -569,7 +570,7 @@ def test_profiles_shared_per_weight_class_match_fresh_profiles():
         orders = candidate_torsion_orders(chi)
         f = build_flag_complex(g)
         out = formula_decomposition(f, chi, orders)
-        classes = set(weight_classes(g, chi, orders).values())
+        classes = set(weight_classes(g, chi, orders))
         shared_classes += len(orders) - len(classes)
         # the weight-pair memo is keyed by the same class keys, one table
         # per degree of every class with a weight-1 vertex

@@ -26,13 +26,15 @@ from artinkernels import (
 from artinkernels import homology
 from artinkernels.crosscheck import (
     even_reduction_check,
+    fuzz,
+    monodromy_check,
     random_connected_graph,
     random_nonresonant_character,
 )
 from artinkernels.graphs import torsion_candidates
-from artinkernels.homology import _decomposition_from_smith, require_admissible, smith_decomposition
+from artinkernels.homology import _decomposition_from_smith, smith_decomposition
 from artinkernels.report import compare_pipelines
-from artinkernels.polys import ExactPoly, t_power_minus_one
+from artinkernels.polys import ExactPoly, _integer_coeffs, t_power_minus_one
 
 from conftest import (
     make_kite,
@@ -243,17 +245,17 @@ def test_integer_boundaries_match_laurent_boundaries():
         g = random_connected_graph(rng, 6)
         chi = Character({v: rng.choice(labels) for v in g.vertices})
         f = build_flag_complex(g)
-        cls = require_admissible(f, chi, allow_degenerate=True)
         orders = torsion_candidates(chi)
         snfs = {}
         for k in range(-1, f.dim + 2):
             tb = twisted_boundary(f, chi, k, allow_degenerate=True)
-            snfs[k] = smith_normal_form(tb.polynomial_matrix(), ncols=tb.ncols)
+            rows = [_integer_coeffs([e.coeffs for e in row]) for row in tb.polynomial_matrix()]
+            snfs[k] = smith_normal_form(rows, ncols=tb.ncols)
         want = {
-            k + 1: _decomposition_from_smith(k, cls, orders, snfs[k], snfs[k + 1]).sort_key()
+            k + 1: _decomposition_from_smith(k, orders, snfs[k], snfs[k + 1]).sort_key()
             for k in range(-1, f.dim + 1)
         }
-        got = {m: d.sort_key() for m, d in smith_decomposition(f, chi, allow_degenerate=True).items()}
+        got = {m: d.sort_key() for m, d in smith_decomposition(f, chi).items()}
         assert got == want
 
 
@@ -304,6 +306,58 @@ def test_short_truncation_trips_the_pivot_guard(monkeypatch, square_frame):
     monkeypatch.setattr(homology, "local_smith_valuations", lambda rows, K: real(rows, K - 1))
     with pytest.raises(ConsistencyError, match="local pivots"):
         full_decomposition(f, chi)
+
+
+def test_rank_drop_at_t_1_trips_the_order_1_guard(monkeypatch, kite):
+    # D_j = (t - 1) U, and the order-1 part is (r_j,) only while U keeps
+    # the rank r_j at t = 1, where its entries are sign * n_v; here the
+    # degree-1 matrix at t = 1 (told apart by v0's label 2, which reads 3
+    # at t = 2) loses its rank, so an order-1 exponent would exceed 1
+    g, chi = kite
+    f = build_flag_complex(g)
+    assert full_decomposition(f, chi)[1].torsion[1] == (5,)
+    real = homology.boundary_matrix
+
+    def rank_lost_at_t_1(f, k, entry=None, **kwargs):
+        rows = real(f, k, entry=entry, **kwargs)
+        if k == 1 and entry is not None and entry(1, "v0") == chi["v0"]:
+            return [[0] * len(row) for row in rows]
+        return rows
+
+    monkeypatch.setattr(homology, "boundary_matrix", rank_lost_at_t_1)
+    with pytest.raises(ConsistencyError, match="degree-1 boundary .* rank 0 at t = 1 and 5 at t = 2"):
+        full_decomposition(f, chi)
+
+
+def test_raw_path_reports_non_cyclotomic_content(monkeypatch, kite):
+    # no real non-resonant input has non-cyclotomic content, so t^2 + 2 is
+    # planted in every factor: the raw path reports it instead of raising,
+    # both thorough checks name it, and a thorough fuzz runs every trial
+    g, chi = kite
+    f = build_flag_complex(g)
+    direct = full_decomposition(f, chi)
+    real = homology.factor_cyclotomic
+    monkeypatch.setattr(homology, "factor_cyclotomic", lambda q, orders: (real(q, orders)[0], ExactPoly([2, 0, 1])))
+    raw = smith_decomposition(f, chi)
+    for m, dec in direct.items():
+        # one remainder per non-unit invariant factor, whose number is the
+        # largest summand count of a divisibility chain
+        factors = max((dec.summand_count(d) for d in dec.torsion), default=0)
+        assert raw[m].remainder_factors == (ExactPoly([2, 0, 1]),) * factors
+    assert raw[1].remainder_factors
+    assert sort_keys(direct) == sort_keys(
+        {m: dataclasses.replace(dec, remainder_factors=()) for m, dec in raw.items()}
+    )
+    assert even_reduction_check(f, chi, "", direct, raw)[0] == (
+        "H_0: remainder factors differ from the raw Smith form's"
+    )
+    assert "H_1: non-cyclotomic invariant factor content" in monodromy_check(f, chi, "", raw)
+    result = fuzz(5, 3, check_reduction=True, check_monodromy=True)
+    assert result.trials == 5
+    for trial in range(5):
+        named = [m for m in result.mismatches if m.startswith(f"trial {trial} ")]
+        assert any(m.endswith("remainder factors differ from the raw Smith form's") for m in named)
+        assert any(m.endswith("non-cyclotomic invariant factor content") for m in named)
 
 
 def raw_smith_forbidden(*args, **kwargs):

@@ -225,3 +225,37 @@ def test_cli_fuzz_rejects_degenerate_generator_bounds(capsys, monkeypatch, flag,
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and flag[2:].replace("-", " ") in err
+
+
+def test_consistency_errors_exit_2_and_fuzz_runs_on(tmp_path, capsys, monkeypatch):
+    import artinkernels.crosscheck as crosscheck
+    import artinkernels.report as report
+    from artinkernels import ConsistencyError
+
+    real = crosscheck.full_decomposition
+    calls = []
+
+    def fails_on_trial_2(f, chi, *args, **kwargs):
+        calls.append(chi)
+        if len(calls) == 3:
+            raise ConsistencyError("planted failure")
+        return real(f, chi, *args, **kwargs)
+
+    monkeypatch.setattr(crosscheck, "full_decomposition", fails_on_trial_2)
+    assert main(["fuzz", "--seed", "1", "--trials", "4"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(calls) == 4
+    assert lines[-1] == "4 trials, 1 mismatches"
+    assert len(lines) == 2 and lines[0].startswith("MISMATCH trial 2 (")
+    assert lines[0].endswith("): planted failure")
+
+    def raises(*args, **kwargs):
+        raise ConsistencyError("planted failure")
+
+    monkeypatch.setattr(report, "full_decomposition", raises)
+    target = tmp_path / "kite.json"
+    target.write_bytes(fixture_bytes("kite"))
+    for command in (["check"], ["decompose", "--method", "direct"]):
+        assert main([*command, "--input", str(target)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: planted failure\n"
