@@ -68,10 +68,12 @@ class CrossCheckResult:
         return not self.mismatches
 
 
-def cross_validate_once(f: FlagComplex, chi: Character, tag: str, direct: dict) -> list[str]:
+def cross_validate_once(
+    f: FlagComplex, chi: Character, tag: str, direct: dict, orders: list[int]
+) -> list[str]:
     """Compare the two pipelines on one input, given the direct
-    decomposition; returns mismatch strings prefixed with tag."""
-    orders = candidate_torsion_orders(chi)
+    decomposition and the candidate torsion orders of chi; returns
+    mismatch strings prefixed with tag."""
     formula = formula_decomposition(f, chi, orders)
     return [tag + msg for msg in compare_pipelines(direct, formula, orders)]
 
@@ -104,12 +106,13 @@ def even_reduction_check(f: FlagComplex, chi: Character, tag: str, direct: dict,
     return issues
 
 
-def monodromy_check(f: FlagComplex, chi: Character, tag: str, raw: dict) -> list[str]:
+def monodromy_check(f: FlagComplex, chi: Character, tag: str, raw: dict, orders: list[int]) -> list[str]:
     """Non-resonant invariants of the raw decomposition (the local one
     cannot show non-cyclotomic content): cyclotomic-only factors with
-    orders dividing a label, order-1 vectors of length <= 1, order-d
-    vectors in degree k+1 of length <= k+2."""
-    allowed = set(candidate_torsion_orders(chi)) | {1}
+    orders dividing a label (orders, the candidate torsion orders of
+    chi), order-1 vectors of length <= 1, order-d vectors in degree k+1
+    of length <= k+2."""
+    allowed = set(orders) | {1}
     issues = []
     for m, dec in raw.items():
         if dec.remainder_factors:
@@ -147,15 +150,16 @@ def fuzz(
         result.trials += 1
         result.comparisons += 1
         f = build_flag_complex(g)
+        orders = candidate_torsion_orders(chi)
         try:
             direct = full_decomposition(f, chi)
-            result.mismatches.extend(cross_validate_once(f, chi, tag, direct))
+            result.mismatches.extend(cross_validate_once(f, chi, tag, direct, orders))
             if check_reduction or check_monodromy:
                 raw = smith_decomposition(f, chi)
             if check_reduction:
                 result.mismatches.extend(even_reduction_check(f, chi, tag, direct, raw))
             if check_monodromy:
-                result.mismatches.extend(monodromy_check(f, chi, tag, raw))
+                result.mismatches.extend(monodromy_check(f, chi, tag, raw, orders))
         except ConsistencyError as exc:
             result.mismatches.append(tag + str(exc))
     return result

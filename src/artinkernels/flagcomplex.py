@@ -9,9 +9,12 @@ augmentation row.
 Each complex tabulates the faces of its simplices once (FlagComplex.faces),
 and boundary_matrix is the one builder that turns that table into a
 matrix: filtration levels keep a subset of the columns, relative pairs
-also drop the rows of a sub-complex, and the twisted and anti-invariant
-complexes of the other modules replace the incidence sign through its
-entry hook.
+and weight-ordered eliminations also pick and order the rows, and the
+twisted and anti-invariant complexes of the other modules replace the
+incidence sign through its entry hook.  It reads the table as sparse
+columns, which the eliminations of linalg take as they are; the dense
+matrix is a view of them for the Smith form over Q[t] and for callers
+that index entries.
 """
 
 from __future__ import annotations
@@ -159,7 +162,8 @@ def boundary_matrix(
     rows: Optional[Sequence[int]] = None,
     entry: Optional[Callable[[int, str], object]] = None,
     zero: object = 0,
-) -> list[list]:
+    sparse: bool = False,
+) -> list:
     """Matrix of the augmented boundary in degree k; the one builder every
     chain complex of the package goes through.
 
@@ -168,20 +172,37 @@ def boundary_matrix(
     rows restrict both to the simplices at the given positions, in that
     order; a facet outside rows is dropped, which gives the boundary of
     the quotient by the sub-complex left out.  entry(sign, v) replaces
-    the sign of the facet missing vertex v, and zero fills the rest.
-    Out of range k gives an empty matrix of the correct shape.
+    the sign of the facet missing vertex v.  Out of range k gives an
+    empty matrix of the correct shape.
+
+    The matrix is read off the face table as its columns, one dict per
+    column from row to entry with the zero entries left out; sparse=True
+    returns these, and otherwise the dense rows are their view, with
+    zero in the other places.
     """
     faces = f.faces(k)
     if cols is None:
         cols = range(len(faces))
     slot = None if rows is None else {p: r for r, p in enumerate(rows)}
+    columns = []
+    for c in cols:
+        column = {}
+        for pos, sign, v in faces[c]:
+            if slot is not None:
+                pos = slot.get(pos)
+                if pos is None:
+                    continue
+            x = sign if entry is None else entry(sign, v)
+            if x:
+                column[pos] = x
+        columns.append(column)
+    if sparse:
+        return columns
     nrows = f.count(k - 1) if rows is None else len(rows)
-    mat = [[zero] * len(cols) for _ in range(nrows)]
-    for c, col in enumerate(cols):
-        for pos, sign, v in faces[col]:
-            r = pos if slot is None else slot.get(pos)
-            if r is not None:
-                mat[r][c] = sign if entry is None else entry(sign, v)
+    mat = [[zero] * len(columns) for _ in range(nrows)]
+    for c, column in enumerate(columns):
+        for r, x in column.items():
+            mat[r][c] = x
     return mat
 
 

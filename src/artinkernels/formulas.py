@@ -12,8 +12,10 @@ cycle spaces bound and locate the largest Jordan blocks.
 For one weight class and degree these are all persistence ranks of one
 filtration (Edelsbrunner, Letscher and Zomorodian, DCG 2002; Zomorodian
 and Carlsson, DCG 2005), counted over the pivots of one weight-ordered
-elimination of the boundary (_weight_pairs).  filtration_betti and
-relative_betti compute single levels and pairs from their own matrices.
+reduction of the boundary's sparse columns (_weight_pairs).  The ranks
+of the anti-invariant complex come from the same column reduction.
+filtration_betti and relative_betti compute single levels and pairs
+from their own matrices.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .graphs import (
     weight_classes,
 )
 from .homology import boundary_rank, free_rank_check, t_minus_1_part
-from .linalg import columns_to_rows, leading_columns, rank_rational
+from .linalg import leading_columns, rank_rational
 
 
 # ---------------------------------------------------------------------------
@@ -89,13 +91,14 @@ def relative_betti(
     cells = _relative_cells(x, a, i)
     if not cells:
         return 0
-    lower = rank_rational(boundary_matrix(f, i, cols=cells, rows=_relative_cells(x, a, i - 1)))
-    upper = rank_rational(boundary_matrix(f, i + 1, cols=_relative_cells(x, a, i + 1), rows=cells))
+    below, above = _relative_cells(x, a, i - 1), _relative_cells(x, a, i + 1)
+    lower = rank_rational(boundary_matrix(f, i, cols=cells, rows=below, sparse=True))
+    upper = rank_rational(boundary_matrix(f, i + 1, cols=above, rows=cells, sparse=True))
     return len(cells) - lower - upper
 
 
 # ---------------------------------------------------------------------------
-# one weight-ordered elimination per (weight class, degree)
+# one weight-ordered column reduction per (weight class, degree)
 # ---------------------------------------------------------------------------
 
 
@@ -106,17 +109,17 @@ def _check_degree(f: FlagComplex, k: int) -> None:
 
 def _weight_pairs(f: FlagComplex, w: WeightFunction, m: int) -> tuple[tuple[int, int], ...]:
     """(weight, lead weight) of each paired m-simplex tau, from one
-    elimination of the degree-m boundary in weight order.
+    reduction of the degree-m boundary columns in weight order.
 
     The m-simplices are taken in ascending weight, and the boundary of
     each is reduced against those before it; tau is paired when its
     reduced boundary is nonzero.  The (m-1)-simplices run in descending
-    weight, so the leading column of a reduced vector is the largest
-    weight in its support, its lead weight.  The reduced vectors of the
-    paired tau of weight <= q are a basis of B_q, the image of the
-    simplices of weight <= q, with distinct leading columns, so a vector
-    of B_q lies in the chains of weight <= p exactly when it combines
-    paired tau of lead weight <= p.
+    weight as rows, so the lead (least row) of a reduced column has the
+    largest weight in its support, its lead weight.  The reduced columns
+    of the paired tau of weight <= q are a basis of B_q, the image of the
+    simplices of weight <= q, with distinct leads, so a vector of B_q
+    lies in the chains of weight <= p exactly when it combines paired tau
+    of lead weight <= p.
 
     Memoized on f, keyed by the 0/1 weights in vertex order (the key of
     graphs.weight_classes) and m.
@@ -124,13 +127,12 @@ def _weight_pairs(f: FlagComplex, w: WeightFunction, m: int) -> tuple[tuple[int,
     key = (tuple(w[v] for v in f.graph.vertices), m)
     table = f.weight_pairs.get(key)
     if table is None:
-        vertex_weights = key[0]
-        top = [sum(vertex_weights[i] for i in s.indices) for s in f.simplices(m)]
-        low = [sum(vertex_weights[i] for i in s.indices) for s in f.simplices(m - 1)]
+        weight_of = key[0].__getitem__
+        top = [sum(map(weight_of, s.indices)) for s in f.simplices(m)]
+        low = [sum(map(weight_of, s.indices)) for s in f.simplices(m - 1)]
         cols = sorted(range(len(top)), key=top.__getitem__)
         rows = sorted(range(len(low)), key=low.__getitem__, reverse=True)
-        mat = boundary_matrix(f, m, cols=cols, rows=rows)
-        leads = leading_columns(columns_to_rows(mat), len(rows))
+        leads = leading_columns(boundary_matrix(f, m, cols=cols, rows=rows, sparse=True), len(rows))
         table = f.weight_pairs[key] = tuple(
             (top[c], low[rows[lead]]) for c, lead in zip(cols, leads) if lead is not None
         )
@@ -184,10 +186,11 @@ class AntiInvariantComplex:
 
     The boundary of the even-character twisted complex evaluated at
     t = -1: the entry toward the facet missing v is -2 * incidence sign
-    when v has weight 0, and 0 when v has weight 1.
+    when v has weight 0, and 0 when v has weight 1.  columns[m] holds the
+    sparse columns (row -> entry) of the boundary out of degree m.
     """
 
-    matrices: dict[int, list[list[int]]]
+    columns: dict[int, list[dict[int, int]]]
     dims: tuple[int, ...]
 
 
@@ -195,15 +198,15 @@ def anti_invariant_complex(f: FlagComplex, rho: Character) -> AntiInvariantCompl
     _check_even_values(rho)
     rho.check_domain(f.graph)
     coeff = {v: -2 if rho[v] == 1 else 0 for v in f.graph.vertices}
-    mats = {
-        m: boundary_matrix(f, m - 1, entry=lambda sign, v: coeff[v] * sign)
+    columns = {
+        m: boundary_matrix(f, m - 1, entry=lambda sign, v: coeff[v] * sign, sparse=True)
         for m in range(0, f.dim + 3)
     }
-    ranks = {m: rank_rational(mat) for m, mat in mats.items()}
+    ranks = {m: rank_rational(cols) for m, cols in columns.items()}
     dims = tuple(
         f.count(m - 1) - ranks[m] - ranks.get(m + 1, 0) for m in range(0, f.dim + 2)
     )
-    return AntiInvariantComplex(matrices=mats, dims=dims)
+    return AntiInvariantComplex(columns=columns, dims=dims)
 
 
 def anti_invariant_homology(f: FlagComplex, rho: Character) -> tuple[int, ...]:

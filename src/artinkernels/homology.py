@@ -22,9 +22,10 @@ form over Q[t]:
   Its boundary is t - 1 times a matrix with entries sign (weight 0) and
   sign * s (weight 1) at s = t + 1, and t - 1 is a unit there.  Orders
   with the same 0/1 weight class share one such matrix, whose Smith form
-  over the local ring is cut at s^K, K one above the largest exponent
-  the non-resonant bounds allow (linalg.local_smith_valuations; Domich,
-  Kannan and Trotter, Math. Oper. Res. 12, 1987).
+  over the local ring, taken on the boundary's sparse columns, is cut at
+  s^K, K one above the largest exponent the non-resonant bounds allow
+  (linalg.local_smith_valuations; Domich, Kannan and Trotter, Math.
+  Oper. Res. 12, 1987).
 A rank at t = 1 or a pivot count that differs from the rank at t = 2
 raises ConsistencyError.  Every other character class goes through
 smith_decomposition, the Smith form over Q[t] with cyclotomic trial
@@ -254,10 +255,10 @@ def smith_decomposition(
     }
 
 
-def _local_vector(rows: list[list[tuple[int, ...]]], K: int, rank: int) -> tuple[int, ...]:
-    """Exponent vector (r_1, r_2, ...) of a matrix's local Smith form;
-    the pivots must number the rank."""
-    vals = local_smith_valuations(rows, K)
+def _local_vector(cols: list[dict[int, tuple[int, ...]]], K: int, rank: int) -> tuple[int, ...]:
+    """Exponent vector (r_1, r_2, ...) of the local Smith form of a
+    matrix given by its sparse columns; the pivots must number the rank."""
+    vals = local_smith_valuations(cols, K)
     if len(vals) != rank:
         raise ConsistencyError(
             f"{len(vals)} local pivots below s^{K} for rank {rank}: an exponent "
@@ -292,7 +293,9 @@ def full_decomposition(
         top = min(top, max_degree)
     values = chi.values
     ranks = {
-        j: rank_rational(boundary_matrix(f, j, entry=lambda sign, v: sign * ((1 << values[v]) - 1)))
+        j: rank_rational(
+            boundary_matrix(f, j, entry=lambda sign, v: sign * ((1 << values[v]) - 1), sparse=True)
+        )
         for j in range(-1, top + 1)
     }
     classes = weight_classes(f.graph, chi, torsion_candidates(chi))
@@ -305,7 +308,7 @@ def full_decomposition(
         if ranks[j]:
             # order 1: D_j = (t - 1) U with exponents at most 1, so U must
             # keep its rank at t = 1
-            rank1 = rank_rational(boundary_matrix(f, j, entry=lambda sign, v: sign * values[v]))
+            rank1 = rank_rational(boundary_matrix(f, j, entry=lambda sign, v: sign * values[v], sparse=True))
             if rank1 != ranks[j]:
                 raise ConsistencyError(
                     f"degree-{j} boundary over t - 1 has rank {rank1} at t = 1 and "
@@ -315,8 +318,10 @@ def full_decomposition(
             # orders d >= 2: exponents in degree j are at most j + 1
             for key, orders in classes.items():
                 weight = dict(zip(f.graph.vertices, key))
-                rows = boundary_matrix(f, j, entry=lambda sign, v: (0, sign) if weight[v] else (sign,), zero=())
-                vec = _local_vector(rows, j + 2, ranks[j])
+                cols = boundary_matrix(
+                    f, j, entry=lambda sign, v: (0, sign) if weight[v] else (sign,), sparse=True
+                )
+                vec = _local_vector(cols, j + 2, ranks[j])
                 if vec:
                     torsion.update((d, vec) for d in orders)
         out[j] = ModuleDecomposition(degree=j, free_rank=free_rank, torsion=dict(sorted(torsion.items())))
@@ -327,7 +332,7 @@ def boundary_rank(f: FlagComplex, k: int) -> int:
     """Rational rank of the untwisted boundary in degree k, memoized on f."""
     rank = f.boundary_ranks.get(k)
     if rank is None:
-        rank = f.boundary_ranks[k] = rank_rational(boundary_matrix(f, k))
+        rank = f.boundary_ranks[k] = rank_rational(boundary_matrix(f, k, sparse=True))
     return rank
 
 

@@ -1,13 +1,18 @@
-"""Exact linear algebra: integer elimination over Q, local Smith forms
-over Q[s]/s^K and the Smith normal form over Q[t].
+"""Exact linear algebra: one sparse column reduction over Q, local Smith
+forms over Q[s]/s^K and the Smith normal form over Q[t].
 
-Rational matrices are plain lists of rows with int or Fraction entries.
-Rows of ints are used as they are and only rows holding a Fraction are
-scaled by their common denominator, so the 0/±1/±2 incidence matrices of
-the formula pipeline never leave the integers.  One fraction-free
-(Bareiss) elimination serves ranks, kernels, span intersections and
-incremental independence tests; kernels come back as primitive integer
-vectors.
+Over Q there is one elimination, reduce_columns.  It takes integer
+columns held sparse, as dicts from row to nonzero entry, the form in
+which flagcomplex.boundary_matrix reads them off the face table, and
+reduces each against the earlier pivot that owns its least row, as the
+standard persistence reduction does.  Ranks, leads, kernels, span
+intersections and incremental independence tests all run on it.  Dense
+rows are read as vectors too; only a vector holding a Fraction is scaled
+by its common denominator, so the arithmetic never leaves the integers.
+Each reduced column is divided by its content.  Unlike Bareiss
+elimination, whose entries are minors of the input, this bounds no
+entry, so entries may grow past the input's heights.  Kernels come back
+as primitive integer vectors.
 
 local_smith_valuations takes a matrix of integer series in s, cut at s^K,
 and returns the valuations of its Smith form over the local ring
@@ -41,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .polys import ExactPoly, _exquo, _gcd, _lin, _mul, _pdivmod, _trim
 
@@ -49,104 +54,130 @@ _INT = frozenset((int,))
 
 
 # ---------------------------------------------------------------------------
-# rational matrices: fraction-free integer elimination
+# rational matrices: one sparse column reduction
 # ---------------------------------------------------------------------------
+#
+# A sparse column is a dict from row to nonzero int.
 
 
-def _integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
-    """Rows with integer entries spanning the same lines as the input:
-    int rows are passed through, rows holding a Fraction are scaled by the
-    lcm of their denominators."""
-    out = []
-    for row in rows:
-        if _INT.issuperset(map(type, row)):
-            out.append(row)
-            continue
-        fracs = [Fraction(x) for x in row]
-        den = lcm(*(x.denominator for x in fracs))
-        out.append([x.numerator * (den // x.denominator) for x in fracs])
-    return out
+def _sparse(vec) -> dict[int, int]:
+    """vec as a sparse column: a dict is taken as it is; a sequence keeps
+    its nonzero entries by index, scaled by the lcm of their denominators
+    when one of them is a Fraction."""
+    if isinstance(vec, dict):
+        return vec
+    col = {i: x for i, x in enumerate(vec) if x}
+    if not _INT.issuperset(map(type, col.values())):
+        fracs = {i: Fraction(x) for i, x in col.items()}
+        den = lcm(*(x.denominator for x in fracs.values()))
+        col = {i: x.numerator * (den // x.denominator) for i, x in fracs.items()}
+    return col
 
 
-def _apply_steps(row: list[int], steps: Sequence[tuple[int, list[int]]], prev: int = 1) -> list[int]:
-    """Apply Bareiss elimination steps to a row; never mutates arguments.
+def reduce_columns(
+    cols: Iterable,
+    pivots: Optional[dict[int, dict[int, int]]] = None,
+    height: Optional[int] = None,
+) -> list[Optional[int]]:
+    """Reduce integer columns left to right; returns the lead of each, or
+    None for a column that depends on the columns before it.  Columns are
+    sparse, or dense sequences read by _sparse.
 
-    Each step (col, pivot_row) clears row[col]: the row becomes
-    (p * row - a * pivot_row) / prev, where p = pivot_row[col], a = row[col]
-    and prev is the pivot of the step before (1 before the first).  By
-    Sylvester's identity every entry is then a minor of the input matrix,
-    so the division is exact and entries stay as small as those minors.
+    A column's lead is its least row.  While an earlier pivot owns that
+    row, the column c becomes p*c - a*pivot, where p > 0 and a are the
+    pivot's and the column's entries there divided by their gcd, and is
+    then divided by its content; a column left nonzero becomes the pivot
+    that owns its lead.  Only the rows of the pivots met are touched, so
+    zeros cost nothing (Zomorodian and Carlsson, "Computing persistent
+    homology", DCG 2005, §4).  The pivots have distinct leads, so the
+    leads among the first i columns that lie above row r number the rank
+    of those columns cut to the rows above r, which fixes every lead.
+
+    pivots maps each lead to its reduced column and carries a reduction
+    across calls; height, the number of rows when known, ends the
+    reduction once every row has a pivot.  The input is never mutated.
     """
-    for col, pivot_row in steps:
-        p = pivot_row[col]
-        a = row[col]
-        if a:
-            if prev == 1:
-                row = [p * x - a * y for x, y in zip(row, pivot_row)]
-            else:
-                row = [(p * x - a * y) // prev for x, y in zip(row, pivot_row)]
-        elif p != prev:
-            row = [p * x // prev for x in row]
-        prev = p
-    return row
-
-
-def _add_row(pivots: list[tuple[int, list[int]]], row: list[int]) -> bool:
-    """Reduce a new row by every elimination step so far; when it stays
-    nonzero it becomes the next pivot, at its first nonzero column and
-    negated if needed so that every pivot is positive.  True when added."""
-    row = _apply_steps(row, pivots)
-    for col, x in enumerate(row):
-        if x:
-            pivots.append((col, row if x > 0 else [-y for y in row]))
-            return True
-    return False
-
-
-def _echelon(rows: Sequence[list[int]], ncols: int, reduced: bool = False) -> list[tuple[int, list[int]]]:
-    """Fraction-free elimination of integer rows; returns the pivots as
-    (column, row) pairs in elimination order, one per unit of rank.
-
-    With reduced=True each pivot row also gets the steps of the later
-    pivots, which clears the other pivot columns (fraction-free
-    Gauss-Jordan); every pivot entry then equals the last pivot.
-    """
-    pivots: list[tuple[int, list[int]]] = []
-    for row in rows:
-        if len(pivots) == ncols:
-            break
-        if any(row):
-            _add_row(pivots, row)
-    if reduced:
-        for i, (col, row) in enumerate(pivots):
-            pivots[i] = (col, _apply_steps(row, pivots[i + 1 :], prev=row[col]))
-    return pivots
-
-
-def leading_columns(rows: Sequence[Sequence], ncols: int) -> list[Optional[int]]:
-    """For each row, in the order given, the column at which the
-    elimination makes it a new pivot, or None when it depends on the
-    rows before it.
-
-    Each pivot row is its input row reduced against the earlier ones, and
-    the pivot rows have distinct leading columns, so a nonzero combination
-    of them leads at the first leading column it involves.
-    """
-    pivots: list[tuple[int, list[int]]] = []
+    if pivots is None:
+        pivots = {}
     leads: list[Optional[int]] = []
-    for row in _integer_rows(rows):
-        if len(pivots) < ncols and any(row) and _add_row(pivots, row):
-            leads.append(pivots[-1][0])
-        else:
-            leads.append(None)
+    for col in cols:
+        if not isinstance(col, dict):
+            col = _sparse(col)
+        lead = None
+        while col and len(pivots) != height:
+            low = min(col)
+            pivot = pivots.get(low)
+            if pivot is None:
+                pivots[low] = col
+                lead = low
+                break
+            p, a = pivot[low], col[low]
+            if p < 0:
+                p, a = -p, -a
+            g = gcd(p, a)
+            if g != 1:
+                p //= g
+                a //= g
+            new = col.copy() if p == 1 else {r: p * x for r, x in col.items()}
+            for r, y in pivot.items():
+                x = new.get(r, 0) - a * y
+                if x:
+                    new[r] = x
+                else:
+                    del new[r]
+            g = gcd(*new.values())
+            if g > 1:
+                new = {r: x // g for r, x in new.items()}
+            col = new
+        leads.append(lead)
     return leads
 
 
-def rank_rational(rows: Sequence[Sequence]) -> int:
-    """Rank over the rationals via fraction-free integer elimination."""
-    if not rows:
-        return 0
-    return len(_echelon(_integer_rows(rows), len(rows[0])))
+def leading_columns(rows: Sequence, ncols: int) -> list[Optional[int]]:
+    """For each vector, in the order given, the index at which the
+    reduction makes it a new pivot, or None when it depends on the
+    vectors before it.  The vectors are the rows of a matrix with ncols
+    columns, or sparse columns over ncols rows."""
+    return reduce_columns(rows, height=ncols)
+
+
+def rank_rational(rows: Sequence) -> int:
+    """Rank over the rationals of a list of vectors: the rows of a dense
+    matrix, or sparse columns (row rank equals column rank)."""
+    pivots: dict[int, dict[int, int]] = {}
+    reduce_columns(rows, pivots)
+    return len(pivots)
+
+
+def nullspace(rows: Sequence, ncols: int) -> list[list[int]]:
+    """Basis of {x : M x = 0} for the matrix M with these rows (dense or
+    sparse): one primitive integer vector of length ncols per column of M
+    that depends on the columns before it, positive at that column and
+    zero at every other such column.
+
+    Each column of M carries a record of the combination it is, at rows
+    past M's in reverse column order.  A column that reduces to zero
+    leads at its own record row, which no other column's record reaches
+    first, so its reduced record, primitive after the content division,
+    is its kernel vector.
+    """
+    base = len(rows)
+    tag = base + ncols - 1
+    cols: list[dict[int, int]] = [{tag - c: 1} for c in range(ncols)]
+    for r, row in enumerate(rows):
+        for c, x in _sparse(row).items():
+            cols[c][r] = x
+    pivots: dict[int, dict[int, int]] = {}
+    basis = []
+    for c, lead in enumerate(reduce_columns(cols, pivots)):
+        if lead is not None and lead >= base:
+            record = pivots[lead]
+            sign = 1 if record[lead] > 0 else -1
+            vec = [0] * ncols
+            for r, x in record.items():
+                vec[tag - r] = sign * x
+            basis.append(vec)
+    return basis
 
 
 def _primitive(vec: list[int]) -> list[int]:
@@ -154,71 +185,51 @@ def _primitive(vec: list[int]) -> list[int]:
     return vec if g in (0, 1) else [x // g for x in vec]
 
 
-def nullspace(rows: Sequence[Sequence], ncols: int) -> list[list[int]]:
-    """Basis of {x : M x = 0}: one primitive integer vector of length
-    ncols per non-pivot column, positive at that column."""
-    pivots = _echelon(_integer_rows(rows), ncols, reduced=True)
-    pivot_cols = {col for col, _ in pivots}
-    scale = pivots[-1][1][pivots[-1][0]] if pivots else 1
-    basis = []
-    for free in range(ncols):
-        if free in pivot_cols:
-            continue
-        vec = [0] * ncols
-        vec[free] = scale
-        for col, row in pivots:
-            vec[col] = -row[free]
-        basis.append(_primitive(vec))
-    return basis
-
-
-def columns_to_rows(cols: Sequence[Sequence]) -> list[list]:
-    """Transpose a list of column vectors into a row-major matrix."""
-    if not cols:
-        return []
-    return [list(col) for col in zip(*cols)]
-
-
-def span_rank(cols: Sequence[Sequence]) -> int:
+def span_rank(cols: Sequence) -> int:
     """Rank of the span of the given column vectors."""
-    # row rank equals column rank, so the columns serve as rows unchanged
     return rank_rational(cols)
 
 
 def intersect_spans(a_cols: Sequence[Sequence], b_cols: Sequence[Sequence]) -> list[list[int]]:
-    """Basis of span(a_cols) ∩ span(b_cols), as primitive integer columns."""
+    """Basis of span(a_cols) ∩ span(b_cols), as primitive integer columns:
+    the A-parts of the kernel of [A | B] that are independent."""
     if not a_cols or not b_cols:
         return []
-    a_int = _integer_rows(a_cols)
-    stacked = columns_to_rows(a_int + _integer_rows(b_cols))
-    kern = nullspace(stacked, len(a_cols) + len(b_cols))
-    inc = IncrementalRank(len(a_int[0]))
+    a = [_sparse(col) for col in a_cols]
+    stacked = a + [_sparse(col) for col in b_cols]
+    rows: dict[int, dict[int, int]] = {}
+    for j, col in enumerate(stacked):
+        for r, x in col.items():
+            rows.setdefault(r, {})[j] = x
+    inc = IncrementalRank(len(a_cols[0]))
     basis: list[list[int]] = []
-    for vec in kern:
+    for vec in nullspace(list(rows.values()), len(stacked)):
         combo = [0] * inc.dim
-        for coef, col in zip(vec, a_int):
+        for coef, col in zip(vec, a):
             if coef:
-                combo = [x + coef * y for x, y in zip(combo, col)]
+                for r, x in col.items():
+                    combo[r] += coef * x
         if inc.add(combo):
             basis.append(_primitive(combo))
     return basis
 
 
 class IncrementalRank:
-    """Maintains a growing independent set of vectors over Q, as the
-    pivots of the fraction-free elimination."""
+    """A growing independent set of vectors over Q, as the pivots of one
+    column reduction."""
 
     def __init__(self, dim: int):
         self.dim = dim
-        self._pivots: list[tuple[int, list[int]]] = []  # (column, reduced row)
+        self._pivots: dict[int, dict[int, int]] = {}  # lead -> reduced column
 
     @property
     def rank(self) -> int:
         return len(self._pivots)
 
-    def add(self, vec: Sequence) -> bool:
-        """Add vec if independent from the current set; True when added."""
-        return _add_row(self._pivots, _integer_rows([list(vec)])[0])
+    def add(self, vec) -> bool:
+        """Add vec (dense or sparse) if independent from the current set;
+        True when added."""
+        return reduce_columns([vec], self._pivots)[0] is not None
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +271,13 @@ def _local_move(u: tuple[int, ...], x, q: tuple[int, ...], y, K: int) -> tuple[i
     return _truncated(out, K)
 
 
-def local_smith_valuations(rows: Sequence[Sequence[Sequence[int]]], K: int) -> list[int]:
+def local_smith_valuations(rows: Sequence, K: int) -> list[int]:
     """Valuations of the Smith form of a matrix over the local ring
     Q[s]_(s), truncated at K: one valuation below K per pivot, in
     elimination order.
 
+    Rows are dense, or sparse as dicts from column to entry; the columns
+    of a matrix serve as well, since transposing keeps the Smith form.
     Entries are series in s (index = power of s, () for zero), cut at
     s^K.  Each step pivots on an entry of least valuation v, s^v times a
     unit u, and gives every other row holding an entry e in the pivot
@@ -282,7 +295,7 @@ def local_smith_valuations(rows: Sequence[Sequence[Sequence[int]]], K: int) -> l
     live = []
     for row in rows:
         sparse = {}
-        for c, e in enumerate(row):
+        for c, e in row.items() if isinstance(row, dict) else enumerate(row):
             if e and (len(e) > K or not e[-1]):
                 e = _truncated(e, K)
             if e:

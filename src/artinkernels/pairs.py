@@ -34,10 +34,11 @@ class AcyclicPair:
         return len(self.K)
 
 
-def _boundary_columns(f: FlagComplex, k: int, simplices: Iterable[Simplex]) -> list[list[int]]:
-    """Boundary vectors of the given (k+1)-simplices in k-chain coordinates."""
+def _boundary_columns(f: FlagComplex, k: int, simplices: Iterable[Simplex]) -> list[dict[int, int]]:
+    """Sparse boundary vectors of the given (k+1)-simplices in k-chain
+    coordinates."""
     cols = [f.position(k + 1, sigma.indices) for sigma in simplices]
-    return [list(col) for col in zip(*boundary_matrix(f, k + 1, cols=cols))]
+    return boundary_matrix(f, k + 1, cols=cols, sparse=True)
 
 
 def is_acyclic(
@@ -62,7 +63,7 @@ def is_acyclic(
     # determinant route: rows = k-simplices outside L, columns = K
     keep_rows = [r for r, tau in enumerate(f.simplices(k)) if tau not in l_set]
     cols = _boundary_columns(f, k, K)
-    minor = [[col[r] for col in cols] for r in keep_rows]
+    minor = [[col.get(r, 0) for col in cols] for r in keep_rows]
     by_det = len(K) == 0 or rank_rational(minor) == len(K)
 
     # homological route

@@ -15,6 +15,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .flagcomplex import build_flag_complex
@@ -120,14 +121,14 @@ def parse_dot_input(data: bytes) -> tuple[SimplicialGraph, Character]:
 
 
 def canonical_input_json(graph: SimplicialGraph, chi: Character) -> bytes:
-    """Serialize a parsed input back to canonical JSON; parsing the result
-    reproduces the same graph and character."""
+    """Serialize a parsed input back to canonical JSON, key-sorted like a
+    report; parsing the result reproduces the same graph and character."""
     doc = {
         "vertices": list(graph.vertices),
         "edges": [list(e) for e in graph.edges],
         "character": {v: chi[v] for v in graph.vertices},
     }
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+    return (_dump_json(doc) + "\n").encode("utf-8")
 
 
 def parse_input(data: bytes, filename: str = "") -> tuple[SimplicialGraph, Character]:
@@ -334,11 +335,38 @@ def _module_text(free_rank: int, torsion: dict[int, Sequence[int]]) -> str:
     return " ⊕ ".join(parts) if parts else "0"
 
 
+def _dump_json(obj, indent: str = "") -> str:
+    """The text of json.dumps(obj, sort_keys=True, indent=2) for the
+    types a report holds, tested by exact type.  json.dumps takes its
+    pure-Python encoder whenever indent is set; this writer only borrows
+    the C string escaper."""
+    kind = type(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    inner = indent + "  "
+    if kind is dict:
+        if not obj:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _dump_json(v, inner) for k, v in sorted(obj.items())]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        items = [_dump_json(v, inner) for v in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if obj is None:
+        return "null"
+    if kind is bool:
+        return "true" if obj else "false"
+    raise TypeError(f"cannot serialize {kind.__name__} in a report")
+
+
 def emit_report(report: Report, fmt: str = "json") -> bytes:
     """Deterministic serialization; identical reports give identical bytes."""
     if fmt == "json":
-        text = json.dumps(report_to_json_obj(report), sort_keys=True, indent=2)
-        return (text + "\n").encode("utf-8")
+        return (_dump_json(report_to_json_obj(report)) + "\n").encode("utf-8")
     if fmt != "text":
         raise InputError(f"unknown output format {fmt!r}")
     lines = []

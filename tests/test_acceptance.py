@@ -139,7 +139,7 @@ def test_criterion_5_square_frame_fixture():
 def test_criterion_6_pipeline_cross_validation(corpus):
     failures = []
     for idx, (f, chi, direct, _) in enumerate(corpus):
-        failures.extend(cross_validate_once(f, chi, f"trial {idx}: ", direct=direct))
+        failures.extend(cross_validate_once(f, chi, f"trial {idx}: ", direct, candidate_torsion_orders(chi)))
     _report(6, f"pipeline agreement on {len(corpus)} random graphs", failures)
 
 
@@ -153,7 +153,7 @@ def test_criterion_7_even_reduction(corpus):
 def test_criterion_8_monodromy_invariants(corpus):
     failures = []
     for idx, (f, chi, _, raw) in enumerate(corpus):
-        failures.extend(monodromy_check(f, chi, f"trial {idx}: ", raw=raw))
+        failures.extend(monodromy_check(f, chi, f"trial {idx}: ", raw, candidate_torsion_orders(chi)))
     _report(8, "cyclotomic factors, semisimple order-1 part, exponent bounds", failures)
 
 

@@ -223,6 +223,11 @@ def test_level_boundary_matrix_matches_full():
 # -- every builder against dense matrices from incidence ---------------------
 
 
+def dense_view(columns, nrows):
+    """Rows of the matrix with these sparse columns."""
+    return [[col.get(r, 0) for col in columns] for r in range(nrows)]
+
+
 def oracle_boundary(cols, rows, coeff=lambda sign, v: sign):
     """Dense boundary from incidence alone: coeff(sign, dropped vertex)
     where tau is a facet of sigma, 0 elsewhere."""
@@ -277,10 +282,11 @@ def test_boundary_builders_against_incidence_oracle():
         w = WeightFunction({v: rng.randint(0, 1) for v in names}, 2)
         rho = Character({v: rng.choice([1, 2]) for v in names})
         chi = Character(labels)
-        anti = anti_invariant_complex(f, rho).matrices
+        anti = anti_invariant_complex(f, rho).columns
         for k in range(-1, f.dim + 3):
             full = oracle_boundary(f.simplices(k), f.simplices(k - 1))
             assert boundary_matrix(f, k) == full
+            assert dense_view(boundary_matrix(f, k, sparse=True), f.count(k - 1)) == full
 
             for m in range(0, f.dim + 2):
                 for j in range(0, m + 2):
@@ -304,7 +310,7 @@ def test_boundary_builders_against_incidence_oracle():
             )
 
             if k + 1 in anti:
-                assert anti[k + 1] == oracle_boundary(
+                assert dense_view(anti[k + 1], f.count(k - 1)) == oracle_boundary(
                     f.simplices(k),
                     f.simplices(k - 1),
                     lambda sign, v: -2 * sign if rho[v] == 1 else 0,

@@ -198,14 +198,18 @@ def test_anti_invariant_rejects_non_even():
 def test_anti_invariant_complex_composes_to_zero():
     g, rho = make_square_frame()
     f = build_flag_complex(g)
-    mats = anti_invariant_complex(f, rho).matrices
+    columns = anti_invariant_complex(f, rho).columns
+    composed = 0
     for m in range(1, f.dim + 2):
-        low, high = mats[m], mats[m + 1]
-        if not low or not high or not high[0]:
-            continue
-        for c in range(len(high[0])):
-            for r in range(len(low)):
-                assert sum(low[r][k] * high[k][c] for k in range(len(high))) == 0
+        low, high = columns[m], columns[m + 1]
+        for col in high:
+            image: dict = {}
+            for k, x in col.items():
+                for r, y in low[k].items():
+                    image[r] = image.get(r, 0) + y * x
+            assert not any(image.values())
+            composed += bool(col)
+    assert composed
 
 
 def test_double_cover_identity_on_fixtures_and_random():
@@ -511,7 +515,7 @@ def test_pipeline_agreement_small_corpus():
         g = random_connected_graph(rng, 6)
         chi = random_nonresonant_character(rng, g, 10)
         f = build_flag_complex(g)
-        issues = cross_validate_once(f, chi, "", full_decomposition(f, chi))
+        issues = cross_validate_once(f, chi, "", full_decomposition(f, chi), candidate_torsion_orders(chi))
         assert not issues, issues
 
 
@@ -532,6 +536,21 @@ def test_thorough_fuzz_builds_one_complex_per_trial(monkeypatch, capsys):
     assert main(["fuzz", "--seed", "11", "--trials", "12", "--max-vertices", "7", "--thorough"]) == 0
     assert capsys.readouterr().out == "12 trials, 0 mismatches\n"
     assert len(built) == 13
+
+
+def test_thorough_trial_lists_its_candidate_orders_once(monkeypatch):
+    import artinkernels.crosscheck as crosscheck
+
+    listed = []
+
+    def counting_orders(chi):
+        listed.append(chi)
+        return candidate_torsion_orders(chi)
+
+    monkeypatch.setattr(crosscheck, "candidate_torsion_orders", counting_orders)
+    result = crosscheck.fuzz(3, 11, check_reduction=True, check_monodromy=True)
+    assert (result.trials, result.mismatches) == (3, [])
+    assert len(listed) == 3
 
 
 def test_weight_classes_and_pair_memo_key_by_vertex():

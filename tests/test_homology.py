@@ -319,10 +319,10 @@ def test_rank_drop_at_t_1_trips_the_order_1_guard(monkeypatch, kite):
     real = homology.boundary_matrix
 
     def rank_lost_at_t_1(f, k, entry=None, **kwargs):
-        rows = real(f, k, entry=entry, **kwargs)
+        cols = real(f, k, entry=entry, **kwargs)
         if k == 1 and entry is not None and entry(1, "v0") == chi["v0"]:
-            return [[0] * len(row) for row in rows]
-        return rows
+            return [{} for _ in cols]
+        return cols
 
     monkeypatch.setattr(homology, "boundary_matrix", rank_lost_at_t_1)
     with pytest.raises(ConsistencyError, match="degree-1 boundary .* rank 0 at t = 1 and 5 at t = 2"):
@@ -351,7 +351,7 @@ def test_raw_path_reports_non_cyclotomic_content(monkeypatch, kite):
     assert even_reduction_check(f, chi, "", direct, raw)[0] == (
         "H_0: remainder factors differ from the raw Smith form's"
     )
-    assert "H_1: non-cyclotomic invariant factor content" in monodromy_check(f, chi, "", raw)
+    assert "H_1: non-cyclotomic invariant factor content" in monodromy_check(f, chi, "", raw, candidate_torsion_orders(chi))
     result = fuzz(5, 3, check_reduction=True, check_monodromy=True)
     assert result.trials == 5
     for trial in range(5):

@@ -17,6 +17,7 @@ from artinkernels.linalg import (
     local_smith_valuations,
     nullspace,
     rank_rational,
+    reduce_columns,
     smith_normal_form,
     span_rank,
 )
@@ -231,6 +232,69 @@ def test_leading_columns_match_prefix_ranks():
             for c in range(ncols + 1):
                 below = sum(1 for lead in leads[:i] if lead is not None and lead < c)
                 assert below == oracle_rank([row[:c] for row in rows[:i]]), (mat, i, c)
+
+
+def random_sparse_columns(rng, nrows, ncols, bits):
+    """Sparse integer columns with entries up to 2^bits in size, about a
+    third of them combinations of two earlier columns."""
+    cols = []
+    for _ in range(ncols):
+        if cols and rng.random() < 0.35:
+            a, b = rng.choice(cols), rng.choice(cols)
+            x, y = rng.randint(-3, 3), rng.randint(-3, 3)
+            col = {r: x * a.get(r, 0) + y * b.get(r, 0) for r in set(a) | set(b)}
+        else:
+            rows = rng.sample(range(nrows), rng.randint(0, min(nrows, 4)))
+            col = {r: rng.choice((-1, 1)) * rng.getrandbits(rng.randint(1, bits)) for r in rows}
+        cols.append({r: v for r, v in col.items() if v})
+    return cols
+
+
+def test_reduce_columns_leads_match_prefix_ranks_on_large_entries():
+    # a column leads exactly where the rank of the columns so far grows,
+    # at the least row that grows it: the leads among the first i columns
+    # that lie above row c number the rank of those columns cut to the
+    # rows above c; dense and sparse input give the same leads, and the
+    # input is left as it was
+    rng = random.Random(53)
+    for _ in range(120):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 8)
+        cols = random_sparse_columns(rng, nrows, ncols, 120)
+        before = [dict(col) for col in cols]
+        dense = [[col.get(r, 0) for r in range(nrows)] for col in cols]
+        leads = reduce_columns(cols)
+        assert cols == before
+        assert leads == reduce_columns(dense) == leading_columns(cols, nrows) == leading_columns(dense, nrows)
+        assert rank_rational(cols) == rank_rational(dense) == oracle_rank(dense)
+        for i in range(ncols + 1):
+            for c in range(nrows + 1):
+                above = sum(1 for lead in leads[:i] if lead is not None and lead < c)
+                assert above == oracle_rank([col[:c] for col in dense[:i]])
+
+
+def test_reduce_columns_carries_pivots_across_calls():
+    rng = random.Random(59)
+    for _ in range(40):
+        cols = random_sparse_columns(rng, 6, 7, 120)
+        pivots = {}
+        split = rng.randint(0, len(cols))
+        leads = reduce_columns(cols[:split], pivots) + reduce_columns(cols[split:], pivots)
+        assert leads == reduce_columns(cols)
+        assert sorted(pivots) == sorted(lead for lead in leads if lead is not None)
+
+
+def test_nullspace_of_sparse_rows_with_large_entries():
+    rng = random.Random(61)
+    for _ in range(60):
+        ncols = rng.randint(1, 7)
+        rows = random_sparse_columns(rng, ncols, rng.randint(1, 6), 120)
+        dense = [[row.get(c, 0) for c in range(ncols)] for row in rows]
+        kern = nullspace(rows, ncols)
+        assert kern == nullspace(dense, ncols)
+        assert len(kern) == ncols - oracle_rank(dense)
+        for vec in kern:
+            assert gcd(*vec) == 1
+            assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in dense)
 
 
 # -- Smith normal form -------------------------------------------------------

@@ -9,6 +9,7 @@ from artinkernels.cli import FIXTURES, fixture_bytes, golden_bytes, main, run_fi
 from artinkernels.report import (
     JobSpec,
     ParseError,
+    _dump_json,
     canonical_input_json,
     emit_report,
     parse_dot_input,
@@ -74,6 +75,24 @@ def test_canonical_round_trip():
         assert g2.vertices == g.vertices
         assert g2.edges == g.edges
         assert chi2.values == chi.values
+
+
+def test_json_writer_matches_the_indented_json_module():
+    # the writer behind every JSON report replaces json.dumps(sort_keys,
+    # indent=2), whose pure-Python encoder it avoids; the bytes must not move
+    docs = [
+        {},
+        [],
+        {"b": [], "a": {}, "c": [1, -2, 3 ** 80], "d": None, "e": True, "f": False},
+        {"é ✓": ["tab\t", "quote\"", "K[t±1]/Φ2"], "nested": [[], [{}], {"x": [0]}]},
+        ("tuple", 0),
+        "plain",
+    ]
+    docs += [json.loads(golden_bytes(name)) for name in FIXTURES]
+    for doc in docs:
+        assert _dump_json(doc) == json.dumps(doc, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        _dump_json({"x": 0.5})
 
 
 def test_run_determinism():
