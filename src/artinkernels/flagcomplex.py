@@ -14,7 +14,8 @@ twisted and anti-invariant complexes of the other modules replace the
 incidence sign through its entry hook.  It reads the table as sparse
 columns, which the eliminations of linalg take as they are; the dense
 matrix is a view of them for the Smith form over Q[t] and for callers
-that index entries.
+that index entries.  reduce_complex ranks or pairs a whole chain complex
+with one top-down column reduction that clears.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .graphs import InputError, SimplicialGraph, WeightFunction
+from .linalg import reduce_columns
 
 
 @dataclass(frozen=True)
@@ -75,13 +77,14 @@ def incidence(sigma: Simplex, tau: Simplex) -> int:
 class FlagComplex:
     """All cliques of a graph, graded by dimension, in lexicographic order.
 
-    boundary_ranks memoizes the rational rank of the untwisted boundary
-    in each degree, filled lazily by homology.boundary_rank; weight_pairs
-    memoizes the weight-ordered elimination of each boundary per 0/1
-    weight vector, filled lazily by the formula pipeline; faces memoizes
-    the face table of each dimension.  Every entry of these is a function
-    of the complex and its key alone, so threads sharing a complex can at
-    worst compute an entry twice and store the same value.
+    boundary_ranks, None until homology.boundary_rank first runs, is then
+    the untwisted boundary's rank in every degree, one table assigned
+    whole.  weight_pairs holds the weight pairs of every degree of a 0/1
+    weight vector, stored by the formula pipeline's one reduce_complex
+    call per vector; faces memoizes the face table of each dimension.
+    Every entry is complete when stored and a function of the complex
+    and its key alone, so threads sharing a complex can at worst compute
+    an entry twice and store the same value.
     """
 
     def __init__(self, graph: SimplicialGraph, levels: dict[int, list[Simplex]]):
@@ -91,7 +94,7 @@ class FlagComplex:
         self._positions: dict[int, dict[tuple[int, ...], int]] = {
             d: {s.indices: i for i, s in enumerate(simps)} for d, simps in levels.items()
         }
-        self.boundary_ranks: dict[int, int] = {}
+        self.boundary_ranks: Optional[dict[int, int]] = None
         self.weight_pairs: dict[tuple[tuple[int, ...], int], tuple[tuple[int, int], ...]] = {}
         self._faces: dict[int, tuple[tuple[tuple[int, int, str], ...], ...]] = {}
 
@@ -204,6 +207,45 @@ def boundary_matrix(
         for r, x in column.items():
             mat[r][c] = x
     return mat
+
+
+def reduce_complex(
+    f: FlagComplex,
+    degrees: range,
+    entry: Optional[Callable[[int, str], int]] = None,
+    weights: Optional[dict[int, Sequence[int]]] = None,
+) -> dict[int, list[tuple[int, int]]]:
+    """(column, lead) pairs of the boundary in each degree of the range:
+    the position of each k-simplex whose reduced column is nonzero and of
+    the (k-1)-simplex that leads it.  Their number is the rank.
+
+    One reduce_columns call per degree, from the top down.  The leads
+    found in degree m + 1 are left out of the columns of degree m
+    (clearing; Chen and Kerber, "Persistent homology computation with a
+    twist", EuroCG 2011).  That needs only d∘d = 0, which entry must
+    keep: a reduced column is a cycle whose lead comes first in its
+    support in row order, so each cleared simplex differs by a cycle
+    from a combination of uncleared ones of no greater weight.  The
+    ranks and every boundary space B_q stay as they were.
+
+    weights gives each dimension's simplex weights by position; columns
+    then run in ascending weight and rows in descending weight, both
+    stable sorts, so a lead has the largest weight in its column's
+    support.  Without weights both run in position order.
+    """
+    out: dict[int, list[tuple[int, int]]] = {}
+    cleared: set[int] = set()
+    for m in reversed(degrees):
+        cols = [c for c in range(f.count(m)) if c not in cleared]
+        rows = None
+        if weights is not None:
+            cols.sort(key=weights[m].__getitem__)
+            rows = sorted(range(f.count(m - 1)), key=weights[m - 1].__getitem__, reverse=True)
+        matrix = boundary_matrix(f, m, cols=cols, rows=rows, entry=entry, sparse=True)
+        leads = reduce_columns(matrix, height=f.count(m - 1))
+        out[m] = [(c, r if rows is None else rows[r]) for c, r in zip(cols, leads) if r is not None]
+        cleared = {r for _, r in out[m]}
+    return out
 
 
 def simplex_weight(sigma: Simplex, w: WeightFunction) -> int:

@@ -11,17 +11,18 @@ cycle spaces bound and locate the largest Jordan blocks.
 
 For one weight class and degree these are all persistence ranks of one
 filtration (Edelsbrunner, Letscher and Zomorodian, DCG 2002; Zomorodian
-and Carlsson, DCG 2005), counted over the pivots of one weight-ordered
-reduction of the boundary's sparse columns (_weight_pairs).  The ranks
-of the anti-invariant complex come from the same column reduction.
+and Carlsson, DCG 2005), counted over the pivots of a weight-ordered
+reduction of the boundary's sparse columns (_weight_pairs): one top-down
+flagcomplex.reduce_complex call, with clearing, per weight class.  The
+ranks of the anti-invariant complex come from the same driver.
 filtration_betti and relative_betti compute single levels and pairs
-from their own matrices.
+from their own matrices, and stay the per-level oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .flagcomplex import (
     FiltrationLevel,
@@ -29,6 +30,7 @@ from .flagcomplex import (
     boundary_matrix,
     filtration_level,
     level_boundary_matrix,
+    reduce_complex,
 )
 from .graphs import (
     Character,
@@ -41,7 +43,7 @@ from .graphs import (
     weight_classes,
 )
 from .homology import boundary_rank, free_rank_check, t_minus_1_part
-from .linalg import leading_columns, rank_rational
+from .linalg import rank_rational
 
 
 # ---------------------------------------------------------------------------
@@ -119,23 +121,23 @@ def _weight_pairs(f: FlagComplex, w: WeightFunction, m: int) -> tuple[tuple[int,
     of the paired tau of weight <= q are a basis of B_q, the image of the
     simplices of weight <= q, with distinct leads, so a vector of B_q
     lies in the chains of weight <= p exactly when it combines paired tau
-    of lead weight <= p.
+    of lead weight <= p.  Clearing keeps every B_q, hence that count.
 
-    Memoized on f, keyed by the 0/1 weights in vertex order (the key of
-    graphs.weight_classes) and m.
+    One flagcomplex.reduce_complex call per weight class stores every
+    degree's table on f, keyed by the 0/1 weights in vertex order (the
+    key of graphs.weight_classes) and m.
     """
-    key = (tuple(w[v] for v in f.graph.vertices), m)
-    table = f.weight_pairs.get(key)
+    key = tuple(w[v] for v in f.graph.vertices)
+    table = f.weight_pairs.get((key, m))
     if table is None:
-        weight_of = key[0].__getitem__
-        top = [sum(map(weight_of, s.indices)) for s in f.simplices(m)]
-        low = [sum(map(weight_of, s.indices)) for s in f.simplices(m - 1)]
-        cols = sorted(range(len(top)), key=top.__getitem__)
-        rows = sorted(range(len(low)), key=low.__getitem__, reverse=True)
-        leads = leading_columns(boundary_matrix(f, m, cols=cols, rows=rows, sparse=True), len(rows))
-        table = f.weight_pairs[key] = tuple(
-            (top[c], low[rows[lead]]) for c, lead in zip(cols, leads) if lead is not None
-        )
+        weight_of = key.__getitem__
+        weight = {k: [sum(map(weight_of, s.indices)) for s in f.simplices(k)] for k in range(0, f.dim + 2)}
+        tables = {
+            (key, k): tuple((weight[k][c], weight[k - 1][lead]) for c, lead in pairs)
+            for k, pairs in reduce_complex(f, range(1, f.dim + 2), weights=weight).items()
+        }
+        f.weight_pairs.update(tables)
+        table = tables[key, m]
     return table
 
 
@@ -180,39 +182,22 @@ def _check_even_values(rho: Character) -> None:
         raise InputError("character is not even: values must lie in {1, 2}")
 
 
-@dataclass
-class AntiInvariantComplex:
-    """Chain complex of the double cover's (-1)-eigenspace.
-
-    The boundary of the even-character twisted complex evaluated at
-    t = -1: the entry toward the facet missing v is -2 * incidence sign
-    when v has weight 0, and 0 when v has weight 1.  columns[m] holds the
-    sparse columns (row -> entry) of the boundary out of degree m.
-    """
-
-    columns: dict[int, list[dict[int, int]]]
-    dims: tuple[int, ...]
-
-
-def anti_invariant_complex(f: FlagComplex, rho: Character) -> AntiInvariantComplex:
+def anti_invariant_entry(rho: Character) -> Callable[[int, str], int]:
+    """boundary_matrix entry hook of the double cover's (-1)-eigenspace:
+    the even-character twisted boundary at t = -1, which is -2 * sign
+    toward the facet missing a weight-0 vertex and 0 for weight 1."""
     _check_even_values(rho)
-    rho.check_domain(f.graph)
-    coeff = {v: -2 if rho[v] == 1 else 0 for v in f.graph.vertices}
-    columns = {
-        m: boundary_matrix(f, m - 1, entry=lambda sign, v: coeff[v] * sign, sparse=True)
-        for m in range(0, f.dim + 3)
-    }
-    ranks = {m: rank_rational(cols) for m, cols in columns.items()}
-    dims = tuple(
-        f.count(m - 1) - ranks[m] - ranks.get(m + 1, 0) for m in range(0, f.dim + 2)
-    )
-    return AntiInvariantComplex(columns=columns, dims=dims)
+    coeff = {v: -2 if n == 1 else 0 for v, n in rho.values.items()}
+    return lambda sign, v: coeff[v] * sign
 
 
 def anti_invariant_homology(f: FlagComplex, rho: Character) -> tuple[int, ...]:
     """Dimensions of the anti-invariant double-cover homology, degree 0 up
-    to dim F + 1."""
-    return anti_invariant_complex(f, rho).dims
+    to dim F + 1, from the ranks of one reduce_complex call."""
+    entry = anti_invariant_entry(rho)
+    rho.check_domain(f.graph)
+    ranks = {k: len(p) for k, p in reduce_complex(f, range(0, f.dim + 1), entry=entry).items()}
+    return tuple(f.count(m - 1) - ranks.get(m - 1, 0) - ranks.get(m, 0) for m in range(0, f.dim + 2))
 
 
 def summand_counts(f: FlagComplex, rho: Character) -> list[int]:

@@ -166,7 +166,8 @@ def weight_classes(g: SimplicialGraph, chi: Character, orders: Sequence[int]) ->
     chi.check_domain(g)
     classes: dict[tuple[int, ...], list[int]] = {}
     for d in sorted(orders):
-        classes.setdefault(tuple(derive_weight(chi, d)[v] for v in g.vertices), []).append(d)
+        w = derive_weight(chi, d)
+        classes.setdefault(tuple(w[v] for v in g.vertices), []).append(d)
     return classes
 
 

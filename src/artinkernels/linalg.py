@@ -133,14 +133,6 @@ def reduce_columns(
     return leads
 
 
-def leading_columns(rows: Sequence, ncols: int) -> list[Optional[int]]:
-    """For each vector, in the order given, the index at which the
-    reduction makes it a new pivot, or None when it depends on the
-    vectors before it.  The vectors are the rows of a matrix with ncols
-    columns, or sparse columns over ncols rows."""
-    return reduce_columns(rows, height=ncols)
-
-
 def rank_rational(rows: Sequence) -> int:
     """Rank over the rationals of a list of vectors: the rows of a dense
     matrix, or sparse columns (row rank equals column rank)."""

@@ -8,7 +8,7 @@ import itertools
 import random
 import sys
 import threading
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -46,7 +46,8 @@ from artinkernels.crosscheck import (
     random_nonresonant_character,
 )
 from artinkernels.flagcomplex import full_skeleton
-from artinkernels.formulas import anti_invariant_complex
+from artinkernels.formulas import _weight_pairs, anti_invariant_entry
+from artinkernels.linalg import reduce_columns
 from artinkernels.graphs import weight_classes
 
 from conftest import kernel_map_rank, make_kite, make_square_frame, make_tree, make_triforce, oracle_rank
@@ -198,10 +199,11 @@ def test_anti_invariant_rejects_non_even():
 def test_anti_invariant_complex_composes_to_zero():
     g, rho = make_square_frame()
     f = build_flag_complex(g)
-    columns = anti_invariant_complex(f, rho).columns
+    entry = anti_invariant_entry(rho)
     composed = 0
     for m in range(1, f.dim + 2):
-        low, high = columns[m], columns[m + 1]
+        low = boundary_matrix(f, m - 1, entry=entry, sparse=True)
+        high = boundary_matrix(f, m, entry=entry, sparse=True)
         for col in high:
             image: dict = {}
             for k, x in col.items():
@@ -324,6 +326,60 @@ def test_weight_pair_readers_match_level_oracles():
             assert max_exponent(f, w, k, summands=2) == max(gaps, default=0), (trial, k)
             checked += 1
     assert checked > 300
+
+
+def weight_ordered_pairs(f, key, clear, reverse_ties):
+    """Counter of (weight, lead weight) per degree 1 .. dim + 1 of the
+    weight-ordered reduction, written out here from the top down, with or
+    without clearing.  Rows run in stable descending weight, or in the
+    exact reverse of the column order, (weight, position) descending."""
+    weight = {k: [sum(key[i] for i in s.indices) for s in f.simplices(k)] for k in range(-1, f.dim + 2)}
+    out, cleared = {}, set()
+    for m in range(f.dim + 1, 0, -1):
+        cols = sorted((c for c in range(f.count(m)) if c not in cleared), key=weight[m].__getitem__)
+        if reverse_ties:
+            rows = sorted(range(f.count(m - 1)), key=lambda r: (weight[m - 1][r], r), reverse=True)
+        else:
+            rows = sorted(range(f.count(m - 1)), key=weight[m - 1].__getitem__, reverse=True)
+        leads = reduce_columns(boundary_matrix(f, m, cols=cols, rows=rows, sparse=True))
+        pairs = [(c, rows[lead]) for c, lead in zip(cols, leads) if lead is not None]
+        out[m] = Counter((weight[m][c], weight[m - 1][r]) for c, r in pairs)
+        cleared = {r for _, r in pairs} if clear else set()
+    return out
+
+
+def test_cleared_weight_pairs_match_uncleared_under_both_tie_orders():
+    # clearing keeps every B_q, so the (weight, lead weight) multiset of
+    # each class and degree is that of the uncleared reduction, whichever
+    # order breaks weight ties; the classes with one vertex of the other
+    # weight give long runs of equal simplex weights
+    rng = random.Random(71)
+    for trial in range(60):
+        g = random_connected_graph(rng, 12)
+        f = build_flag_complex(g)
+        n = g.n_vertices
+        if trial % 3 == 0:
+            key = [rng.randint(0, 1) for _ in range(n)]
+        else:
+            key = [trial % 3 - 1] * n
+            key[rng.randrange(n)] ^= 1
+        w = WeightFunction(dict(zip(g.vertices, key)), 2)
+        expected = weight_ordered_pairs(f, key, clear=False, reverse_ties=False)
+        for clear, reverse_ties in ((False, True), (True, False), (True, True)):
+            assert weight_ordered_pairs(f, key, clear, reverse_ties) == expected, (trial, clear, reverse_ties)
+        for m in range(1, f.dim + 2):
+            pairs = _weight_pairs(f, w, m)
+            assert Counter(pairs) == expected[m], (trial, m)
+            # per-level oracle: the pairs of weight > j are b(F_j) - b(X)
+            # in degree m - 1, and those of lead weight > j are
+            # b(X, X') - b(X, F'_j) in degree m
+            full = filtration_betti(f, w, m - 1, m, m + 1)
+            x = full_skeleton(f, w, m)
+            base = relative_betti(f, w, m, (x, full_skeleton(f, w, m - 1)))
+            for j in range(0, m + 2):
+                assert sum(1 for weight, _ in pairs if weight > j) == filtration_betti(f, w, m - 1, m, j) - full
+                source = filtration_level(f, w, m - 1, j)
+                assert sum(1 for _, lead in pairs if lead > j) == base - relative_betti(f, w, m, (x, source))
 
 
 @pytest.mark.parametrize("make", [make_kite, make_square_frame, make_triforce, make_tree])
@@ -625,14 +681,18 @@ def test_shared_complex_across_threads_matches_serial():
     orders = candidate_torsion_orders(chi)
     serial_complex = build_flag_complex(g)
     expected = formula_decomposition(serial_complex, chi, orders)
+    expected_betti = [free_rank_check(serial_complex, k) for k in range(-1, serial_complex.dim + 2)]
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            shared = build_flag_complex(g)
-            results = [None] * 4
+            shared, fresh = build_flag_complex(g), build_flag_complex(g)
+            results, betti = [None] * 4, [None] * 4
 
             def work(slot):
+                # the first boundary_rank call fills every degree of fresh;
+                # a racing thread must never read a partial table
+                betti[slot] = [free_rank_check(fresh, k) for k in range(-1, fresh.dim + 2)]
                 results[slot] = formula_decomposition(shared, chi, orders)
 
             threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
@@ -642,6 +702,7 @@ def test_shared_complex_across_threads_matches_serial():
                 t.join(timeout=60)
                 assert not t.is_alive()
             assert results == [expected] * 4
+            assert betti == [expected_betti] * 4
             assert shared.boundary_ranks == serial_complex.boundary_ranks
             assert shared.weight_pairs == serial_complex.weight_pairs
     finally:

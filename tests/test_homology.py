@@ -19,6 +19,7 @@ from artinkernels import (
     free_rank_check,
     full_decomposition,
     rank_rational,
+    simplex_weight,
     smith_normal_form,
     t_minus_1_part,
     twisted_boundary,
@@ -31,7 +32,9 @@ from artinkernels.crosscheck import (
     random_connected_graph,
     random_nonresonant_character,
 )
-from artinkernels.graphs import torsion_candidates
+from artinkernels.flagcomplex import reduce_complex
+from artinkernels.formulas import _weight_pairs, anti_invariant_entry, anti_invariant_homology
+from artinkernels.graphs import derive_weight, even_reduction, torsion_candidates
 from artinkernels.homology import _decomposition_from_smith, smith_decomposition
 from artinkernels.report import compare_pipelines
 from artinkernels.polys import ExactPoly, _integer_coeffs, t_power_minus_one
@@ -316,17 +319,87 @@ def test_rank_drop_at_t_1_trips_the_order_1_guard(monkeypatch, kite):
     g, chi = kite
     f = build_flag_complex(g)
     assert full_decomposition(f, chi)[1].torsion[1] == (5,)
-    real = homology.boundary_matrix
+    real = homology.reduce_complex
 
-    def rank_lost_at_t_1(f, k, entry=None, **kwargs):
-        cols = real(f, k, entry=entry, **kwargs)
-        if k == 1 and entry is not None and entry(1, "v0") == chi["v0"]:
-            return [{} for _ in cols]
-        return cols
+    def rank_lost_at_t_1(f, degrees, entry=None, **kwargs):
+        pairs = real(f, degrees, entry=entry, **kwargs)
+        if entry is not None and entry(1, "v0") == chi["v0"]:
+            pairs[1] = []
+        return pairs
 
-    monkeypatch.setattr(homology, "boundary_matrix", rank_lost_at_t_1)
+    monkeypatch.setattr(homology, "reduce_complex", rank_lost_at_t_1)
     with pytest.raises(ConsistencyError, match="degree-1 boundary .* rank 0 at t = 1 and 5 at t = 2"):
         full_decomposition(f, chi)
+
+
+def compose(low, high):
+    """Columns of low * high, for sparse columns."""
+    out = []
+    for col in high:
+        image: dict = {}
+        for mid, x in col.items():
+            for r, y in low[mid].items():
+                image[r] = image.get(r, 0) + y * x
+        out.append({r: x for r, x in image.items() if x})
+    return out
+
+
+def test_rank_entry_hooks_compose_to_zero():
+    # clearing leans on d∘d = 0: D at t = 2 and U = D / (t - 1) at t = 1
+    # are chain complexes
+    rng = random.Random(79)
+    nonzero = 0
+    for _ in range(25):
+        g = random_connected_graph(rng, 7)
+        chi = random_nonresonant_character(rng, g, 60)
+        f = build_flag_complex(g)
+        for entry in homology.rank_entries(chi):
+            for k in range(-1, f.dim + 2):
+                high = boundary_matrix(f, k + 1, entry=entry, sparse=True)
+                assert not any(compose(boundary_matrix(f, k, entry=entry, sparse=True), high))
+                nonzero += any(high)
+    assert nonzero > 50
+
+
+def test_cleared_ranks_of_every_complex_match_the_oracle():
+    # the five complexes ranked through reduce_complex: untwisted, weight
+    # ordered, anti-invariant, and D at t = 2 (labels up to 120) and U at
+    # t = 1; every degree against an independent elimination, and the
+    # sites that read them
+    rng = random.Random(83)
+    for trial in range(24):
+        g = random_connected_graph(rng, 8)
+        chi = random_nonresonant_character(rng, g, 120 if trial % 2 else 12)
+        f = build_flag_complex(g)
+        d = rng.choice(torsion_candidates(chi))
+        w = derive_weight(chi, d)
+        weight = {k: [simplex_weight(s, w) for s in f.simplices(k)] for k in range(-2, f.dim + 3)}
+        rho = even_reduction(chi, d)
+        at_2, at_1 = homology.rank_entries(chi)
+        degrees = range(-1, f.dim + 3)
+        oracle = {}
+        for name, entry, weights in (
+            ("untwisted", None, None),
+            ("weight ordered", None, weight),
+            ("anti-invariant", anti_invariant_entry(rho), None),
+            ("t = 2", at_2, None),
+            ("t = 1", at_1, None),
+        ):
+            pairs = reduce_complex(f, degrees, entry=entry, weights=weights)
+            for k in degrees:
+                oracle[name, k] = oracle_rank(boundary_matrix(f, k, entry=entry))
+                assert len(pairs[k]) == oracle[name, k], (trial, name, k)
+        for k in degrees:
+            assert homology.boundary_rank(f, k) == oracle["untwisted", k]
+        for m in range(1, f.dim + 2):
+            assert len(_weight_pairs(f, w, m)) == oracle["untwisted", m]
+        assert anti_invariant_homology(f, rho) == tuple(
+            f.count(m - 1) - oracle["anti-invariant", m - 1] - oracle["anti-invariant", m]
+            for m in range(0, f.dim + 2)
+        )
+        for j, dec in full_decomposition(f, chi).items():
+            assert dec.free_rank == f.count(j - 1) - oracle["t = 2", j - 1] - oracle["t = 2", j]
+            assert oracle["t = 1", j] == oracle["t = 2", j]
 
 
 def test_raw_path_reports_non_cyclotomic_content(monkeypatch, kite):

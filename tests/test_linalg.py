@@ -13,7 +13,6 @@ from artinkernels import build_flag_complex, boundary_matrix
 from artinkernels.linalg import (
     IncrementalRank,
     intersect_spans,
-    leading_columns,
     local_smith_valuations,
     nullspace,
     rank_rational,
@@ -216,7 +215,7 @@ def test_incremental_rank_matches_oracle():
             assert grew == (inc.rank == before + 1)
 
 
-def test_leading_columns_match_prefix_ranks():
+def test_reduce_columns_with_height_match_prefix_ranks():
     # the leads among the first i rows that fall before column c number
     # exactly the rank of those rows cut to their first c columns, which
     # pins down every lead, and None for dependent rows
@@ -226,7 +225,7 @@ def test_leading_columns_match_prefix_ranks():
     for mat in mats:
         rows = mat + [[0] * len(mat[0])]
         ncols = len(rows[0])
-        leads = leading_columns(rows, ncols)
+        leads = reduce_columns(rows, height=ncols)
         assert len(leads) == len(rows)
         for i in range(len(rows) + 1):
             for c in range(ncols + 1):
@@ -264,7 +263,7 @@ def test_reduce_columns_leads_match_prefix_ranks_on_large_entries():
         dense = [[col.get(r, 0) for r in range(nrows)] for col in cols]
         leads = reduce_columns(cols)
         assert cols == before
-        assert leads == reduce_columns(dense) == leading_columns(cols, nrows) == leading_columns(dense, nrows)
+        assert leads == reduce_columns(dense) == reduce_columns(cols, height=nrows) == reduce_columns(dense, height=nrows)
         assert rank_rational(cols) == rank_rational(dense) == oracle_rank(dense)
         for i in range(ncols + 1):
             for c in range(nrows + 1):
