@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .graphs import InputError, SimplicialGraph, WeightFunction
-from .linalg import reduce_columns
+from .linalg import rank_rational, reduce_columns
 
 
 @dataclass(frozen=True)
@@ -214,37 +214,39 @@ def reduce_complex(
     degrees: range,
     entry: Optional[Callable[[int, str], int]] = None,
     weights: Optional[dict[int, Sequence[int]]] = None,
-) -> dict[int, list[tuple[int, int]]]:
-    """(column, lead) pairs of the boundary in each degree of the range:
-    the position of each k-simplex whose reduced column is nonzero and of
-    the (k-1)-simplex that leads it.  Their number is the rank.
+) -> dict[int, dict[int, int]]:
+    """Leads of the reduced boundary in each degree of the range: the
+    position of each (k-1)-simplex leading a nonzero reduced column, mapped
+    to the weight (0 without weights) of that column's k-simplex; their
+    number is the rank.
 
-    One reduce_columns call per degree, from the top down.  The leads
-    found in degree m + 1 are left out of the columns of degree m
-    (clearing; Chen and Kerber, "Persistent homology computation with a
-    twist", EuroCG 2011).  That needs only d∘d = 0, which entry must
-    keep: a reduced column is a cycle whose lead comes first in its
-    support in row order, so each cleared simplex differs by a cycle
-    from a combination of uncleared ones of no greater weight.  The
-    ranks and every boundary space B_q stay as they were.
+    Clearing (Chen and Kerber, "Persistent homology computation with a
+    twist", EuroCG 2011): from the top down, the leads of degree m + 1 are
+    left out of the columns of degree m.  That needs only d∘d = 0, which
+    entry must keep: a reduced column is a cycle whose lead comes first in
+    its support, so a cleared simplex differs by a cycle from uncleared
+    ones of no greater weight; the ranks and every B_q stay as they were.
 
     weights gives each dimension's simplex weights by position; columns
-    then run in ascending weight and rows in descending weight, both
-    stable sorts, so a lead has the largest weight in its column's
-    support.  Without weights both run in position order.
+    then run in ascending and rows in descending weight (stable sorts),
+    so a lead has the largest weight in its column's support, and each
+    column's lead is read off reduce_columns.  Without weights both run
+    in position order, and the leads are the pivots of rank_rational.
     """
-    out: dict[int, list[tuple[int, int]]] = {}
-    cleared: set[int] = set()
+    out: dict[int, dict[int, int]] = {}
+    cleared: dict[int, int] = {}
     for m in reversed(degrees):
         cols = [c for c in range(f.count(m)) if c not in cleared]
-        rows = None
-        if weights is not None:
-            cols.sort(key=weights[m].__getitem__)
-            rows = sorted(range(f.count(m - 1)), key=weights[m - 1].__getitem__, reverse=True)
+        if weights is None:
+            pivots: dict[int, dict[int, int]] = {}
+            rank_rational(boundary_matrix(f, m, cols=cols, entry=entry, sparse=True), pivots, f.count(m - 1))
+            cleared = out[m] = dict.fromkeys(pivots, 0)
+            continue
+        cols.sort(key=weights[m].__getitem__)
+        rows = sorted(range(f.count(m - 1)), key=weights[m - 1].__getitem__, reverse=True)
         matrix = boundary_matrix(f, m, cols=cols, rows=rows, entry=entry, sparse=True)
         leads = reduce_columns(matrix, height=f.count(m - 1))
-        out[m] = [(c, r if rows is None else rows[r]) for c, r in zip(cols, leads) if r is not None]
-        cleared = {r for _, r in out[m]}
+        cleared = out[m] = {rows[r]: weights[m][c] for c, r in zip(cols, leads) if r is not None}
     return out
 
 

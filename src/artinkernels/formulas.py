@@ -133,8 +133,8 @@ def _weight_pairs(f: FlagComplex, w: WeightFunction, m: int) -> tuple[tuple[int,
         weight_of = key.__getitem__
         weight = {k: [sum(map(weight_of, s.indices)) for s in f.simplices(k)] for k in range(0, f.dim + 2)}
         tables = {
-            (key, k): tuple((weight[k][c], weight[k - 1][lead]) for c, lead in pairs)
-            for k, pairs in reduce_complex(f, range(1, f.dim + 2), weights=weight).items()
+            (key, k): tuple((w, weight[k - 1][lead]) for lead, w in leads.items())
+            for k, leads in reduce_complex(f, range(1, f.dim + 2), weights=weight).items()
         }
         f.weight_pairs.update(tables)
         table = tables[key, m]
@@ -196,7 +196,7 @@ def anti_invariant_homology(f: FlagComplex, rho: Character) -> tuple[int, ...]:
     to dim F + 1, from the ranks of one reduce_complex call."""
     entry = anti_invariant_entry(rho)
     rho.check_domain(f.graph)
-    ranks = {k: len(p) for k, p in reduce_complex(f, range(0, f.dim + 1), entry=entry).items()}
+    ranks = {k: len(leads) for k, leads in reduce_complex(f, range(0, f.dim + 1), entry=entry).items()}
     return tuple(f.count(m - 1) - ranks.get(m - 1, 0) - ranks.get(m, 0) for m in range(0, f.dim + 2))
 
 

@@ -302,8 +302,8 @@ def full_decomposition(
     if max_degree is not None:
         top = min(top, max_degree)
     at_2, at_1 = rank_entries(chi)
-    ranks = {j: len(p) for j, p in reduce_complex(f, range(-1, top + 1), entry=at_2).items()}
-    ranks1 = {j: len(p) for j, p in reduce_complex(f, range(0, top + 1), entry=at_1).items()}
+    ranks = {j: len(leads) for j, leads in reduce_complex(f, range(-1, top + 1), entry=at_2).items()}
+    ranks1 = {j: len(leads) for j, leads in reduce_complex(f, range(0, top + 1), entry=at_1).items()}
     classes = weight_classes(f.graph, chi, torsion_candidates(chi))
     out = {}
     for j in range(0, top + 1):
@@ -339,8 +339,7 @@ def boundary_rank(f: FlagComplex, k: int) -> int:
     f in one assignment, so a thread racing it never reads a part."""
     ranks = f.boundary_ranks
     if ranks is None:
-        pairs = reduce_complex(f, range(0, f.dim + 1))
-        ranks = f.boundary_ranks = {m: len(p) for m, p in pairs.items()}
+        ranks = f.boundary_ranks = {m: len(leads) for m, leads in reduce_complex(f, range(0, f.dim + 1)).items()}
     return ranks.get(k, 0)
 
 

@@ -133,11 +133,11 @@ def reduce_columns(
     return leads
 
 
-def rank_rational(rows: Sequence) -> int:
-    """Rank over the rationals of a list of vectors: the rows of a dense
-    matrix, or sparse columns (row rank equals column rank)."""
-    pivots: dict[int, dict[int, int]] = {}
-    reduce_columns(rows, pivots)
+def rank_rational(rows: Sequence, pivots: Optional[dict] = None, height: Optional[int] = None) -> int:
+    """Rank over the rationals of dense rows or sparse columns.  pivots and
+    height are reduce_columns': pivots, if given, collects the leads."""
+    pivots = {} if pivots is None else pivots
+    reduce_columns(rows, pivots, height)
     return len(pivots)
 
 

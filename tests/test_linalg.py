@@ -282,6 +282,20 @@ def test_reduce_columns_carries_pivots_across_calls():
         assert sorted(pivots) == sorted(lead for lead in leads if lead is not None)
 
 
+def test_rank_rational_collects_the_leads_of_reduce_columns():
+    # the clearing driver reads a rank-only complex's leads off these pivots
+    rng = random.Random(67)
+    for _ in range(40):
+        nrows = rng.randint(1, 6)
+        cols = random_sparse_columns(rng, nrows, rng.randint(0, 8), 120)
+        leads = reduce_columns(cols)
+        rank = oracle_rank([[col.get(r, 0) for r in range(nrows)] for col in cols])
+        for height in (None, nrows):
+            pivots = {}
+            assert rank_rational(cols, pivots, height) == rank
+            assert list(pivots) == [lead for lead in leads if lead is not None]
+
+
 def test_nullspace_of_sparse_rows_with_large_entries():
     rng = random.Random(61)
     for _ in range(60):
