@@ -255,6 +255,12 @@ def simplex_weight(sigma: Simplex, w: WeightFunction) -> int:
     return sum(w[v] for v in sigma.vertices)
 
 
+def simplex_weights(f: FlagComplex, key: Sequence[int], k: int) -> list[int]:
+    """Weights of the k-simplices by position, under vertex weights given
+    in the graph's vertex order (the key of graphs.weight_classes)."""
+    return [sum(map(key.__getitem__, s.indices)) for s in f.simplices(k)]
+
+
 def total_weight(f: FlagComplex, w: WeightFunction, k: int) -> int:
     """Total weight of the set of k-simplices."""
     return sum(simplex_weight(s, w) for s in f.simplices(k))

@@ -31,6 +31,7 @@ from .flagcomplex import (
     filtration_level,
     level_boundary_matrix,
     reduce_complex,
+    simplex_weights,
 )
 from .graphs import (
     Character,
@@ -130,8 +131,7 @@ def _weight_pairs(f: FlagComplex, w: WeightFunction, m: int) -> tuple[tuple[int,
     key = tuple(w[v] for v in f.graph.vertices)
     table = f.weight_pairs.get((key, m))
     if table is None:
-        weight_of = key.__getitem__
-        weight = {k: [sum(map(weight_of, s.indices)) for s in f.simplices(k)] for k in range(0, f.dim + 2)}
+        weight = {k: simplex_weights(f, key, k) for k in range(0, f.dim + 2)}
         tables = {
             (key, k): tuple((w, weight[k - 1][lead]) for lead, w in leads.items())
             for k, leads in reduce_complex(f, range(1, f.dim + 2), weights=weight).items()

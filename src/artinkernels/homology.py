@@ -22,11 +22,13 @@ form over Q[t]:
   even character that takes 2 on the d-divisible labels and 1 elsewhere.
   Its boundary is t - 1 times a matrix with entries sign (weight 0) and
   sign * s (weight 1) at s = t + 1, and t - 1 is a unit there.  Orders
-  with the same 0/1 weight class share one such matrix, whose Smith form
-  over the local ring, taken on the boundary's sparse columns, is cut at
-  s^K, K one above the largest exponent the non-resonant bounds allow
-  (linalg.local_smith_valuations; Domich, Kannan and Trotter, Math.
-  Oper. Res. 12, 1987).
+  with the same 0/1 weight class share one such matrix.  Its entry
+  toward the facet sigma minus v is sign * s^(W(sigma) - W(facet)), for
+  the simplex weights W of the class, so it is the untwisted boundary's
+  sparse columns, built once per degree, graded by W.  Its Smith form
+  over the local ring is cut at s^K, K one above the largest exponent
+  the non-resonant bounds allow (linalg.local_smith_valuations; Domich,
+  Kannan and Trotter, Math. Oper. Res. 12, 1987).
 A rank at t = 1 or a pivot count that differs from the rank at t = 2
 raises ConsistencyError.  Every other character class goes through
 smith_decomposition, the Smith form over Q[t] with cyclotomic trial
@@ -49,7 +51,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional
 
-from .flagcomplex import FlagComplex, Simplex, boundary_matrix, reduce_complex
+from .flagcomplex import FlagComplex, Simplex, boundary_matrix, reduce_complex, simplex_weights
 from .graphs import (
     Character,
     CharacterClass,
@@ -257,10 +259,13 @@ def smith_decomposition(
     }
 
 
-def _local_vector(cols: list[dict[int, tuple[int, ...]]], K: int, rank: int) -> tuple[int, ...]:
+def _local_vector(
+    cols: list[dict[int, int]], col_weight: list[int], row_weight: list[int], K: int, rank: int
+) -> tuple[int, ...]:
     """Exponent vector (r_1, r_2, ...) of the local Smith form of a
-    matrix given by its sparse columns; the pivots must number the rank."""
-    vals = local_smith_valuations(cols, K)
+    graded matrix given by its sparse columns; the pivots must number the
+    rank."""
+    vals = local_smith_valuations(cols, col_weight, row_weight, K)
     if len(vals) != rank:
         raise ConsistencyError(
             f"{len(vals)} local pivots below s^{K} for rank {rank}: an exponent "
@@ -305,6 +310,7 @@ def full_decomposition(
     ranks = {j: len(leads) for j, leads in reduce_complex(f, range(-1, top + 1), entry=at_2).items()}
     ranks1 = {j: len(leads) for j, leads in reduce_complex(f, range(0, top + 1), entry=at_1).items()}
     classes = weight_classes(f.graph, chi, torsion_candidates(chi))
+    weights = {key: {k: simplex_weights(f, key, k) for k in range(-1, top + 1)} for key in classes}
     out = {}
     for j in range(0, top + 1):
         free_rank = f.count(j - 1) - ranks[j - 1] - ranks[j]
@@ -320,13 +326,13 @@ def full_decomposition(
                     f"{ranks[j]} at t = 2: an order-1 exponent above 1"
                 )
             torsion[1] = (ranks[j],)
-            # orders d >= 2: exponents in degree j are at most j + 1
+            # orders d >= 2: a j-simplex weighs at most j + 1, so no
+            # valuation reaches K = j + 2; the cut and the pivot count
+            # stay as guards
+            cols = boundary_matrix(f, j, sparse=True)
             for key, orders in classes.items():
-                weight = dict(zip(f.graph.vertices, key))
-                cols = boundary_matrix(
-                    f, j, entry=lambda sign, v: (0, sign) if weight[v] else (sign,), sparse=True
-                )
-                vec = _local_vector(cols, j + 2, ranks[j])
+                weight = weights[key]
+                vec = _local_vector(cols, weight[j], weight[j - 1], j + 2, ranks[j])
                 if vec:
                     torsion.update((d, vec) for d in orders)
         out[j] = ModuleDecomposition(degree=j, free_rank=free_rank, torsion=dict(sorted(torsion.items())))

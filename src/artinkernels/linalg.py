@@ -1,5 +1,6 @@
 """Exact linear algebra: one sparse column reduction over Q, local Smith
-forms over Q[s]/s^K and the Smith normal form over Q[t].
+forms of graded matrices over Q[s]/s^K and the Smith normal form over
+Q[t].
 
 Over Q there is one elimination, reduce_columns.  It takes integer
 columns held sparse, as dicts from row to nonzero entry, the form in
@@ -14,13 +15,14 @@ elimination, whose entries are minors of the input, this bounds no
 entry, so entries may grow past the input's heights.  Kernels come back
 as primitive integer vectors.
 
-local_smith_valuations takes a matrix of integer series in s, cut at s^K,
-and returns the valuations of its Smith form over the local ring
-Q[s]_(s) that lie below K.  It pivots on an entry of least valuation and
-clears the pivot column with row moves scaled by the pivot's unit, so it
-needs no gcd of series and no fraction, and no degree reaches K.  The
-direct pipeline runs it at t = -1 for non-resonant characters, whose
-exponents there have a known bound.
+local_smith_valuations takes a graded matrix, whose entry at (r, c) is
+an int times s^(col weight - row weight), and returns the valuations of
+its Smith form over the local ring Q[s]_(s) that lie below K.  It pivots
+on an entry of least valuation and clears the pivot row with column
+moves scaled by the pivot's unit.  Every move keeps each entry on its
+grade, so the entries stay monomials and the arithmetic is on plain
+ints.  The direct pipeline runs it at t = -1 for non-resonant
+characters, whose exponents there have a known bound.
 
 Polynomial matrices hold integer coefficient sequences only (constant
 term first), as the twisted boundaries are built.  The Smith form over
@@ -44,7 +46,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -225,118 +226,87 @@ class IncrementalRank:
 
 
 # ---------------------------------------------------------------------------
-# local Smith form over Q[s]/s^K
+# local Smith form of a graded matrix over Q[s]/s^K
 # ---------------------------------------------------------------------------
-#
-# A truncated series is a tuple of ints, index = power of s, with no
-# trailing zeros and fewer than K terms; () is zero.
 
 
-def _truncated(e: Sequence[int], K: int) -> tuple[int, ...]:
-    n = min(len(e), K)
-    while n and not e[n - 1]:
-        n -= 1
-    return tuple(e[:n])
-
-
-def _local_move(u: tuple[int, ...], x, q: tuple[int, ...], y, K: int) -> tuple[int, ...]:
-    """u*x - q*y mod s^K, for series x and y of which either may be None."""
-    if len(u) == 1 and len(q) == 1:
-        c, a = u[0], -q[0]
-        if y is None:
-            return x if c == 1 else tuple(c * b for b in x)
-        if x is None:
-            return tuple(a * b for b in y)
-        out = [c * b for b in x]
-        out.extend([0] * (len(y) - len(x)))
-        for j, b in enumerate(y):
-            out[j] += a * b
-        return _truncated(out, K)
-    out = [0] * K
-    for a, b, sign in ((u, x, 1), (q, y, -1)):
-        if b:
-            for i, c in enumerate(a):
-                if c:
-                    c *= sign
-                    for j in range(min(len(b), K - i)):
-                        out[i + j] += c * b[j]
-    return _truncated(out, K)
-
-
-def local_smith_valuations(rows: Sequence, K: int) -> list[int]:
-    """Valuations of the Smith form of a matrix over the local ring
-    Q[s]_(s), truncated at K: one valuation below K per pivot, in
+def local_smith_valuations(
+    cols: Iterable[dict[int, int]], col_weight: Sequence[int], row_weight: Sequence[int], K: int
+) -> list[int]:
+    """Valuations of the Smith form over the local ring Q[s]_(s) of a
+    graded matrix, truncated at K: one valuation below K per pivot, in
     elimination order.
 
-    Rows are dense, or sparse as dicts from column to entry; the columns
-    of a matrix serve as well, since transposing keeps the Smith form.
-    Entries are series in s (index = power of s, () for zero), cut at
-    s^K.  Each step pivots on an entry of least valuation v, s^v times a
-    unit u, and gives every other row holding an entry e in the pivot
-    column the move row <- u*row - (e / s^v)*pivot row, mod s^K, which
-    is invertible over the local ring; the row is then divided by its
-    integer content.  The pivot row and column are dropped: the other
-    entries of the pivot row have valuation at least v, so column moves
-    would clear them without touching another row.  The elimination stops
-    when every entry is 0 mod s^K, so the Smith form has one diagonal
-    entry s^e per pivot with e < K and its other nonzero entries have
-    e >= K; a caller that knows the rank over Q(s) sees them as missing
-    pivots.  No gcd of series, no division and no Fraction: every degree
-    stays below K (Newman, Integral Matrices, 1972, ch. II).
+    Columns are sparse, dicts from row to nonzero int; the int x at
+    (r, c) stands for x * s^(col_weight[c] - row_weight[r]), which must
+    not be negative.  Each step pivots on an entry of least valuation v,
+    s^v times the unit u, and gives every other column holding an entry
+    e in the pivot row the move col <- u*col - (e / s^v)*pivot col, which
+    is invertible over the local ring (u and e's int are first divided
+    by their gcd); the column is then divided by its content.  The pivot
+    row and column are dropped: the other entries of the pivot column
+    have valuation at least v, so row moves would clear them without
+    touching another column.
+
+    For the int y at row r of column c and the pivot column p, e / s^v
+    is y * s^(col_weight[c] - col_weight[p]), a polynomial since v is
+    least, so the move lifts each entry of the pivot column to the grade
+    of the same row in column c.  Every entry keeps its grade, the
+    arithmetic is on plain ints, and an entry of valuation K or more,
+    0 mod s^K, never reaches a lower grade (the
+    graded boundary of a persistence module; Zomorodian and Carlsson,
+    "Computing persistent homology", DCG 2005, §3-4).  The elimination
+    stops when the least valuation reaches K, so the Smith form has one
+    diagonal entry s^e per pivot with e < K and its other nonzero
+    entries have e >= K; a caller that knows the rank over Q(s) sees
+    them as missing pivots (Newman, Integral Matrices, 1972, ch. II).
+    The input is never mutated.
     """
-    live = []
-    for row in rows:
-        sparse = {}
-        for c, e in row.items() if isinstance(row, dict) else enumerate(row):
-            if e and (len(e) > K or not e[-1]):
-                e = _truncated(e, K)
-            if e:
-                sparse[c] = e
-        if sparse:
-            live.append(sparse)
+    live = [(col_weight[c], dict(col)) for c, col in enumerate(cols) if col]
     vals = []
     while live:
         best = (K, 0, 0)
-        for i, row in enumerate(live):
-            for c, e in row.items():
-                v = 0
-                while not e[v]:
-                    v += 1
-                if v < best[0]:
-                    best = (v, i, c)
-                    if not v:
-                        break
-            if not best[0]:
-                break
-        v, i, c = best
-        pivot = live.pop(i)
-        unit = pivot.pop(c)[v:]
+        for i, (a, col) in enumerate(live):
+            r = max(col, key=row_weight.__getitem__)
+            v = a - row_weight[r]
+            if v < best[0]:
+                best = (v, i, r)
+                if not v:
+                    break
+        v, i, r = best
+        if v == K:
+            break
+        _, pivot = live.pop(i)
+        u = pivot.pop(r)
         rest = []
-        for row in live:
-            e = row.pop(c, None)
-            if e is not None:
-                q = e[v:]
-                # a unit times a nonzero series is nonzero mod s^K, so
-                # only the pivot row's columns can cancel
-                if unit == (1,):
-                    moved = row
-                else:
-                    moved = {col: _local_move(unit, x, q, None, K) for col, x in row.items()}
-                for col, y in pivot.items():
-                    x = _local_move(unit, row.get(col), q, y, K)
+        for b, col in live:
+            y = col.pop(r, None)
+            if y is not None:
+                p, q = u, y
+                if p < 0:
+                    p, q = -p, -q
+                g = gcd(p, q)
+                if g != 1:
+                    p //= g
+                    q //= g
+                # p is not 0, so only the pivot column's rows can cancel
+                if p != 1:
+                    col = {row: p * x for row, x in col.items()}
+                for row, z in pivot.items():
+                    x = col.get(row, 0) - q * z
                     if x:
-                        moved[col] = x
+                        col[row] = x
                     else:
-                        moved.pop(col, None)
-                g = gcd(*chain.from_iterable(moved.values()))
+                        del col[row]
+                g = gcd(*col.values())
                 if g > 1:
-                    moved = {col: tuple(a // g for a in x) for col, x in moved.items()}
-                row = moved
-            if row:
-                rest.append(row)
+                    col = {row: x // g for row, x in col.items()}
+            if col:
+                rest.append((b, col))
         live = rest
         vals.append(v)
     return vals
+
 
 # ---------------------------------------------------------------------------
 # Smith normal form over Q[t]: integer coefficient lists

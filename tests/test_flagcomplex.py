@@ -15,7 +15,7 @@ from artinkernels import (
     total_weight,
 )
 from artinkernels import Character, WeightFunction, relative_betti, twisted_boundary
-from artinkernels.flagcomplex import full_skeleton, level_boundary_matrix
+from artinkernels.flagcomplex import full_skeleton, level_boundary_matrix, simplex_weights
 from artinkernels.formulas import anti_invariant_entry
 
 from conftest import (
@@ -140,6 +140,12 @@ def test_simplex_weights():
     wk = derive_weight(chik, 2)
     spoke = next(s for s in fk.simplices(1) if s.vertices == ("v0", "v3"))
     assert simplex_weight(spoke, wk) == 1
+
+    # by position, under the weights in vertex order
+    for cx, weight in ((f, w), (fk, wk)):
+        key = tuple(weight[v] for v in cx.graph.vertices)
+        for k in range(-1, cx.dim + 2):
+            assert simplex_weights(cx, key, k) == [simplex_weight(s, weight) for s in cx.simplices(k)]
 
 
 def test_total_weight():

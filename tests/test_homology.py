@@ -32,10 +32,11 @@ from artinkernels.crosscheck import (
     random_connected_graph,
     random_nonresonant_character,
 )
-from artinkernels.flagcomplex import reduce_complex
+from artinkernels.flagcomplex import reduce_complex, simplex_weights
 from artinkernels.formulas import _weight_pairs, anti_invariant_entry, anti_invariant_homology
-from artinkernels.graphs import derive_weight, even_reduction, torsion_candidates
+from artinkernels.graphs import derive_weight, even_reduction, torsion_candidates, weight_classes
 from artinkernels.homology import _decomposition_from_smith, smith_decomposition
+from artinkernels.linalg import local_smith_valuations
 from artinkernels.report import compare_pipelines
 from artinkernels.polys import ExactPoly, _integer_coeffs, t_power_minus_one
 
@@ -289,6 +290,28 @@ def test_local_decomposition_matches_smith_decomposition():
     assert with_order_d >= 100
 
 
+def test_local_valuations_are_the_weight_filtration_bars():
+    # the graded weight-class boundary's Smith form is the barcode of the
+    # weight filtration: its nonzero valuations are, as a multiset, the
+    # positive weight - lead weight of the formula pipeline's pairs, and
+    # its pivots number the pairs; a cross-check only, since neither
+    # pipeline reads the other's elimination
+    bars = 0
+    for f, chi in random_inputs(89, 150, 8, 12):
+        for key, orders in weight_classes(f.graph, chi, torsion_candidates(chi)).items():
+            w = derive_weight(chi, orders[0])
+            for m in range(1, f.dim + 1):
+                vals = local_smith_valuations(
+                    boundary_matrix(f, m, sparse=True), simplex_weights(f, key, m), simplex_weights(f, key, m - 1), m + 2
+                )
+                pairs = _weight_pairs(f, w, m)
+                assert len(vals) == len(pairs), (key, m)
+                lengths = sorted(weight - lead for weight, lead in pairs if weight > lead)
+                assert sorted(v for v in vals if v) == lengths, (key, m)
+                bars += len(lengths)
+    assert bars >= 200
+
+
 def test_max_degree_cuts_both_paths_alike(square_frame):
     g, chi = square_frame
     f = build_flag_complex(g)
@@ -306,7 +329,9 @@ def test_short_truncation_trips_the_pivot_guard(monkeypatch, square_frame):
     f = build_flag_complex(g)
     assert full_decomposition(f, chi)[2].torsion[2] == (0, 0, 1)
     real = homology.local_smith_valuations
-    monkeypatch.setattr(homology, "local_smith_valuations", lambda rows, K: real(rows, K - 1))
+    monkeypatch.setattr(
+        homology, "local_smith_valuations", lambda cols, col_weight, row_weight, K: real(cols, col_weight, row_weight, K - 1)
+    )
     with pytest.raises(ConsistencyError, match="local pivots"):
         full_decomposition(f, chi)
 

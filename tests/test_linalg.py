@@ -456,7 +456,7 @@ def test_snf_determinantal_divisors_of_twisted_boundaries():
             checked += min(tb.nrows, tb.ncols) > 1
 
 
-# -- local Smith forms over Q[s]/s^K -------------------------------------------
+# -- local Smith forms of graded matrices over Q[s]/s^K ------------------------
 
 
 def at_t_minus_1(series):
@@ -481,47 +481,53 @@ def smith_valuations(mat, ncols):
     return sorted(factor_cyclotomic(q, [])[0].get(1, 0) for q in snf.invariant_factors)
 
 
-def random_series_matrix(rng):
-    n, m = rng.randint(1, 4), rng.randint(1, 5)
-    if rng.random() < 0.5:
-        # random entries s^a * (unit + higher terms), some zero
-        def series():
-            if rng.random() < 0.3:
-                return ()
-            e = [0] * rng.randint(0, 3) + [rng.choice((-3, -2, -1, 1, 2, 3))]
-            e += [rng.randint(-3, 3) for _ in range(rng.randint(0, 3))]
-            while not e[-1]:
-                e.pop()
-            return tuple(e)
-
-        return [[series() for _ in range(m)] for _ in range(n)], m
-    # L diag(s^e) R with small integer L and R, whose ranks may drop
-    r = rng.randint(1, 4)
-    exps = [rng.randint(0, 4) for _ in range(r)]
-    left = rand_matrix(rng, n, r, -2, 2)
-    right = rand_matrix(rng, r, m, -2, 2)
-    mat = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            e = [0] * (max(exps) + 1)
-            for k, x in enumerate(exps):
-                e[x] += left[i][k] * right[k][j]
-            while e and not e[-1]:
-                e.pop()
-            row.append(tuple(e))
-        mat.append(row)
-    return mat, m
+def random_graded_matrix(rng):
+    """Sparse columns of a random graded integer matrix with row and
+    column weights 0-4, and its dense series view for smith_valuations:
+    the int x at (r, c) stands for x * s^(col_weight[c] - row_weight[r]).
+    Some columns combine earlier ones of no greater weight, so ranks drop
+    and Smith forms go deep."""
+    n, m = rng.randint(1, 5), rng.randint(1, 6)
+    row_weight = [rng.randint(0, 4) for _ in range(n)]
+    col_weight = []
+    cols = []
+    for _ in range(m):
+        if cols and rng.random() < 0.35:
+            parts = rng.sample(range(len(cols)), min(len(cols), rng.randint(1, 2)))
+            weight = max(col_weight[p] for p in parts) + rng.randint(0, 1)
+            col: dict[int, int] = {}
+            for p in parts:
+                coef = rng.choice((-2, -1, 1, 2))
+                for r, x in cols[p].items():
+                    col[r] = col.get(r, 0) + coef * x
+            col = {r: x for r, x in col.items() if x}
+        else:
+            weight = rng.randint(0, 4)
+            col = {
+                r: rng.choice((-3, -2, -1, 1, 2, 3))
+                for r in range(n)
+                if row_weight[r] <= weight and rng.random() < 0.6
+            }
+        col_weight.append(weight)
+        cols.append(col)
+    dense = [
+        [(0,) * (col_weight[c] - row_weight[r]) + (cols[c][r],) if r in cols[c] else () for c in range(m)]
+        for r in range(n)
+    ]
+    return cols, col_weight, row_weight, dense
 
 
 def test_local_smith_valuations_against_smith_form():
     rng = random.Random(31)
     deep = 0
     for _ in range(320):
-        mat, m = random_series_matrix(rng)
-        want = smith_valuations(mat, m)
+        cols, col_weight, row_weight, dense = random_graded_matrix(rng)
+        want = smith_valuations(dense, len(cols))
         K = max(want, default=0) + 1 + rng.randint(0, 2)
-        assert sorted(local_smith_valuations(mat, K)) == want
+        assert sorted(local_smith_valuations(cols, col_weight, row_weight, K)) == want
+        # a shorter cut keeps exactly the valuations below it
+        K = rng.randint(1, max(want, default=0) + 1)
+        assert sorted(local_smith_valuations(cols, col_weight, row_weight, K)) == [v for v in want if v < K]
         deep += max(want, default=0) >= 2
     assert deep >= 50
 
@@ -532,17 +538,20 @@ def test_local_smith_valuations_truncate_at_K():
         exps = [rng.randint(0, 5) for _ in range(rng.randint(1, 5))]
         K = rng.randint(1, 5)
         size = len(exps)
-        diag = [[() for _ in range(size + 1)] for _ in range(size)]
-        cols = list(range(size + 1))
-        rng.shuffle(cols)
+        row_weight = [rng.randint(0, 4) for _ in range(size)]
+        order = list(range(size + 1))
+        rng.shuffle(order)
+        cols = [{} for _ in range(size + 1)]
+        col_weight = [rng.randint(0, 4) for _ in range(size + 1)]
         for i, e in enumerate(exps):
-            diag[i][cols[i]] = (0,) * e + (rng.choice((-2, -1, 1, 3)), rng.randint(-2, 2))
+            cols[order[i]] = {i: rng.choice((-2, -1, 1, 3))}
+            col_weight[order[i]] = row_weight[i] + e
         below = sorted(e for e in exps if e < K)
-        assert sorted(local_smith_valuations(diag, K)) == below
+        assert sorted(local_smith_valuations(cols, col_weight, row_weight, K)) == below
     # an exponent below K is found, one at K is invisible
-    assert local_smith_valuations([[(0, 0, 5), ()], [(), (0, 0, 0, 1)]], 3) == [2]
-    assert local_smith_valuations([[(0, 0, 0, 7, 1)]], 3) == []
-    assert local_smith_valuations([], 3) == []
+    assert local_smith_valuations([{0: 5}, {1: 1}], [2, 3], [0, 0], 3) == [2]
+    assert local_smith_valuations([{0: 7}], [4], [1], 3) == []
+    assert local_smith_valuations([], [], [], 3) == []
 
 
 # -- integer polynomial helpers ------------------------------------------------
