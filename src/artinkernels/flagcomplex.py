@@ -15,13 +15,19 @@ incidence sign through its entry hook.  It reads the table as sparse
 columns, which the eliminations of linalg take as they are; the dense
 matrix is a view of them for the Smith form over Q[t] and for callers
 that index entries.  reduce_complex ranks or pairs a whole chain complex
-with one top-down column reduction that clears.
+with one top-down column reduction that clears, or its quotient by the
+closed star of a vertex u, the cone of the sigma with sigma + {u} a
+clique, which keeps the reduced homology and, for u of weight 0, every
+bar of positive length of the weight filtration (critical_cells).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from itertools import chain
+from operator import attrgetter
+from typing import Callable, Optional, Sequence, Union
 
 from .graphs import InputError, SimplicialGraph, WeightFunction
 from .linalg import rank_rational, reduce_columns
@@ -79,9 +85,11 @@ class FlagComplex:
 
     boundary_ranks, None until homology.boundary_rank first runs, is then
     the untwisted boundary's rank in every degree, one table assigned
-    whole.  weight_pairs holds the weight pairs of every degree of a 0/1
-    weight vector, stored by the formula pipeline's one reduce_complex
-    call per vector; faces memoizes the face table of each dimension.
+    whole.  weight_pairs holds the bars (weight > lead weight) of every
+    degree of a 0/1 weight vector, stored by the formula pipeline's one
+    reduce_complex call per vector; faces memoizes the face table of
+    each dimension, and outside_star the cells outside each vertex's
+    closed star, next to one count of the simplices through each vertex.
     Every entry is complete when stored and a function of the complex
     and its key alone, so threads sharing a complex can at worst compute
     an entry twice and store the same value.
@@ -97,6 +105,8 @@ class FlagComplex:
         self.boundary_ranks: Optional[dict[int, int]] = None
         self.weight_pairs: dict[tuple[tuple[int, ...], int], tuple[tuple[int, int], ...]] = {}
         self._faces: dict[int, tuple[tuple[tuple[int, int, str], ...], ...]] = {}
+        self._outside: dict[int, dict[int, list[int]]] = {}
+        self._through: Optional[Counter[int]] = None
 
     def simplices(self, dim: int) -> tuple[Simplex, ...]:
         return tuple(self._levels.get(dim, ()))
@@ -126,6 +136,27 @@ class FlagComplex:
                 for sigma in self._levels.get(k, ())
             )
         return table
+
+    def outside_star(self, u: int) -> dict[int, list[int]]:
+        """Positions, per dimension -1 .. dim + 1, of the simplices outside
+        the closed star of vertex u: those with a vertex neither u nor next to u."""
+        if u not in self._outside:
+            near = {i for i in range(self.graph.n_vertices) if i == u or self.graph.adjacent(u, i)}
+            levels = ((d, self._levels.get(d, ())) for d in range(-1, self.dim + 2))
+            self._outside[u] = {d: [p for p, s in enumerate(simps) if not near.issuperset(s.indices)] for d, simps in levels}
+        return self._outside[u]
+
+    def critical_cells(self, key: Sequence[int]) -> dict[int, Sequence[int]]:
+        """outside_star of the weight-0 vertex of key (0/1 weights in vertex
+        order) whose closed star, twice the simplices through it, is the
+        largest, the lowest index on ties; every cell if none weighs 0."""
+        zeros = [i for i, x in enumerate(key) if not x]
+        if not zeros:
+            return {d: range(self.count(d)) for d in range(-1, self.dim + 2)}
+        if self._through is None:
+            simps = chain.from_iterable(self._levels.values())
+            self._through = Counter(chain.from_iterable(map(attrgetter("indices"), simps)))
+        return self.outside_star(max(zeros, key=self._through.__getitem__))
 
     def __repr__(self) -> str:
         counts = ", ".join(f"{self.count(d)}x{d}" for d in range(0, self.dim + 1))
@@ -213,7 +244,8 @@ def reduce_complex(
     f: FlagComplex,
     degrees: range,
     entry: Optional[Callable[[int, str], int]] = None,
-    weights: Optional[dict[int, Sequence[int]]] = None,
+    weights: Optional[dict[int, Union[Sequence[int], dict[int, int]]]] = None,
+    cells: Optional[dict[int, Sequence[int]]] = None,
 ) -> dict[int, dict[int, int]]:
     """Leads of the reduced boundary in each degree of the range: the
     position of each (k-1)-simplex leading a nonzero reduced column, mapped
@@ -232,20 +264,24 @@ def reduce_complex(
     so a lead has the largest weight in its column's support, and each
     column's lead is read off reduce_columns.  Without weights both run
     in position order, and the leads are the pivots of rank_rational.
+    cells, positions by dimension, reduces the quotient by the sub-complex
+    left out (critical_cells); weights need only the positions kept.
     """
     out: dict[int, dict[int, int]] = {}
     cleared: dict[int, int] = {}
     for m in reversed(degrees):
-        cols = [c for c in range(f.count(m)) if c not in cleared]
+        rows = None if cells is None else cells.get(m - 1, ())
+        cols = [c for c in (range(f.count(m)) if cells is None else cells.get(m, ())) if c not in cleared]
         if weights is None:
             pivots: dict[int, dict[int, int]] = {}
-            rank_rational(boundary_matrix(f, m, cols=cols, entry=entry, sparse=True), pivots, f.count(m - 1))
-            cleared = out[m] = dict.fromkeys(pivots, 0)
+            height = f.count(m - 1) if rows is None else len(rows)
+            rank_rational(boundary_matrix(f, m, cols=cols, rows=rows, entry=entry, sparse=True), pivots, height)
+            cleared = out[m] = dict.fromkeys(pivots if rows is None else map(rows.__getitem__, pivots), 0)
             continue
         cols.sort(key=weights[m].__getitem__)
-        rows = sorted(range(f.count(m - 1)), key=weights[m - 1].__getitem__, reverse=True)
+        rows = sorted(range(f.count(m - 1)) if rows is None else rows, key=weights[m - 1].__getitem__, reverse=True)
         matrix = boundary_matrix(f, m, cols=cols, rows=rows, entry=entry, sparse=True)
-        leads = reduce_columns(matrix, height=f.count(m - 1))
+        leads = reduce_columns(matrix, height=len(rows))
         cleared = out[m] = {rows[r]: weights[m][c] for c, r in zip(cols, leads) if r is not None}
     return out
 

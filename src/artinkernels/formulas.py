@@ -15,8 +15,12 @@ and Carlsson, DCG 2005), counted over the pivots of a weight-ordered
 reduction of the boundary's sparse columns (_weight_pairs): one top-down
 flagcomplex.reduce_complex call, with clearing, per weight class.  The
 ranks of the anti-invariant complex come from the same driver.
-filtration_betti and relative_betti compute single levels and pairs
-from their own matrices, and stay the per-level oracle.
+Both take the quotient by the closed star of a weight-0 vertex u
+(critical_cells): a cone at every weight level, which keeps every bar of
+positive length, and contracted by sigma -> sigma + {u} in the
+anti-invariant complex, whose boundary is -2 * sign toward each facet
+missing a weight-0 vertex.  filtration_betti and relative_betti compute
+single levels and pairs, and stay the per-level oracle.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from .flagcomplex import (
     filtration_level,
     level_boundary_matrix,
     reduce_complex,
-    simplex_weights,
 )
 from .graphs import (
     Character,
@@ -111,8 +114,9 @@ def _check_degree(f: FlagComplex, k: int) -> None:
 
 
 def _weight_pairs(f: FlagComplex, w: WeightFunction, m: int) -> tuple[tuple[int, int], ...]:
-    """(weight, lead weight) of each paired m-simplex tau, from one
-    reduction of the degree-m boundary columns in weight order.
+    """(weight, lead weight) of each paired m-simplex tau with weight >
+    lead weight, a bar, from one reduction of the degree-m boundary
+    columns of the critical cells in weight order.
 
     The m-simplices are taken in ascending weight, and the boundary of
     each is reduced against those before it; tau is paired when its
@@ -122,7 +126,9 @@ def _weight_pairs(f: FlagComplex, w: WeightFunction, m: int) -> tuple[tuple[int,
     of the paired tau of weight <= q are a basis of B_q, the image of the
     simplices of weight <= q, with distinct leads, so a vector of B_q
     lies in the chains of weight <= p exactly when it combines paired tau
-    of lead weight <= p.  Clearing keeps every B_q, hence that count.
+    of lead weight <= p.  Clearing keeps every B_q, hence that count;
+    the quotient by critical_cells changes only zero-length pairs, which
+    no statistic reads, so they are dropped.
 
     One flagcomplex.reduce_complex call per weight class stores every
     degree's table on f, keyed by the 0/1 weights in vertex order (the
@@ -131,10 +137,12 @@ def _weight_pairs(f: FlagComplex, w: WeightFunction, m: int) -> tuple[tuple[int,
     key = tuple(w[v] for v in f.graph.vertices)
     table = f.weight_pairs.get((key, m))
     if table is None:
-        weight = {k: simplex_weights(f, key, k) for k in range(0, f.dim + 2)}
+        cells = f.critical_cells(key)
+        simps = {k: f.simplices(k) for k in cells}
+        weight = {k: {p: sum(map(key.__getitem__, simps[k][p].indices)) for p in ps} for k, ps in cells.items()}
         tables = {
-            (key, k): tuple((w, weight[k - 1][lead]) for lead, w in leads.items())
-            for k, leads in reduce_complex(f, range(1, f.dim + 2), weights=weight).items()
+            (key, k): tuple((w, weight[k - 1][lead]) for lead, w in leads.items() if w > weight[k - 1][lead])
+            for k, leads in reduce_complex(f, range(1, f.dim + 2), weights=weight, cells=cells).items()
         }
         f.weight_pairs.update(tables)
         table = tables[key, m]
@@ -144,8 +152,8 @@ def _weight_pairs(f: FlagComplex, w: WeightFunction, m: int) -> tuple[tuple[int,
 def _located_rank(f: FlagComplex, w: WeightFunction, k: int, p: int, q: int) -> int:
     """Rank of the inclusion-induced map from the k-cycles of weight <= p
     that bound in the full complex to the classes of the weight-<=q
-    (k+1)-level: dim(Z_p ∩ B) - dim(Z_p ∩ B_q), the number of paired
-    tau with lead weight <= p and weight > q."""
+    (k+1)-level: dim(Z_p ∩ B) - dim(Z_p ∩ B_q) for p <= q, the number of
+    bars (paired tau) with lead weight <= p and weight > q."""
     return sum(1 for weight, lead in _weight_pairs(f, w, k + 1) if lead <= p and weight > q)
 
 
@@ -166,7 +174,7 @@ def weighted_exponent_sum(f: FlagComplex, w: WeightFunction, k: int) -> int:
     On the weight pairs of the degree-(k+1) boundary, the first summand
     is the number of paired tau of weight > j and the second is minus the
     number of paired tau of lead weight > j, so the sum is the total of
-    weight - lead weight over the paired tau.
+    weight - lead weight over the paired tau, that is over the bars.
     """
     _check_degree(f, k)
     return sum(weight - lead for weight, lead in _weight_pairs(f, w, k + 1))
@@ -193,11 +201,12 @@ def anti_invariant_entry(rho: Character) -> Callable[[int, str], int]:
 
 def anti_invariant_homology(f: FlagComplex, rho: Character) -> tuple[int, ...]:
     """Dimensions of the anti-invariant double-cover homology, degree 0 up
-    to dim F + 1, from the ranks of one reduce_complex call."""
+    to dim F + 1, from the ranks of one reduce_complex call on critical_cells."""
     entry = anti_invariant_entry(rho)
     rho.check_domain(f.graph)
-    ranks = {k: len(leads) for k, leads in reduce_complex(f, range(0, f.dim + 1), entry=entry).items()}
-    return tuple(f.count(m - 1) - ranks.get(m - 1, 0) - ranks.get(m, 0) for m in range(0, f.dim + 2))
+    cells = f.critical_cells(tuple(rho[v] - 1 for v in f.graph.vertices))
+    ranks = {k: len(leads) for k, leads in reduce_complex(f, range(0, f.dim + 1), entry=entry, cells=cells).items()}
+    return tuple(len(cells[m - 1]) - ranks.get(m - 1, 0) - ranks.get(m, 0) for m in range(0, f.dim + 2))
 
 
 def summand_counts(f: FlagComplex, rho: Character) -> list[int]:

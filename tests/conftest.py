@@ -10,13 +10,14 @@ library's kernels and span intersections, which test_linalg checks
 against oracle_rank.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from artinkernels import Character, SimplicialGraph, boundary_matrix, filtration_level, simplex_weight
-from artinkernels.flagcomplex import level_boundary_matrix
+from artinkernels.flagcomplex import level_boundary_matrix, reduce_complex
 from artinkernels.linalg import intersect_spans, nullspace, span_rank
 
 
@@ -176,3 +177,24 @@ def kernel_map_rank(f, w, k, p, q):
         return 0
     b_q = image_columns(f, w, k, q)
     return span_rank(source + b_q) - span_rank(b_q)
+
+
+# -- the weight pairs of the full complex -------------------------------------
+
+
+def full_weight_pairs(f, key):
+    """(weight, lead weight) of every pair of the weight-ordered
+    reduce_complex run on the full complex, zero-length pairs included,
+    per degree 1 .. dim + 1, under 0/1 vertex weights key in vertex order.
+    Not an oracle: the formula pipeline reduces a quotient that keeps only
+    the bars, and these pairs are what its bars are checked against; the
+    full run itself is checked against written-out reductions and the
+    per-level oracle."""
+    weight = {k: [sum(key[i] for i in s.indices) for s in f.simplices(k)] for k in range(-1, f.dim + 2)}
+    leads = reduce_complex(f, range(1, f.dim + 2), weights=weight)
+    return {m: [(wt, weight[m - 1][lead]) for lead, wt in leads[m].items()] for m in leads}
+
+
+def bars(pairs):
+    """The pairs of positive length, weight > lead weight, as a multiset."""
+    return Counter(pair for pair in pairs if pair[0] > pair[1])

@@ -45,12 +45,21 @@ from artinkernels.crosscheck import (
     random_connected_graph,
     random_nonresonant_character,
 )
-from artinkernels.flagcomplex import full_skeleton
+from artinkernels.flagcomplex import full_skeleton, reduce_complex
 from artinkernels.formulas import _weight_pairs, anti_invariant_entry
 from artinkernels.linalg import reduce_columns
 from artinkernels.graphs import weight_classes
 
-from conftest import kernel_map_rank, make_kite, make_square_frame, make_tree, make_triforce, oracle_rank
+from conftest import (
+    bars,
+    full_weight_pairs,
+    kernel_map_rank,
+    make_kite,
+    make_square_frame,
+    make_tree,
+    make_triforce,
+    oracle_rank,
+)
 
 
 def w2(pair):
@@ -367,9 +376,12 @@ def test_cleared_weight_pairs_match_uncleared_under_both_tie_orders():
         expected = weight_ordered_pairs(f, key, clear=False, reverse_ties=False)
         for clear, reverse_ties in ((False, True), (True, False), (True, True)):
             assert weight_ordered_pairs(f, key, clear, reverse_ties) == expected, (trial, clear, reverse_ties)
+        every = full_weight_pairs(f, key)
         for m in range(1, f.dim + 2):
-            pairs = _weight_pairs(f, w, m)
+            pairs = every[m]
             assert Counter(pairs) == expected[m], (trial, m)
+            # the formula pipeline keeps the bars alone
+            assert Counter(_weight_pairs(f, w, m)) == bars(pairs), (trial, m)
             # per-level oracle: the pairs of weight > j are b(F_j) - b(X)
             # in degree m - 1, and those of lead weight > j are
             # b(X, X') - b(X, F'_j) in degree m
@@ -380,6 +392,108 @@ def test_cleared_weight_pairs_match_uncleared_under_both_tie_orders():
                 assert sum(1 for weight, _ in pairs if weight > j) == filtration_betti(f, w, m - 1, m, j) - full
                 source = filtration_level(f, w, m - 1, j)
                 assert sum(1 for _, lead in pairs if lead > j) == base - relative_betti(f, w, m, (x, source))
+
+
+def star_apex(f, key):
+    """The weight-0 vertex of key whose closed star, the simplices sigma
+    (the empty one included) with sigma + {u} a clique, holds the most
+    simplices, the lowest index on ties; counted by brute force."""
+    g = f.graph
+
+    def in_star(sigma, u):
+        return all(g.adjacent(a, b) for a, b in itertools.combinations(set(sigma) | {u}, 2))
+
+    sizes = {
+        u: sum(in_star(s.indices, u) for k in range(-1, f.dim + 1) for s in f.simplices(k))
+        for u in range(g.n_vertices)
+        if not key[u]
+    }
+    return max(sizes, key=sizes.__getitem__) if sizes else None
+
+
+def anti_invariant_dims(f, entry, cells):
+    """Anti-invariant dimensions, degree 0 .. dim + 1, of the full complex
+    (cells None) or of the quotient keeping cells, by oracle_rank."""
+    keep = cells or {k: range(f.count(k)) for k in range(-1, f.dim + 2)}
+    ranks = {
+        k: oracle_rank(boundary_matrix(f, k, cols=keep[k], rows=keep[k - 1], entry=entry))
+        for k in range(0, f.dim + 2)
+    }
+    return tuple(len(keep[m - 1]) - ranks.get(m - 1, 0) - ranks[m] for m in range(0, f.dim + 2))
+
+
+def test_quotient_by_a_weight_0_star_keeps_bars_and_anti_invariant_homology():
+    # the closed star of a weight-0 vertex u is a cone at every weight
+    # level and a contractible sub-complex of the anti-invariant complex,
+    # so the quotient by it keeps every positive-length bar and every
+    # anti-invariant dimension, whichever weight-0 vertex is coned off;
+    # keys with one vertex of the other weight give long runs of equal
+    # simplex weights, and an all-ones key keeps the full complex
+    rng = random.Random(97)
+    coned = dropped = 0
+    for trial in range(90):
+        g = random_connected_graph(rng, 10)
+        f = build_flag_complex(g)
+        n = g.n_vertices
+        if trial % 5 == 0:
+            key = [1] * n
+        elif trial % 3 == 0:
+            key = [rng.randint(0, 1) for _ in range(n)]
+        else:
+            key = [trial % 3 - 1] * n
+            key[rng.randrange(n)] ^= 1
+        weight = {k: [sum(key[i] for i in s.indices) for s in f.simplices(k)] for k in range(-1, f.dim + 2)}
+        every = full_weight_pairs(f, key)
+        rho = Character({v: 1 + x for v, x in zip(g.vertices, key)})
+        entry = anti_invariant_entry(rho)
+        dims = anti_invariant_dims(f, entry, None)
+        for u in (i for i in range(n) if not key[i]):
+            cells = f.outside_star(u)
+            for k in range(-1, f.dim + 2):
+                kept = [p for p, s in enumerate(f.simplices(k)) if not all(
+                    g.adjacent(a, b) for a, b in itertools.combinations(set(s.indices) | {u}, 2))]
+                assert cells[k] == kept, (trial, u, k)
+            leads = reduce_complex(f, range(1, f.dim + 2), weights=weight, cells=cells)
+            for m in range(1, f.dim + 2):
+                pairs = [(wt, weight[m - 1][lead]) for lead, wt in leads[m].items()]
+                assert bars(pairs) == bars(every[m]), (trial, u, m)
+                dropped += len(every[m]) - len(pairs)
+            assert anti_invariant_dims(f, entry, cells) == dims, (trial, u)
+            coned += 1
+        apex = star_apex(f, key)
+        every_cell = {k: range(f.count(k)) for k in range(-1, f.dim + 2)}
+        assert f.critical_cells(key) == (every_cell if apex is None else f.outside_star(apex)), trial
+        w = WeightFunction(dict(zip(g.vertices, key)), 2)
+        for m in range(1, f.dim + 2):
+            assert Counter(_weight_pairs(f, w, m)) == bars(every[m]), (trial, m)
+        assert anti_invariant_homology(f, rho) == dims, trial
+    assert coned > 180
+    assert dropped > 1800
+
+
+def test_formula_decomposition_is_invariant_under_vertex_relabelling():
+    # the coned-off vertex is the first of the largest stars in vertex
+    # order, so a relabelling may cone off another one; the answers stay
+    rng = random.Random(101)
+    moved = 0
+    for trial in range(30):
+        g = random_connected_graph(rng, 9)
+        chi = random_nonresonant_character(rng, g, 12)
+        orders = candidate_torsion_orders(chi)
+        f = build_flag_complex(g)
+        expected = formula_decomposition(f, chi, orders)
+        apexes = {key: star_apex(f, key) for key in weight_classes(g, chi, orders)}
+        for _ in range(3):
+            order = rng.sample(range(g.n_vertices), g.n_vertices)
+            name = {g.vertices[i]: f"x{j}" for j, i in enumerate(order)}
+            h = SimplicialGraph([name[g.vertices[i]] for i in order], [(name[a], name[b]) for a, b in g.edges])
+            psi = Character({name[v]: x for v, x in chi.values.items()})
+            fh = build_flag_complex(h)
+            assert formula_decomposition(fh, psi, orders) == expected, trial
+            for key, apex in apexes.items():
+                there = star_apex(fh, tuple(key[i] for i in order))
+                moved += apex is not None and order[there] != apex
+    assert moved > 80
 
 
 @pytest.mark.parametrize("make", [make_kite, make_square_frame, make_triforce, make_tree])
@@ -674,7 +788,8 @@ def test_boundary_rank_memo_matches_oracle():
 
 def test_shared_complex_across_threads_matches_serial():
     # more threads than cores, short switch interval: threads race to fill
-    # the same complex's rank memo; every result must equal the serial one
+    # the same complex's rank, weight-pair and closed-star memos; every
+    # result must equal the serial one
     rng = random.Random(61)
     g = random_connected_graph(rng, 7)
     chi = random_nonresonant_character(rng, g, 12)
@@ -682,17 +797,25 @@ def test_shared_complex_across_threads_matches_serial():
     serial_complex = build_flag_complex(g)
     expected = formula_decomposition(serial_complex, chi, orders)
     expected_betti = [free_rank_check(serial_complex, k) for k in range(-1, serial_complex.dim + 2)]
+    n = g.n_vertices
+    keys = [tuple(int(i == u) for i in range(n)) for u in range(n)] + [(0,) * n, (1,) * n]
+    expected_cells = [build_flag_complex(g).critical_cells(key) for key in keys]
+    assert expected_cells[-1] == {k: range(serial_complex.count(k)) for k in range(-1, serial_complex.dim + 2)}
+    expected_stars = [build_flag_complex(g).outside_star(u) for u in range(n)]
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            shared, fresh = build_flag_complex(g), build_flag_complex(g)
-            results, betti = [None] * 4, [None] * 4
+            shared, fresh, starred = build_flag_complex(g), build_flag_complex(g), build_flag_complex(g)
+            results, betti, cells = [None] * 4, [None] * 4, [None] * 4
 
             def work(slot):
                 # the first boundary_rank call fills every degree of fresh;
-                # a racing thread must never read a partial table
+                # a racing thread must never read a partial table, nor a
+                # partial star count or cell list of starred
                 betti[slot] = [free_rank_check(fresh, k) for k in range(-1, fresh.dim + 2)]
+                cells[slot] = [starred.critical_cells(key) for key in keys[slot:] + keys[:slot]]
+                cells[slot] += [starred.outside_star((slot - j) % n) for j in range(n)]
                 results[slot] = formula_decomposition(shared, chi, orders)
 
             threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
@@ -703,6 +826,9 @@ def test_shared_complex_across_threads_matches_serial():
                 assert not t.is_alive()
             assert results == [expected] * 4
             assert betti == [expected_betti] * 4
+            for slot in range(4):
+                stars = [expected_stars[(slot - j) % n] for j in range(n)]
+                assert cells[slot] == expected_cells[slot:] + expected_cells[:slot] + stars
             assert shared.boundary_ranks == serial_complex.boundary_ranks
             assert shared.weight_pairs == serial_complex.weight_pairs
     finally:

@@ -4,6 +4,7 @@ Smith forms against the raw Smith forms over Q[t]."""
 
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
@@ -41,6 +42,8 @@ from artinkernels.report import compare_pipelines
 from artinkernels.polys import ExactPoly, _integer_coeffs, t_power_minus_one
 
 from conftest import (
+    bars,
+    full_weight_pairs,
     make_kite,
     make_square_frame,
     make_tree,
@@ -293,23 +296,26 @@ def test_local_decomposition_matches_smith_decomposition():
 def test_local_valuations_are_the_weight_filtration_bars():
     # the graded weight-class boundary's Smith form is the barcode of the
     # weight filtration: its nonzero valuations are, as a multiset, the
-    # positive weight - lead weight of the formula pipeline's pairs, and
-    # its pivots number the pairs; a cross-check only, since neither
+    # positive weight - lead weight of the pairs of the full complex's
+    # weight-ordered reduction, whose bars the formula pipeline keeps, and
+    # its pivots number those pairs; a cross-check only, since neither
     # pipeline reads the other's elimination
-    bars = 0
+    found = 0
     for f, chi in random_inputs(89, 150, 8, 12):
         for key, orders in weight_classes(f.graph, chi, torsion_candidates(chi)).items():
             w = derive_weight(chi, orders[0])
+            every = full_weight_pairs(f, key)
             for m in range(1, f.dim + 1):
                 vals = local_smith_valuations(
                     boundary_matrix(f, m, sparse=True), simplex_weights(f, key, m), simplex_weights(f, key, m - 1), m + 2
                 )
-                pairs = _weight_pairs(f, w, m)
+                pairs = every[m]
                 assert len(vals) == len(pairs), (key, m)
                 lengths = sorted(weight - lead for weight, lead in pairs if weight > lead)
                 assert sorted(v for v in vals if v) == lengths, (key, m)
-                bars += len(lengths)
-    assert bars >= 200
+                assert Counter(_weight_pairs(f, w, m)) == bars(pairs), (key, m)
+                found += len(lengths)
+    assert found >= 200
 
 
 def test_max_degree_cuts_both_paths_alike(square_frame):
@@ -411,6 +417,8 @@ def test_cleared_ranks_of_every_complex_match_the_oracle():
             ("t = 1", at_1, None),
         ):
             leads = reduce_complex(f, degrees, entry=entry, weights=weights)
+            if weights is not None:
+                ordered = leads
             for k in degrees:
                 oracle[name, k] = oracle_rank(boundary_matrix(f, k, entry=entry))
                 assert len(leads[k]) == oracle[name, k], (trial, name, k)
@@ -423,7 +431,10 @@ def test_cleared_ranks_of_every_complex_match_the_oracle():
         for k in degrees:
             assert homology.boundary_rank(f, k) == oracle["untwisted", k]
         for m in range(1, f.dim + 2):
-            assert len(_weight_pairs(f, w, m)) == oracle["untwisted", m]
+            pairs = [(wt, weight[m - 1][lead]) for lead, wt in ordered[m].items()]
+            assert len(pairs) == oracle["untwisted", m]
+            # the formula pipeline keeps the bars alone
+            assert Counter(_weight_pairs(f, w, m)) == bars(pairs), (trial, m)
         assert anti_invariant_homology(f, rho) == tuple(
             f.count(m - 1) - oracle["anti-invariant", m - 1] - oracle["anti-invariant", m]
             for m in range(0, f.dim + 2)
