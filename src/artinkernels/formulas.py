@@ -21,11 +21,17 @@ positive length, and contracted by sigma -> sigma + {u} in the
 anti-invariant complex, whose boundary is -2 * sign toward each facet
 missing a weight-0 vertex.  filtration_betti and relative_betti compute
 single levels and pairs, and stay the per-level oracle.
+
+Every statistic of an order sees it only through its 0/1 weight class,
+the key of graphs.weight_classes.  formula_decomposition reads each
+class once per degree through keyed cores (_bars, _summand_counts, one
+pass over the bars) and copies the profile to the class's other orders;
+the public readers derive the key and call the same cores.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .flagcomplex import (
@@ -42,8 +48,6 @@ from .graphs import (
     InputError,
     SimplicialGraph,
     WeightFunction,
-    derive_weight,
-    even_reduction,
     weight_classes,
 )
 from .homology import boundary_rank, free_rank_check, t_minus_1_part
@@ -113,7 +117,7 @@ def _check_degree(f: FlagComplex, k: int) -> None:
         raise InputError(f"degree index {k} out of range for dim-{f.dim} complex")
 
 
-def _weight_pairs(f: FlagComplex, w: WeightFunction, m: int) -> tuple[tuple[int, int], ...]:
+def _bars(f: FlagComplex, key: tuple[int, ...], m: int) -> tuple[tuple[int, int], ...]:
     """(weight, lead weight) of each paired m-simplex tau with weight >
     lead weight, a bar, from one reduction of the degree-m boundary
     columns of the critical cells in weight order.
@@ -131,10 +135,8 @@ def _weight_pairs(f: FlagComplex, w: WeightFunction, m: int) -> tuple[tuple[int,
     no statistic reads, so they are dropped.
 
     One flagcomplex.reduce_complex call per weight class stores every
-    degree's table on f, keyed by the 0/1 weights in vertex order (the
-    key of graphs.weight_classes) and m.
+    degree's table on f, keyed by the class key and m.
     """
-    key = tuple(w[v] for v in f.graph.vertices)
     table = f.weight_pairs.get((key, m))
     if table is None:
         cells = f.critical_cells(key)
@@ -149,16 +151,85 @@ def _weight_pairs(f: FlagComplex, w: WeightFunction, m: int) -> tuple[tuple[int,
     return table
 
 
-def _located_rank(f: FlagComplex, w: WeightFunction, k: int, p: int, q: int) -> int:
-    """Rank of the inclusion-induced map from the k-cycles of weight <= p
-    that bound in the full complex to the classes of the weight-<=q
-    (k+1)-level: dim(Z_p ∩ B) - dim(Z_p ∩ B_q) for p <= q, the number of
-    bars (paired tau) with lead weight <= p and weight > q."""
-    return sum(1 for weight, lead in _weight_pairs(f, w, k + 1) if lead <= p and weight > q)
+def _weight_pairs(f: FlagComplex, w: WeightFunction, m: int) -> tuple[tuple[int, int], ...]:
+    """The bars (_bars) of the degree-m boundary under the weights of w."""
+    return _bars(f, tuple(w[v] for v in f.graph.vertices), m)
+
+
+def _bar_statistics(bars: Sequence[tuple[int, int]], k: int, summands: int) -> tuple[int, int, int]:
+    """weighted_exponent_sum, top_jordan_count and max_exponent (given the
+    summand count) of degree k+1, in one pass over the degree-(k+1) bars."""
+    total = top = longest = 0
+    for weight, lead in bars:
+        total += weight - lead
+        longest = max(longest, weight - lead)
+        top += lead <= 0 and weight > k + 1
+    return total, top, 0 if summands == 0 else total if summands == 1 else longest
 
 
 # ---------------------------------------------------------------------------
-# weighted exponent sum (dimension of the primary part, per irreducible)
+# anti-invariant homology of the double cover
+# ---------------------------------------------------------------------------
+
+
+def _check_even_values(rho: Character) -> None:
+    if any(v not in (1, 2) for v in rho.values.values()):
+        raise InputError("character is not even: values must lie in {1, 2}")
+
+
+def _even_key(f: FlagComplex, rho: Character) -> tuple[int, ...]:
+    """The weight class of an even character, rho - 1: its class at d = 2."""
+    _check_even_values(rho)
+    return next(iter(weight_classes(f.graph, rho, [2])))
+
+
+def anti_invariant_entry(rho: Character) -> Callable[[int, str], int]:
+    """boundary_matrix entry hook of the double cover's (-1)-eigenspace:
+    the even-character twisted boundary at t = -1, which is -2 * sign
+    toward the facet missing a weight-0 vertex and 0 for weight 1."""
+    _check_even_values(rho)
+    coeff = {v: -2 if n == 1 else 0 for v, n in rho.values.items()}
+    return lambda sign, v: coeff[v] * sign
+
+
+def _anti_invariant_dims(f: FlagComplex, key: tuple[int, ...]) -> tuple[int, ...]:
+    cells = f.critical_cells(key)
+    entry = anti_invariant_entry(Character(dict(zip(f.graph.vertices, (b + 1 for b in key)))))
+    ranks = {k: len(leads) for k, leads in reduce_complex(f, range(0, f.dim + 1), entry=entry, cells=cells).items()}
+    return tuple(len(cells[m - 1]) - ranks.get(m - 1, 0) - ranks.get(m, 0) for m in range(0, f.dim + 2))
+
+
+def anti_invariant_homology(f: FlagComplex, rho: Character) -> tuple[int, ...]:
+    """Dimensions of the anti-invariant double-cover homology, degree 0 up
+    to dim F + 1, from the ranks of one reduce_complex call on critical_cells."""
+    return _anti_invariant_dims(f, _even_key(f, rho))
+
+
+def _summand_counts(f: FlagComplex, key: tuple[int, ...]) -> list[int]:
+    dims, out = _anti_invariant_dims(f, key), [0]
+    for k in range(f.dim + 1):
+        out.append(dims[k + 1] - free_rank_check(f, k) - out[-1])
+        if out[-1] < 0:
+            raise ConsistencyError(f"negative summand count {out[-1]} in degree {k + 1}")
+    return out[1:]
+
+
+def summand_counts(f: FlagComplex, rho: Character) -> list[int]:
+    """Number of torsion summands of the (t+1)-part in degree k+1, for
+    k = 0 .. dim F.
+
+    Recursion in k: anti-invariant dimension in degree k+1 minus the
+    reduced Betti number of the flag complex minus the previous count;
+    the base case below degree 0 is zero.
+    """
+    key = _even_key(f, rho)
+    if all(key) or not any(key):
+        raise InputError("constant even character: no double cover to use")
+    return _summand_counts(f, key)
+
+
+# ---------------------------------------------------------------------------
+# readers of one degree's bars: weighted exponent sum and Jordan blocks
 # ---------------------------------------------------------------------------
 
 
@@ -177,63 +248,7 @@ def weighted_exponent_sum(f: FlagComplex, w: WeightFunction, k: int) -> int:
     weight - lead weight over the paired tau, that is over the bars.
     """
     _check_degree(f, k)
-    return sum(weight - lead for weight, lead in _weight_pairs(f, w, k + 1))
-
-
-# ---------------------------------------------------------------------------
-# anti-invariant homology of the double cover
-# ---------------------------------------------------------------------------
-
-
-def _check_even_values(rho: Character) -> None:
-    if any(v not in (1, 2) for v in rho.values.values()):
-        raise InputError("character is not even: values must lie in {1, 2}")
-
-
-def anti_invariant_entry(rho: Character) -> Callable[[int, str], int]:
-    """boundary_matrix entry hook of the double cover's (-1)-eigenspace:
-    the even-character twisted boundary at t = -1, which is -2 * sign
-    toward the facet missing a weight-0 vertex and 0 for weight 1."""
-    _check_even_values(rho)
-    coeff = {v: -2 if n == 1 else 0 for v, n in rho.values.items()}
-    return lambda sign, v: coeff[v] * sign
-
-
-def anti_invariant_homology(f: FlagComplex, rho: Character) -> tuple[int, ...]:
-    """Dimensions of the anti-invariant double-cover homology, degree 0 up
-    to dim F + 1, from the ranks of one reduce_complex call on critical_cells."""
-    entry = anti_invariant_entry(rho)
-    rho.check_domain(f.graph)
-    cells = f.critical_cells(tuple(rho[v] - 1 for v in f.graph.vertices))
-    ranks = {k: len(leads) for k, leads in reduce_complex(f, range(0, f.dim + 1), entry=entry, cells=cells).items()}
-    return tuple(len(cells[m - 1]) - ranks.get(m - 1, 0) - ranks.get(m, 0) for m in range(0, f.dim + 2))
-
-
-def summand_counts(f: FlagComplex, rho: Character) -> list[int]:
-    """Number of torsion summands of the (t+1)-part in degree k+1, for
-    k = 0 .. dim F.
-
-    Recursion in k: anti-invariant dimension in degree k+1 minus the
-    reduced Betti number of the flag complex minus the previous count;
-    the base case below degree 0 is zero.
-    """
-    _check_even_values(rho)
-    if set(rho.values.values()) != {1, 2}:
-        raise InputError("constant even character: no double cover to use")
-    dims = anti_invariant_homology(f, rho)
-    out: list[int] = []
-    prev = 0
-    for k in range(f.dim + 1):
-        prev = dims[k + 1] - free_rank_check(f, k) - prev
-        if prev < 0:
-            raise ConsistencyError(f"negative summand count {prev} in degree {k + 1}")
-        out.append(prev)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Jordan block locating ranks
-# ---------------------------------------------------------------------------
+    return _bar_statistics(_weight_pairs(f, w, k + 1), k, 0)[0]
 
 
 def top_jordan_count(f: FlagComplex, w: WeightFunction, k: int) -> int:
@@ -241,19 +256,21 @@ def top_jordan_count(f: FlagComplex, w: WeightFunction, k: int) -> int:
     of the map from weight-0 k-cycles dying in the full complex into the
     classes of the level just below the full (k+1)-skeleton."""
     _check_degree(f, k)
-    return _located_rank(f, w, k, 0, k + 1)
+    return _bar_statistics(_weight_pairs(f, w, k + 1), k, 0)[1]
 
 
 def c_rank(f: FlagComplex, w: WeightFunction, k: int, i: int, j: int) -> int:
     """Rank of the located-cycle map with source level j and target level
     i - 1; requires i > j.  A nonzero value certifies an exponent of at
-    least i - j."""
+    least i - j.  It is dim(Z_j ∩ B) - dim(Z_j ∩ B_{i-1}), the number of
+    bars with lead weight <= j and weight > i - 1.
+    """
     _check_degree(f, k)
     if i <= j:
         raise InputError("need i > j")
     if not (0 <= j <= k + 1) or not (0 <= i - 1 <= k + 2):
         raise InputError("filtration indices out of range")
-    return _located_rank(f, w, k, j, i - 1)
+    return sum(1 for weight, lead in _weight_pairs(f, w, k + 1) if lead <= j and weight > i - 1)
 
 
 def max_exponent(f: FlagComplex, w: WeightFunction, k: int, summands: int) -> int:
@@ -266,11 +283,7 @@ def max_exponent(f: FlagComplex, w: WeightFunction, k: int, summands: int) -> in
     q < weight, so the largest gap is the largest weight - lead weight.
     """
     _check_degree(f, k)
-    if summands == 0:
-        return 0
-    if summands == 1:
-        return weighted_exponent_sum(f, w, k)
-    return max((weight - lead for weight, lead in _weight_pairs(f, w, k + 1)), default=0)
+    return _bar_statistics(_weight_pairs(f, w, k + 1), k, summands)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -303,27 +316,16 @@ def h1_even_summary(g: SimplicialGraph, rho: Character) -> tuple[int, int]:
     vertices into the components of the weight-<=1 subgraph.
     """
     _check_even_values(rho)
-    rho.check_domain(g)
+    (wt,) = weight_classes(g, rho, [2])
     if not g.is_connected():
-        raise InputError(
-            "disconnected graph: use the direct pipeline for the degree-1 summary"
-        )
+        raise InputError("disconnected graph: use the direct pipeline for the degree-1 summary")
     n = g.n_vertices
-    wt = {v: 0 if rho[v] == 1 else 1 for v in g.vertices}
-    e0, e1 = [], []
-    for a, b in g.edges:
-        ia, ib = g.index(a), g.index(b)
-        ew = wt[a] + wt[b]
-        if ew == 0:
-            e0.append((ia, ib))
-        if ew <= 1:
-            e1.append((ia, ib))
-    roots1 = _roots(n, e1)
-    h0_gamma0 = len(set(_roots(n, e0)))
+    edges = [(g.index(a), g.index(b)) for a, b in g.edges]
+    roots1 = _roots(n, [(a, b) for a, b in edges if wt[a] + wt[b] <= 1])
+    h0_gamma0 = len(set(_roots(n, [(a, b) for a, b in edges if wt[a] + wt[b] == 0])))
     h0_gamma1 = len(set(roots1))
-    omega_v = sum(wt.values())
-    dim = h0_gamma0 + h0_gamma1 - 2 - omega_v
-    hit = {roots1[g.index(v)] for v in g.vertices if wt[v] == 0}
+    dim = h0_gamma0 + h0_gamma1 - 2 - sum(wt)
+    hit = {roots1[i] for i in range(n) if wt[i] == 0}
     blocks = max(len(hit) - 1, 0)
     return dim, blocks
 
@@ -409,26 +411,22 @@ def solve_exponents(profile: TorsionProfile, k: int) -> Optional[tuple[int, ...]
     return tuple(vec[:maxe])
 
 
-def torsion_profile(
-    f: FlagComplex,
-    chi: Character,
-    d: int,
-    k: int,
-    summands: int,
-) -> TorsionProfile:
-    """Assemble the profile of the order-d part in degree k+1, given its
-    summand count (summand_counts of the even reduction)."""
-    _check_degree(f, k)
-    w = derive_weight(chi, d)
-    if all(x == 0 for x in w.weights.values()):
+def _profile(f: FlagComplex, key: tuple[int, ...], d: int, k: int, summands: int) -> TorsionProfile:
+    if not any(key):
         return TorsionProfile(k, d, 0, 0, 0, 0, ())
-    total = weighted_exponent_sum(f, w, k)
-    top = top_jordan_count(f, w, k)
-    maxe = max_exponent(f, w, k, summands)
+    total, top, maxe = _bar_statistics(_bars(f, key, k + 1), k, summands)
     profile = TorsionProfile(k, d, total, summands, top, maxe)
     profile.validate()
     profile.exponents = solve_exponents(profile, k)
     return profile
+
+
+def torsion_profile(f: FlagComplex, chi: Character, d: int, k: int, summands: int) -> TorsionProfile:
+    """Assemble the profile of the order-d part in degree k+1, given its
+    summand count (summand_counts of the even reduction)."""
+    _check_degree(f, k)
+    (key,) = weight_classes(f.graph, chi, [d])
+    return _profile(f, key, d, k, summands)
 
 
 def formula_decomposition(
@@ -449,24 +447,19 @@ def formula_decomposition(
     out: dict[int, dict] = {}
     if top >= 0:
         out[0] = {"free_rank": 0, "torsion": {1: (1,)}, "profiles": {}}
-    # Orders sharing a 0/1 weight vector share their summand counts and
-    # profiles.
-    classes = weight_classes(f.graph, chi, orders)
-    counts = {
-        key: summand_counts(f, even_reduction(chi, ds[0])) if any(key) else [0] * (f.dim + 1)
-        for key, ds in classes.items()
-    }
     for k in range(0, top):
-        entry: dict = {"free_rank": free_rank_check(f, k), "torsion": {}, "profiles": {}}
         rank1 = t_minus_1_part(f, k)
-        if rank1:
-            entry["torsion"][1] = (rank1,)
-        for key, ds in classes.items():
-            profile = torsion_profile(f, chi, ds[0], k, counts[key][k])
-            entry["profiles"][ds[0]] = profile
-            for d in ds[1:]:
-                entry["profiles"][d] = replace(profile, d=d)
-            if profile.exponents is not None and any(profile.exponents):
-                entry["torsion"].update(dict.fromkeys(ds, profile.exponents))
-        out[k + 1] = entry
+        out[k + 1] = {"free_rank": free_rank_check(f, k), "torsion": {1: (rank1,)} if rank1 else {}, "profiles": {}}
+    # Every statistic of an order is read off its weight class: each class
+    # is read once per degree, and its other orders copy that profile.
+    for key, ds in weight_classes(f.graph, chi, orders).items():
+        if key and all(key):
+            raise InputError(f"every label is divisible by {ds[0]}; the character cannot be surjective")
+        counts = _summand_counts(f, key) if any(key) and top >= 1 else [0] * top
+        for k in range(0, top):
+            p = _profile(f, key, ds[0], k, counts[k])
+            stats = (p.weighted_sum, p.summand_count, p.top_count, p.max_exponent, p.exponents)
+            out[k + 1]["profiles"].update({d: TorsionProfile(k, d, *stats) for d in ds})
+            if p.exponents is not None and any(p.exponents):
+                out[k + 1]["torsion"].update(dict.fromkeys(ds, p.exponents))
     return out

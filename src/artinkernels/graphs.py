@@ -163,11 +163,12 @@ def weight_classes(g: SimplicialGraph, chi: Character, orders: Sequence[int]) ->
     flag complex under the same key, and the direct pipeline takes one
     local Smith form per key and degree.
     """
-    chi.check_domain(g)
+    labels = chi.tuple_for(g)
     classes: dict[tuple[int, ...], list[int]] = {}
     for d in sorted(orders):
-        w = derive_weight(chi, d)
-        classes.setdefault(tuple(w[v] for v in g.vertices), []).append(d)
+        if d < 2:
+            raise InputError("weight functions need d >= 2")
+        classes.setdefault(tuple(0 if n % d else 1 for n in labels), []).append(d)
     return classes
 
 

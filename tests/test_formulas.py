@@ -752,10 +752,16 @@ def test_weight_classes_and_pair_memo_key_by_vertex():
 
 def test_profiles_shared_per_weight_class_match_fresh_profiles():
     rng = random.Random(53)
-    shared_classes = 0
+    cases = []
     for _ in range(12):
         g = random_connected_graph(rng, 6)
-        chi = random_nonresonant_character(rng, g, 12)
+        cases.append((g, random_nonresonant_character(rng, g, 12)))
+    # labels 12 and 5 put the orders 2, 3, 4, 6 and 12 in one class with
+    # torsion: several summands, top counts, longest bars shorter than the sum
+    for g, chi in (make_kite(), make_triforce(), make_square_frame()):
+        cases.append((g, Character({v: 12 if n == 2 else 5 for v, n in chi.values.items()})))
+    shared_classes = shared_statistics = 0
+    for g, chi in cases:
         orders = candidate_torsion_orders(chi)
         f = build_flag_complex(g)
         out = formula_decomposition(f, chi, orders)
@@ -771,7 +777,41 @@ def test_profiles_shared_per_weight_class_match_fresh_profiles():
             for d, profile in entry["profiles"].items():
                 assert profile.d == d
                 assert profile == torsion_profile(fresh, chi, d, m - 1, summands_of(fresh, chi, d, m - 1))
-    assert shared_classes > 0
+        # every order of a shared class, read statistic by statistic off a
+        # complex the decomposition never touched
+        for key, ds in weight_classes(g, chi, orders).items():
+            if len(ds) < 2:
+                continue
+            for d in ds:
+                alone = build_flag_complex(g)
+                w = derive_weight(chi, d)
+                counts = summand_counts(alone, even_reduction(chi, d)) if any(key) else [0] * (alone.dim + 1)
+                for k in range(alone.dim + 1):
+                    profile = out[k + 1]["profiles"][d]
+                    assert profile.summand_count == counts[k]
+                    assert profile.weighted_sum == weighted_exponent_sum(alone, w, k)
+                    assert profile.top_count == top_jordan_count(alone, w, k)
+                    assert profile.max_exponent == max_exponent(alone, w, k, counts[k])
+                    assert profile.exponents == out[k + 1]["profiles"][ds[0]].exponents
+                    shared_statistics += 1
+    assert shared_classes > 0 and shared_statistics > 0
+
+
+def test_max_degree_cuts_the_formula_decomposition():
+    # a cut at m keeps the uncut answer's degrees <= m; at m = 0 the
+    # complex's boundaries are never read
+    rng = random.Random(67)
+    for _ in range(25):
+        g = random_connected_graph(rng, 7)
+        chi = random_nonresonant_character(rng, g, 12)
+        orders = candidate_torsion_orders(chi)
+        full = formula_decomposition(build_flag_complex(g), chi, orders)
+        dim = max(full) - 1
+        for m in range(-1, dim + 3):
+            f = build_flag_complex(g)
+            assert formula_decomposition(f, chi, orders, max_degree=m) == {j: e for j, e in full.items() if j <= m}
+            if m == 0:
+                assert f.boundary_ranks is None and f.weight_pairs == {} and f._faces == {}
 
 
 def test_boundary_rank_memo_matches_oracle():
