@@ -180,7 +180,8 @@ def _check_even_values(rho: Character) -> None:
 def _even_key(f: FlagComplex, rho: Character) -> tuple[int, ...]:
     """The weight class of an even character, rho - 1: its class at d = 2."""
     _check_even_values(rho)
-    return next(iter(weight_classes(f.graph, rho, [2])))
+    (key,) = weight_classes(f.graph, rho, [2])
+    return key
 
 
 def anti_invariant_entry(rho: Character) -> Callable[[int, str], int]:
@@ -331,7 +332,7 @@ def h1_even_summary(g: SimplicialGraph, rho: Character) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# per-(degree, order) torsion profiles
+# torsion profiles, read once per (weight class, degree)
 # ---------------------------------------------------------------------------
 
 

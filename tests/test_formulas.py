@@ -760,7 +760,7 @@ def test_profiles_shared_per_weight_class_match_fresh_profiles():
     # torsion: several summands, top counts, longest bars shorter than the sum
     for g, chi in (make_kite(), make_triforce(), make_square_frame()):
         cases.append((g, Character({v: 12 if n == 2 else 5 for v, n in chi.values.items()})))
-    shared_classes = shared_statistics = 0
+    shared_classes = shared_tops = shared_multiples = 0
     for g, chi in cases:
         orders = candidate_torsion_orders(chi)
         f = build_flag_complex(g)
@@ -793,8 +793,9 @@ def test_profiles_shared_per_weight_class_match_fresh_profiles():
                     assert profile.top_count == top_jordan_count(alone, w, k)
                     assert profile.max_exponent == max_exponent(alone, w, k, counts[k])
                     assert profile.exponents == out[k + 1]["profiles"][ds[0]].exponents
-                    shared_statistics += 1
-    assert shared_classes > 0 and shared_statistics > 0
+                    shared_tops += profile.top_count > 0
+                    shared_multiples += profile.summand_count > 1
+    assert shared_classes > 0 and shared_tops > 0 and shared_multiples > 0
 
 
 def test_max_degree_cuts_the_formula_decomposition():
