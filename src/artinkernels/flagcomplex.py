@@ -17,8 +17,14 @@ matrix is a view of them for the Smith form over Q[t] and for callers
 that index entries.  reduce_complex ranks or pairs a whole chain complex
 with one top-down column reduction that clears, or its quotient by the
 closed star of a vertex u, the cone of the sigma with sigma + {u} a
-clique, which keeps the reduced homology and, for u of weight 0, every
-bar of positive length of the weight filtration (critical_cells).
+clique (outside_star).  Under any entry hook that keeps u's entry a unit
+the star is acyclic, so the quotient keeps the reduced homology, and
+star_ranks gives the ranks the quotient lacks from the star's cell
+counts alone; for u of weight 0 the quotient also keeps every bar of
+positive length of the weight filtration (critical_cells).  The direct
+pipeline cones its ranks off the first vertex and each weight class off
+its first weight-0 vertex; the formula pipeline takes the weight-0
+vertex with the largest star.
 """
 
 from __future__ import annotations
@@ -88,8 +94,9 @@ class FlagComplex:
     whole.  weight_pairs holds the bars (weight > lead weight) of every
     degree of a 0/1 weight vector, stored by the formula pipeline's one
     reduce_complex call per vector; faces memoizes the face table of
-    each dimension, and outside_star the cells outside each vertex's
-    closed star, next to one count of the simplices through each vertex.
+    each dimension, outside_star the cells outside each vertex's closed
+    star and star_ranks that star's boundary ranks, next to one count of
+    the simplices through each vertex.
     Every entry is complete when stored and a function of the complex
     and its key alone, so threads sharing a complex can at worst compute
     an entry twice and store the same value.
@@ -106,6 +113,7 @@ class FlagComplex:
         self.weight_pairs: dict[tuple[tuple[int, ...], int], tuple[tuple[int, int], ...]] = {}
         self._faces: dict[int, tuple[tuple[tuple[int, int, str], ...], ...]] = {}
         self._outside: dict[int, dict[int, list[int]]] = {}
+        self._star_ranks: dict[int, dict[int, int]] = {}
         self._through: Optional[Counter[int]] = None
 
     def simplices(self, dim: int) -> tuple[Simplex, ...]:
@@ -145,6 +153,20 @@ class FlagComplex:
             levels = ((d, self._levels.get(d, ())) for d in range(-1, self.dim + 2))
             self._outside[u] = {d: [p for p, s in enumerate(simps) if not near.issuperset(s.indices)] for d, simps in levels}
         return self._outside[u]
+
+    def star_ranks(self, u: int) -> dict[int, int]:
+        """Boundary ranks, per degree -1 .. dim + 1, of the closed star of
+        vertex u, under any entry hook that keeps u's entry a unit: the
+        star is a cone on u, so its augmented complex is exact, and
+        r[-1] = 0, r[m + 1] = |St(u)_m| - r[m].  A complex's boundary rank
+        is its quotient's (outside_star) plus the star's."""
+        ranks = self._star_ranks.get(u)
+        if ranks is None:
+            outside, ranks = self.outside_star(u), {-1: 0}
+            for m in range(-1, self.dim + 1):
+                ranks[m + 1] = self.count(m) - len(outside[m]) - ranks[m]
+            self._star_ranks[u] = ranks
+        return ranks
 
     def critical_cells(self, key: Sequence[int]) -> dict[int, Sequence[int]]:
         """outside_star of the weight-0 vertex of key (0/1 weights in vertex
@@ -291,10 +313,14 @@ def simplex_weight(sigma: Simplex, w: WeightFunction) -> int:
     return sum(w[v] for v in sigma.vertices)
 
 
-def simplex_weights(f: FlagComplex, key: Sequence[int], k: int) -> list[int]:
-    """Weights of the k-simplices by position, under vertex weights given
-    in the graph's vertex order (the key of graphs.weight_classes)."""
-    return [sum(map(key.__getitem__, s.indices)) for s in f.simplices(k)]
+def simplex_weights(f: FlagComplex, key: Sequence[int], k: int, positions: Optional[Sequence[int]] = None) -> list[int]:
+    """Weights of the k-simplices at positions (all of them by default),
+    under vertex weights given in the graph's vertex order (the key of
+    graphs.weight_classes)."""
+    simps = f.simplices(k)
+    if positions is not None:
+        simps = map(simps.__getitem__, positions)
+    return [sum(map(key.__getitem__, s.indices)) for s in simps]
 
 
 def total_weight(f: FlagComplex, w: WeightFunction, k: int) -> int:

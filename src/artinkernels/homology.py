@@ -14,7 +14,7 @@ product of cyclotomic polynomials, so full_decomposition needs no Smith
 form over Q[t]:
 - ranks over Q(t) are ranks at t = 2, where no cyclotomic polynomial
   vanishes, taken on integer matrices by one top-down reduction of the
-  whole complex (flagcomplex.reduce_complex), as is the rank at t = 1;
+  complex (flagcomplex.reduce_complex), as is the rank at t = 1;
 - D_j = (t - 1) U with U = sign * (1 + t + ... + t^{n-1}), and order-1
   exponents are at most 1, so the Phi_1-part is (r_j,) exactly when U
   keeps the rank r_j at t = 1, where its entries are sign * n;
@@ -29,11 +29,22 @@ form over Q[t]:
   over the local ring is cut at s^K, K one above the largest exponent
   the non-resonant bounds allow (linalg.local_smith_valuations; Domich,
   Kannan and Trotter, Math. Oper. Res. 12, 1987).
-A rank at t = 1 or a pivot count that differs from the rank at t = 2
-raises ConsistencyError.  Every other character class goes through
-smith_decomposition, the Smith form over Q[t] with cyclotomic trial
-division, which `fuzz --thorough` also uses as the oracle of the local
-path; it reports non-cyclotomic content and never raises on it.
+Every one of these eliminations runs on the quotient by the closed star
+St(u) of a vertex u (FlagComplex.outside_star; Mischaikow and Nanda, DCG
+50, 2013).  St(u) is a cone on u wherever u's entry is a unit: at t = 2
+and t = 1 for any u, since no label is 0, so the ranks take the first
+vertex; in a weight class for u of weight 0, whose entries are signs,
+so each class takes its first weight-0 vertex, which every class of a
+surjective character has.  A cone's augmented complex is exact, so St(u)
+has the ranks r[-1] = 0, r[m + 1] = |St(u)_m| - r[m]
+(FlagComplex.star_ranks), each full rank is the quotient's plus r, and
+the quotient keeps the homology and every positive valuation.  A rank
+at t = 1 that differs from the rank at t = 2, or a class whose pivots do
+not number the rank at t = 2 less its star's, raises ConsistencyError.
+Every other character class goes through smith_decomposition, the Smith
+form over Q[t] with cyclotomic trial division, which `fuzz --thorough`
+also uses as the oracle of the local path; it reports non-cyclotomic
+content and never raises on it.
 
 smith_decomposition builds its matrices on integer coefficient tuples.  A
 negative label needs no power of t^-1: since t^n - 1 = -t^n(t^|n| - 1),
@@ -296,9 +307,10 @@ def full_decomposition(
 
     For a non-resonant surjective character: free ranks from ranks at
     t = 2, the order-1 part from a rank at t = 1, and the orders d >= 2
-    from one local Smith form per degree and 0/1 weight class (see the
-    module docstring).  Every other class, admitted by allow_degenerate,
-    goes through smith_decomposition.
+    from one local Smith form per degree and 0/1 weight class, each on
+    the quotient by a closed star (see the module docstring).  Every
+    other class, admitted by allow_degenerate, goes through
+    smith_decomposition.
     """
     cls = require_admissible(f, chi, allow_degenerate)
     if cls is not CharacterClass.NON_RESONANT_SURJECTIVE:
@@ -306,11 +318,22 @@ def full_decomposition(
     top = f.dim + 1
     if max_degree is not None:
         top = min(top, max_degree)
+    # every label is nonzero, so each complex is a cone on any vertex's
+    # star and keeps its ranks as the quotient's plus the star's
     at_2, at_1 = rank_entries(chi)
-    ranks = {j: len(leads) for j, leads in reduce_complex(f, range(-1, top + 1), entry=at_2).items()}
-    ranks1 = {j: len(leads) for j, leads in reduce_complex(f, range(0, top + 1), entry=at_1).items()}
+    cells, star = f.outside_star(0), f.star_ranks(0)
+    coned_2 = reduce_complex(f, range(-1, top + 1), entry=at_2, cells=cells)
+    coned_1 = reduce_complex(f, range(0, top + 1), entry=at_1, cells=cells)
+    ranks = {j: len(leads) + star[j] for j, leads in coned_2.items()}
+    ranks1 = {j: len(leads) + star[j] for j, leads in coned_1.items()}
+    # a weight class grades its complex by units only on the star of a
+    # weight-0 vertex; every class of a surjective character has one
     classes = weight_classes(f.graph, chi, torsion_candidates(chi))
-    weights = {key: {k: simplex_weights(f, key, k) for k in range(-1, top + 1)} for key in classes}
+    apex = {key: key.index(0) for key in classes}
+    weights = {
+        key: {k: simplex_weights(f, key, k, f.outside_star(u)[k]) for k in range(-1, top + 1)}
+        for key, u in apex.items()
+    }
     out = {}
     for j in range(0, top + 1):
         free_rank = f.count(j - 1) - ranks[j - 1] - ranks[j]
@@ -329,10 +352,13 @@ def full_decomposition(
             # orders d >= 2: a j-simplex weighs at most j + 1, so no
             # valuation reaches K = j + 2; the cut and the pivot count
             # stay as guards
-            cols = boundary_matrix(f, j, sparse=True)
+            quotients = {}
             for key, orders in classes.items():
-                weight = weights[key]
-                vec = _local_vector(cols, weight[j], weight[j - 1], j + 2, ranks[j])
+                u, weight = apex[key], weights[key]
+                if u not in quotients:
+                    kept = f.outside_star(u)
+                    quotients[u] = boundary_matrix(f, j, cols=kept[j], rows=kept[j - 1], sparse=True)
+                vec = _local_vector(quotients[u], weight[j], weight[j - 1], j + 2, ranks[j] - f.star_ranks(u)[j])
                 if vec:
                     torsion.update((d, vec) for d in orders)
         out[j] = ModuleDecomposition(degree=j, free_rank=free_rank, torsion=dict(sorted(torsion.items())))

@@ -53,8 +53,10 @@ def parse_json_input(data: bytes) -> tuple[SimplicialGraph, Character]:
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise ParseError("'vertices' must be a list of strings")
     edges = doc["edges"]
-    if not isinstance(edges, list):
-        raise ParseError("'edges' must be a list of pairs")
+    if not isinstance(edges, list) or not all(
+        isinstance(e, list) and len(e) == 2 and all(isinstance(v, str) for v in e) for e in edges
+    ):
+        raise ParseError("'edges' must be a list of pairs of vertex strings")
     char = doc["character"]
     if not isinstance(char, dict):
         raise ParseError("'character' must be an object")

@@ -345,11 +345,13 @@ def test_short_truncation_trips_the_pivot_guard(monkeypatch, square_frame):
 def test_rank_drop_at_t_1_trips_the_order_1_guard(monkeypatch, kite):
     # D_j = (t - 1) U, and the order-1 part is (r_j,) only while U keeps
     # the rank r_j at t = 1, where its entries are sign * n_v; here the
-    # degree-1 matrix at t = 1 (told apart by v0's label 2, which reads 3
-    # at t = 2) loses its rank, so an order-1 exponent would exceed 1
+    # degree-1 quotient by St(v0) at t = 1 (told apart by v0's label 2,
+    # which reads 3 at t = 2) loses its rank 2, so U keeps only the star's
+    # rank 3 of its 5 and an order-1 exponent would exceed 1
     g, chi = kite
     f = build_flag_complex(g)
     assert full_decomposition(f, chi)[1].torsion[1] == (5,)
+    assert f.star_ranks(0)[1] == 3
     real = homology.reduce_complex
 
     def rank_lost_at_t_1(f, degrees, entry=None, **kwargs):
@@ -359,8 +361,76 @@ def test_rank_drop_at_t_1_trips_the_order_1_guard(monkeypatch, kite):
         return leads
 
     monkeypatch.setattr(homology, "reduce_complex", rank_lost_at_t_1)
-    with pytest.raises(ConsistencyError, match="degree-1 boundary .* rank 0 at t = 1 and 5 at t = 2"):
+    with pytest.raises(ConsistencyError, match="degree-1 boundary .* rank 3 at t = 1 and 5 at t = 2"):
         full_decomposition(f, chi)
+
+
+def star_cells(f, u, k):
+    outside = set(f.outside_star(u).get(k, ()))
+    return [p for p in range(f.count(k)) if p not in outside]
+
+
+def test_coned_ranks_plus_star_ranks_are_the_full_ranks():
+    # every label is nonzero, so the closed star of any vertex is a cone
+    # under the untwisted boundary and both rank hooks: its rank is the
+    # alternating count of star_ranks, and the quotient's rank plus it is
+    # the full complex's, in every degree
+    nonzero = 0
+    for f, chi in random_inputs(101, 30, 7, 60):
+        degrees = range(-1, f.dim + 2)
+        for entry in (None, *homology.rank_entries(chi)):
+            full = reduce_complex(f, degrees, entry=entry)
+            for u in range(f.graph.n_vertices):
+                star = f.star_ranks(u)
+                coned = reduce_complex(f, degrees, entry=entry, cells=f.outside_star(u))
+                for k in degrees:
+                    rows = star_cells(f, u, k - 1)
+                    assert oracle_rank(boundary_matrix(f, k, cols=star_cells(f, u, k), rows=rows, entry=entry)) == star[k]
+                    assert len(coned[k]) + star[k] == len(full[k]), (u, k)
+                    nonzero += bool(coned[k]) and bool(star[k])
+    assert nonzero > 500
+
+
+def coned_valuations(f, key, m, u=None):
+    """Local valuations of the degree-m graded boundary of the weight
+    class key, on the quotient by St(u), or on the full complex for None."""
+    kept = {k: range(f.count(k)) for k in (m - 1, m)} if u is None else f.outside_star(u)
+    cols = boundary_matrix(f, m, cols=kept[m], rows=kept[m - 1], sparse=True)
+    return local_smith_valuations(cols, simplex_weights(f, key, m, kept[m]), simplex_weights(f, key, m - 1, kept[m - 1]), m + 2)
+
+
+def test_coned_local_valuations_keep_every_positive_valuation():
+    # the star of a weight-0 vertex is a cone by units over the local
+    # ring, so the quotient keeps the torsion: its positive valuations are
+    # the full matrix's, and its pivots number the full ones less the
+    # star's rank
+    positive = 0
+    for f, chi in random_inputs(103, 80, 8, 12):
+        for key in weight_classes(f.graph, chi, torsion_candidates(chi)):
+            for m in range(0, f.dim + 2):
+                full = coned_valuations(f, key, m)
+                for u in (i for i, x in enumerate(key) if not x):
+                    vals = coned_valuations(f, key, m, u)
+                    assert sorted(v for v in vals if v) == sorted(v for v in full if v), (key, m, u)
+                    assert len(vals) == len(full) - f.star_ranks(u)[m], (key, m, u)
+                    positive += sum(1 for v in vals if v)
+    assert positive > 300
+
+
+def test_coning_off_a_weight_1_vertex_changes_the_valuations(tree):
+    # negative control: the order-2 class of the tree fixture weighs v3
+    # 0 and v0, v1, v2 1; its degree-1 boundary has valuations 1, 1, kept
+    # by St(v3) and changed by the star of each weight-1 vertex, whose
+    # cone vertex carries s, not a unit
+    g, chi = tree
+    f = build_flag_complex(g)
+    key = next(k for k, orders in weight_classes(g, chi, torsion_candidates(chi)).items() if 2 in orders)
+    assert key == (1, 1, 1, 0)
+    full = sorted(v for v in coned_valuations(f, key, 1) if v)
+    assert full == [1, 1]
+    assert sorted(v for v in coned_valuations(f, key, 1, 3) if v) == full
+    for u in (0, 1, 2):
+        assert sorted(v for v in coned_valuations(f, key, 1, u) if v) != full, u
 
 
 def compose(low, high):

@@ -41,6 +41,20 @@ def test_parse_json_errors():
         parse_input(b'{"vertices":["a"],"edges":[],"character":{"a":1.5}}')
 
 
+@pytest.mark.parametrize("edge", ['"ab"', "[1, 2]", '{"a": 1, "b": 2}'])
+def test_parse_json_rejects_edges_that_are_not_string_pairs(tmp_path, capsys, edge):
+    # a string read as its two letters, numbers read through str() and an
+    # object that ended in a KeyError are all malformed input: exit 1
+    data = b'{"vertices":["a","b"],"edges":[%s],"character":{"a":1,"b":2}}' % edge.encode()
+    with pytest.raises(ParseError, match="'edges' must be a list of pairs of vertex strings"):
+        parse_input(data)
+    target = tmp_path / "input.json"
+    target.write_bytes(data)
+    assert main(["decompose", "--input", str(target)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
 def test_parse_dot():
     text = b"""
     graph kernel {
