@@ -21,10 +21,10 @@ clique (outside_star).  Under any entry hook that keeps u's entry a unit
 the star is acyclic, so the quotient keeps the reduced homology, and
 star_ranks gives the ranks the quotient lacks from the star's cell
 counts alone; for u of weight 0 the quotient also keeps every bar of
-positive length of the weight filtration (critical_cells).  The direct
-pipeline cones its ranks off the first vertex and each weight class off
-its first weight-0 vertex; the formula pipeline takes the weight-0
-vertex with the largest star.
+positive length of the weight filtration.  FlagComplex.cone picks u for
+every quotient of both pipelines: a weight class's weight-0 vertex with
+the largest star, and for the rank complexes, whose entries are units
+everywhere, the largest star of all (the all-zero key).
 """
 
 from __future__ import annotations
@@ -95,8 +95,8 @@ class FlagComplex:
     degree of a 0/1 weight vector, stored by the formula pipeline's one
     reduce_complex call per vector; faces memoizes the face table of
     each dimension, outside_star the cells outside each vertex's closed
-    star and star_ranks that star's boundary ranks, next to one count of
-    the simplices through each vertex.
+    star and cone each key's quotient, next to one count of the
+    simplices through each vertex.
     Every entry is complete when stored and a function of the complex
     and its key alone, so threads sharing a complex can at worst compute
     an entry twice and store the same value.
@@ -113,7 +113,7 @@ class FlagComplex:
         self.weight_pairs: dict[tuple[tuple[int, ...], int], tuple[tuple[int, int], ...]] = {}
         self._faces: dict[int, tuple[tuple[tuple[int, int, str], ...], ...]] = {}
         self._outside: dict[int, dict[int, list[int]]] = {}
-        self._star_ranks: dict[int, dict[int, int]] = {}
+        self._cones: dict[tuple[int, ...], tuple] = {}
         self._through: Optional[Counter[int]] = None
 
     def simplices(self, dim: int) -> tuple[Simplex, ...]:
@@ -160,25 +160,32 @@ class FlagComplex:
         star is a cone on u, so its augmented complex is exact, and
         r[-1] = 0, r[m + 1] = |St(u)_m| - r[m].  A complex's boundary rank
         is its quotient's (outside_star) plus the star's."""
-        ranks = self._star_ranks.get(u)
-        if ranks is None:
-            outside, ranks = self.outside_star(u), {-1: 0}
-            for m in range(-1, self.dim + 1):
-                ranks[m + 1] = self.count(m) - len(outside[m]) - ranks[m]
-            self._star_ranks[u] = ranks
+        outside, ranks = self.outside_star(u), {-1: 0}
+        for m in range(-1, self.dim + 1):
+            ranks[m + 1] = self.count(m) - len(outside[m]) - ranks[m]
         return ranks
 
-    def critical_cells(self, key: Sequence[int]) -> dict[int, Sequence[int]]:
-        """outside_star of the weight-0 vertex of key (0/1 weights in vertex
-        order) whose closed star, twice the simplices through it, is the
-        largest, the lowest index on ties; every cell if none weighs 0."""
-        zeros = [i for i, x in enumerate(key) if not x]
-        if not zeros:
-            return {d: range(self.count(d)) for d in range(-1, self.dim + 2)}
-        if self._through is None:
-            simps = chain.from_iterable(self._levels.values())
-            self._through = Counter(chain.from_iterable(map(attrgetter("indices"), simps)))
-        return self.outside_star(max(zeros, key=self._through.__getitem__))
+    def cone(self, key: Sequence[int]) -> tuple[Optional[int], dict[int, Sequence[int]], dict[int, int]]:
+        """(u, outside_star(u), star_ranks(u)), the quotient of every
+        elimination of both pipelines, for u the weight-0 vertex of key
+        (0/1 weights in vertex order) with the largest closed star, twice
+        the simplices through it, the lowest index on ties; (None, every
+        cell, zero ranks) if no vertex weighs 0."""
+        key = tuple(key)
+        cone = self._cones.get(key)
+        if cone is None:
+            zeros = [i for i, x in enumerate(key) if not x]
+            if zeros:
+                if self._through is None:
+                    simps = chain.from_iterable(self._levels.values())
+                    self._through = Counter(chain.from_iterable(map(attrgetter("indices"), simps)))
+                u = max(zeros, key=self._through.__getitem__)
+                cone = u, self.outside_star(u), self.star_ranks(u)
+            else:
+                every = range(-1, self.dim + 2)
+                cone = None, {d: range(self.count(d)) for d in every}, dict.fromkeys(every, 0)
+            self._cones[key] = cone
+        return cone
 
     def __repr__(self) -> str:
         counts = ", ".join(f"{self.count(d)}x{d}" for d in range(0, self.dim + 1))
@@ -287,7 +294,7 @@ def reduce_complex(
     column's lead is read off reduce_columns.  Without weights both run
     in position order, and the leads are the pivots of rank_rational.
     cells, positions by dimension, reduces the quotient by the sub-complex
-    left out (critical_cells); weights need only the positions kept.
+    left out (FlagComplex.cone); weights need only the positions kept.
     """
     out: dict[int, dict[int, int]] = {}
     cleared: dict[int, int] = {}
@@ -373,11 +380,6 @@ def filtration_level(f: FlagComplex, w: WeightFunction, m: int, j: int) -> Filtr
     if j < 0:
         raise InputError("weight bound must be non-negative")
     return FiltrationLevel(f, w, m, j)
-
-
-def full_skeleton(f: FlagComplex, w: WeightFunction, m: int) -> FiltrationLevel:
-    """The full m-skeleton as a filtration level (weight bound m + 1)."""
-    return filtration_level(f, w, m, m + 1)
 
 
 def level_boundary_matrix(level: FiltrationLevel, k: int) -> list[list[int]]:

@@ -15,12 +15,13 @@ and Carlsson, DCG 2005), counted over the pivots of a weight-ordered
 reduction of the boundary's sparse columns (_weight_pairs): one top-down
 flagcomplex.reduce_complex call, with clearing, per weight class.  The
 ranks of the anti-invariant complex come from the same driver.
-Both take the quotient by the closed star of a weight-0 vertex u
-(critical_cells): a cone at every weight level, which keeps every bar of
-positive length, and contracted by sigma -> sigma + {u} in the
-anti-invariant complex, whose boundary is -2 * sign toward each facet
-missing a weight-0 vertex.  filtration_betti and relative_betti compute
-single levels and pairs, and stay the per-level oracle.
+Both take the quotient by the closed star of the class's weight-0 vertex
+u with the largest star (FlagComplex.cone), as the direct pipeline does:
+a cone at every weight level, which keeps every bar of positive length,
+and contracted by sigma -> sigma + {u} in the anti-invariant complex,
+whose boundary is -2 * sign toward each facet missing a weight-0 vertex.
+filtration_betti and relative_betti compute single levels and pairs, and
+stay the per-level oracle.
 
 Every statistic of an order sees it only through its 0/1 weight class,
 the key of graphs.weight_classes.  formula_decomposition reads each
@@ -41,6 +42,7 @@ from .flagcomplex import (
     filtration_level,
     level_boundary_matrix,
     reduce_complex,
+    simplex_weights,
 )
 from .graphs import (
     Character,
@@ -120,7 +122,7 @@ def _check_degree(f: FlagComplex, k: int) -> None:
 def _bars(f: FlagComplex, key: tuple[int, ...], m: int) -> tuple[tuple[int, int], ...]:
     """(weight, lead weight) of each paired m-simplex tau with weight >
     lead weight, a bar, from one reduction of the degree-m boundary
-    columns of the critical cells in weight order.
+    columns outside the cone of key (FlagComplex.cone) in weight order.
 
     The m-simplices are taken in ascending weight, and the boundary of
     each is reduced against those before it; tau is paired when its
@@ -131,17 +133,16 @@ def _bars(f: FlagComplex, key: tuple[int, ...], m: int) -> tuple[tuple[int, int]
     simplices of weight <= q, with distinct leads, so a vector of B_q
     lies in the chains of weight <= p exactly when it combines paired tau
     of lead weight <= p.  Clearing keeps every B_q, hence that count;
-    the quotient by critical_cells changes only zero-length pairs, which
-    no statistic reads, so they are dropped.
+    the quotient by the cone changes only zero-length pairs, which no
+    statistic reads, so they are dropped.
 
     One flagcomplex.reduce_complex call per weight class stores every
     degree's table on f, keyed by the class key and m.
     """
     table = f.weight_pairs.get((key, m))
     if table is None:
-        cells = f.critical_cells(key)
-        simps = {k: f.simplices(k) for k in cells}
-        weight = {k: {p: sum(map(key.__getitem__, simps[k][p].indices)) for p in ps} for k, ps in cells.items()}
+        _, cells, _ = f.cone(key)
+        weight = {k: dict(zip(ps, simplex_weights(f, key, k, ps))) for k, ps in cells.items()}
         tables = {
             (key, k): tuple((w, weight[k - 1][lead]) for lead, w in leads.items() if w > weight[k - 1][lead])
             for k, leads in reduce_complex(f, range(1, f.dim + 2), weights=weight, cells=cells).items()
@@ -194,7 +195,7 @@ def anti_invariant_entry(rho: Character) -> Callable[[int, str], int]:
 
 
 def _anti_invariant_dims(f: FlagComplex, key: tuple[int, ...]) -> tuple[int, ...]:
-    cells = f.critical_cells(key)
+    _, cells, _ = f.cone(key)
     entry = anti_invariant_entry(Character(dict(zip(f.graph.vertices, (b + 1 for b in key)))))
     ranks = {k: len(leads) for k, leads in reduce_complex(f, range(0, f.dim + 1), entry=entry, cells=cells).items()}
     return tuple(len(cells[m - 1]) - ranks.get(m - 1, 0) - ranks.get(m, 0) for m in range(0, f.dim + 2))
@@ -202,7 +203,7 @@ def _anti_invariant_dims(f: FlagComplex, key: tuple[int, ...]) -> tuple[int, ...
 
 def anti_invariant_homology(f: FlagComplex, rho: Character) -> tuple[int, ...]:
     """Dimensions of the anti-invariant double-cover homology, degree 0 up
-    to dim F + 1, from the ranks of one reduce_complex call on critical_cells."""
+    to dim F + 1, from one reduce_complex call on its class's cone."""
     return _anti_invariant_dims(f, _even_key(f, rho))
 
 

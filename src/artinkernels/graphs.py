@@ -25,12 +25,15 @@ class ConsistencyError(RuntimeError):
 class SimplicialGraph:
     """Finite simplicial graph with an ordered vertex set.
 
-    No self-loops, no duplicate edges; the vertex order is the
-    declaration order and defines all incidence signs downstream.
+    Vertices are strings and each edge a tuple or list of two of them,
+    else InputError.  No self-loops, no duplicate edges; the vertex order
+    is the declaration order and defines all incidence signs downstream.
     """
 
     def __init__(self, vertices: Sequence[str], edges: Iterable[Sequence[str]]):
-        verts = tuple(str(v) for v in vertices)
+        verts = tuple(vertices)
+        if not all(isinstance(v, str) for v in verts):
+            raise InputError(f"vertices {verts!r} are not all strings")
         if len(set(verts)) != len(verts):
             raise InputError("duplicate vertex identifiers")
         self.vertices = verts
@@ -39,9 +42,9 @@ class SimplicialGraph:
         adj: dict[int, set[int]] = {i: set() for i in range(len(verts))}
         norm_edges = []
         for edge in edges:
-            if len(edge) != 2:
-                raise InputError(f"edge {edge!r} does not have two endpoints")
-            a, b = str(edge[0]), str(edge[1])
+            if not isinstance(edge, (tuple, list)) or len(edge) != 2 or not all(isinstance(x, str) for x in edge):
+                raise InputError(f"edge {edge!r} is not a pair of vertex strings")
+            a, b = edge
             if a == b:
                 raise InputError(f"self-loop at vertex {a!r}")
             for x in (a, b):

@@ -30,16 +30,17 @@ form over Q[t]:
   the non-resonant bounds allow (linalg.local_smith_valuations; Domich,
   Kannan and Trotter, Math. Oper. Res. 12, 1987).
 Every one of these eliminations runs on the quotient by the closed star
-St(u) of a vertex u (FlagComplex.outside_star; Mischaikow and Nanda, DCG
-50, 2013).  St(u) is a cone on u wherever u's entry is a unit: at t = 2
-and t = 1 for any u, since no label is 0, so the ranks take the first
-vertex; in a weight class for u of weight 0, whose entries are signs,
-so each class takes its first weight-0 vertex, which every class of a
-surjective character has.  A cone's augmented complex is exact, so St(u)
-has the ranks r[-1] = 0, r[m + 1] = |St(u)_m| - r[m]
+St(u) of a vertex u (Mischaikow and Nanda, DCG 50, 2013), chosen by the
+rule both pipelines share (FlagComplex.cone).  St(u) is a cone on u
+wherever u's entry is a unit: at t = 2 and t = 1 for any u, since no
+label is 0, so the ranks take the largest star (the all-zero key); in a
+weight class for u of weight 0, whose entries are signs, so each class
+takes its weight-0 vertex with the largest star, and every class of a
+surjective character has one.  A cone's augmented complex is exact, so
+St(u) has the ranks r[-1] = 0, r[m + 1] = |St(u)_m| - r[m]
 (FlagComplex.star_ranks), each full rank is the quotient's plus r, and
-the quotient keeps the homology and every positive valuation.  A rank
-at t = 1 that differs from the rank at t = 2, or a class whose pivots do
+the quotient keeps the homology and every positive valuation.  A rank at
+t = 1 that differs from the rank at t = 2, or a class whose pivots do
 not number the rank at t = 2 less its star's, raises ConsistencyError.
 Every other character class goes through smith_decomposition, the Smith
 form over Q[t] with cyclotomic trial division, which `fuzz --thorough`
@@ -321,7 +322,7 @@ def full_decomposition(
     # every label is nonzero, so each complex is a cone on any vertex's
     # star and keeps its ranks as the quotient's plus the star's
     at_2, at_1 = rank_entries(chi)
-    cells, star = f.outside_star(0), f.star_ranks(0)
+    _, cells, star = f.cone((0,) * f.graph.n_vertices)
     coned_2 = reduce_complex(f, range(-1, top + 1), entry=at_2, cells=cells)
     coned_1 = reduce_complex(f, range(0, top + 1), entry=at_1, cells=cells)
     ranks = {j: len(leads) + star[j] for j, leads in coned_2.items()}
@@ -329,10 +330,10 @@ def full_decomposition(
     # a weight class grades its complex by units only on the star of a
     # weight-0 vertex; every class of a surjective character has one
     classes = weight_classes(f.graph, chi, torsion_candidates(chi))
-    apex = {key: key.index(0) for key in classes}
+    cones = {key: f.cone(key) for key in classes}
     weights = {
-        key: {k: simplex_weights(f, key, k, f.outside_star(u)[k]) for k in range(-1, top + 1)}
-        for key, u in apex.items()
+        key: {k: simplex_weights(f, key, k, kept[k]) for k in range(-1, top + 1)}
+        for key, (_, kept, _) in cones.items()
     }
     out = {}
     for j in range(0, top + 1):
@@ -354,11 +355,10 @@ def full_decomposition(
             # stay as guards
             quotients = {}
             for key, orders in classes.items():
-                u, weight = apex[key], weights[key]
+                (u, kept, star_u), weight = cones[key], weights[key]
                 if u not in quotients:
-                    kept = f.outside_star(u)
                     quotients[u] = boundary_matrix(f, j, cols=kept[j], rows=kept[j - 1], sparse=True)
-                vec = _local_vector(quotients[u], weight[j], weight[j - 1], j + 2, ranks[j] - f.star_ranks(u)[j])
+                vec = _local_vector(quotients[u], weight[j], weight[j - 1], j + 2, ranks[j] - star_u[j])
                 if vec:
                     torsion.update((d, vec) for d in orders)
         out[j] = ModuleDecomposition(degree=j, free_rank=free_rank, torsion=dict(sorted(torsion.items())))

@@ -75,6 +75,31 @@ def _sparse(vec) -> dict[int, int]:
     return col
 
 
+def _move(col: dict[int, int], pivot: dict[int, int], p: int, a: int) -> dict[int, int]:
+    """p*col - a*pivot divided by its content, with p and a first divided
+    by their gcd and p made positive: the column move of reduce_columns
+    and local_smith_valuations, where p and a are the pivot's and the
+    column's entries in the pivot row, so that row cancels.  Neither
+    column is mutated."""
+    if p < 0:
+        p, a = -p, -a
+    g = gcd(p, a)
+    if g != 1:
+        p //= g
+        a //= g
+    new = col.copy() if p == 1 else {r: p * x for r, x in col.items()}
+    for r, y in pivot.items():
+        x = new.get(r, 0) - a * y
+        if x:
+            new[r] = x
+        else:
+            del new[r]
+    g = gcd(*new.values())
+    if g > 1:
+        new = {r: x // g for r, x in new.items()}
+    return new
+
+
 def reduce_columns(
     cols: Iterable,
     pivots: Optional[dict[int, dict[int, int]]] = None,
@@ -87,12 +112,13 @@ def reduce_columns(
     A column's lead is its least row.  While an earlier pivot owns that
     row, the column c becomes p*c - a*pivot, where p > 0 and a are the
     pivot's and the column's entries there divided by their gcd, and is
-    then divided by its content; a column left nonzero becomes the pivot
-    that owns its lead.  Only the rows of the pivots met are touched, so
-    zeros cost nothing (Zomorodian and Carlsson, "Computing persistent
-    homology", DCG 2005, §4).  The pivots have distinct leads, so the
-    leads among the first i columns that lie above row r number the rank
-    of those columns cut to the rows above r, which fixes every lead.
+    then divided by its content (_move); a column left nonzero becomes
+    the pivot that owns its lead.  Only the rows of the pivots met are
+    touched, so zeros cost nothing (Zomorodian and Carlsson, "Computing
+    persistent homology", DCG 2005, §4).  The pivots have distinct leads,
+    so the leads among the first i columns that lie above row r number
+    the rank of those columns cut to the rows above r, which fixes every
+    lead.
 
     pivots maps each lead to its reduced column and carries a reduction
     across calls; height, the number of rows when known, ends the
@@ -112,24 +138,7 @@ def reduce_columns(
                 pivots[low] = col
                 lead = low
                 break
-            p, a = pivot[low], col[low]
-            if p < 0:
-                p, a = -p, -a
-            g = gcd(p, a)
-            if g != 1:
-                p //= g
-                a //= g
-            new = col.copy() if p == 1 else {r: p * x for r, x in col.items()}
-            for r, y in pivot.items():
-                x = new.get(r, 0) - a * y
-                if x:
-                    new[r] = x
-                else:
-                    del new[r]
-            g = gcd(*new.values())
-            if g > 1:
-                new = {r: x // g for r, x in new.items()}
-            col = new
+            col = _move(col, pivot, pivot[low], col[low])
         leads.append(lead)
     return leads
 
@@ -242,11 +251,11 @@ def local_smith_valuations(
     not be negative.  Each step pivots on an entry of least valuation v,
     s^v times the unit u, and gives every other column holding an entry
     e in the pivot row the move col <- u*col - (e / s^v)*pivot col, which
-    is invertible over the local ring (u and e's int are first divided
-    by their gcd); the column is then divided by its content.  The pivot
-    row and column are dropped: the other entries of the pivot column
-    have valuation at least v, so row moves would clear them without
-    touching another column.
+    is invertible over the local ring: reduce_columns' move (_move) on
+    the ints, with u and e's int as the two entries.  The pivot row
+    cancels and the pivot column is dropped: its other entries have
+    valuation at least v, so row moves would clear them without touching
+    another column.
 
     For the int y at row r of column c and the pivot column p, e / s^v
     is y * s^(col_weight[c] - col_weight[p]), a polynomial since v is
@@ -262,7 +271,7 @@ def local_smith_valuations(
     them as missing pivots (Newman, Integral Matrices, 1972, ch. II).
     The input is never mutated.
     """
-    live = [(col_weight[c], dict(col)) for c, col in enumerate(cols) if col]
+    live = [(col_weight[c], col) for c, col in enumerate(cols) if col]
     vals = []
     while live:
         best = (K, 0, 0)
@@ -277,30 +286,12 @@ def local_smith_valuations(
         if v == K:
             break
         _, pivot = live.pop(i)
-        u = pivot.pop(r)
+        u = pivot[r]
         rest = []
         for b, col in live:
-            y = col.pop(r, None)
+            y = col.get(r)
             if y is not None:
-                p, q = u, y
-                if p < 0:
-                    p, q = -p, -q
-                g = gcd(p, q)
-                if g != 1:
-                    p //= g
-                    q //= g
-                # p is not 0, so only the pivot column's rows can cancel
-                if p != 1:
-                    col = {row: p * x for row, x in col.items()}
-                for row, z in pivot.items():
-                    x = col.get(row, 0) - q * z
-                    if x:
-                        col[row] = x
-                    else:
-                        del col[row]
-                g = gcd(*col.values())
-                if g > 1:
-                    col = {row: x // g for row, x in col.items()}
+                col = _move(col, pivot, u, y)
             if col:
                 rest.append((b, col))
         live = rest

@@ -15,7 +15,7 @@ from artinkernels import (
     total_weight,
 )
 from artinkernels import Character, WeightFunction, relative_betti, twisted_boundary
-from artinkernels.flagcomplex import full_skeleton, level_boundary_matrix, simplex_weights
+from artinkernels.flagcomplex import level_boundary_matrix, simplex_weights
 from artinkernels.formulas import anti_invariant_entry
 
 from conftest import (
@@ -222,7 +222,7 @@ def test_level_boundary_matrix_matches_full():
     g, chi = make_square_frame()
     f = build_flag_complex(g)
     w = derive_weight(chi, 2)
-    level = full_skeleton(f, w, 2)
+    level = filtration_level(f, w, 2, 3)
     assert level_boundary_matrix(level, 2) == boundary_matrix(f, 2)
 
 
@@ -301,7 +301,7 @@ def test_boundary_builders_against_incidence_oracle():
                     assert level_boundary_matrix(level, k) == want
 
             if 0 <= k <= f.dim:
-                x = full_skeleton(f, w, k + 1)
+                x = filtration_level(f, w, k + 1, k + 2)
                 for j in range(0, k + 2):
                     pair = (x, filtration_level(f, w, k, j))
                     for i in range(0, k + 3):

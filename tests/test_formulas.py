@@ -45,7 +45,7 @@ from artinkernels.crosscheck import (
     random_connected_graph,
     random_nonresonant_character,
 )
-from artinkernels.flagcomplex import full_skeleton, reduce_complex
+from artinkernels.flagcomplex import reduce_complex
 from artinkernels.formulas import _weight_pairs, anti_invariant_entry
 from artinkernels.linalg import reduce_columns
 from artinkernels.graphs import weight_classes
@@ -94,7 +94,7 @@ def test_filtration_betti_full_skeleton_matches_complex():
 
 def test_relative_betti_trivial_pair():
     f, w, _ = w2(make_kite())
-    top = full_skeleton(f, w, 1)
+    top = filtration_level(f, w, 1, 2)
     assert relative_betti(f, w, 1, (top, top)) == 0
 
 
@@ -102,7 +102,7 @@ def test_relative_betti_kite_against_les_oracle():
     # pair of the 1-skeleton against the weight-0 vertices: the long exact
     # sequence gives dim = h1(X) + h0~(A) - rank(H0~(A) -> H0~(X))
     f, w, _ = w2(make_kite())
-    x = full_skeleton(f, w, 1)
+    x = filtration_level(f, w, 1, 2)
     a = filtration_level(f, w, 0, 0)
     got = relative_betti(f, w, 1, (x, a))
     h1_x = filtration_betti(f, w, 1, 1, 2)
@@ -116,7 +116,7 @@ def test_relative_betti_kite_against_les_oracle():
 def test_relative_betti_triforce_rank_oracle():
     # quotient complex rank oracle, computed by hand from plain matrices
     f, w, _ = w2(make_triforce())
-    x = full_skeleton(f, w, 1)
+    x = filtration_level(f, w, 1, 2)
     a = filtration_level(f, w, 0, 0)
     keep_rows = [i for i, s in enumerate(f.simplices(0)) if s.vertices not in {("v0",), ("v1",), ("v2",)}]
     d1 = boundary_matrix(f, 1)
@@ -302,11 +302,11 @@ def per_level_weighted_sum(f, w, k):
     """The weighted exponent sum as its per-level formula: filtration
     Betti numbers of the (k+1)-skeleton and relative pairs against the
     filtered k-skeleton, with full-skeleton corrections."""
-    top = full_skeleton(f, w, k + 1)
+    top = filtration_level(f, w, k + 1, k + 2)
     total = sum(filtration_betti(f, w, k, k + 1, j) for j in range(k + 2))
     total -= (k + 2) * free_rank_check(f, k)
     total += sum(relative_betti(f, w, k + 1, (top, filtration_level(f, w, k, j))) for j in range(k + 1))
-    total -= (k + 1) * relative_betti(f, w, k + 1, (top, full_skeleton(f, w, k)))
+    total -= (k + 1) * relative_betti(f, w, k + 1, (top, filtration_level(f, w, k, k + 1)))
     return total
 
 
@@ -386,8 +386,8 @@ def test_cleared_weight_pairs_match_uncleared_under_both_tie_orders():
             # in degree m - 1, and those of lead weight > j are
             # b(X, X') - b(X, F'_j) in degree m
             full = filtration_betti(f, w, m - 1, m, m + 1)
-            x = full_skeleton(f, w, m)
-            base = relative_betti(f, w, m, (x, full_skeleton(f, w, m - 1)))
+            x = filtration_level(f, w, m, m + 1)
+            base = relative_betti(f, w, m, (x, filtration_level(f, w, m - 1, m)))
             for j in range(0, m + 2):
                 assert sum(1 for weight, _ in pairs if weight > j) == filtration_betti(f, w, m - 1, m, j) - full
                 source = filtration_level(f, w, m - 1, j)
@@ -409,6 +409,16 @@ def star_apex(f, key):
         if not key[u]
     }
     return max(sizes, key=sizes.__getitem__) if sizes else None
+
+
+def expected_cone(f, key):
+    """FlagComplex.cone(key) by brute force: star_apex with its cells and
+    star ranks, or every cell and zero ranks when no vertex weighs 0."""
+    apex = star_apex(f, key)
+    if apex is None:
+        every = range(-1, f.dim + 2)
+        return None, {k: range(f.count(k)) for k in every}, dict.fromkeys(every, 0)
+    return apex, f.outside_star(apex), f.star_ranks(apex)
 
 
 def anti_invariant_dims(f, entry, cells):
@@ -460,9 +470,11 @@ def test_quotient_by_a_weight_0_star_keeps_bars_and_anti_invariant_homology():
                 dropped += len(every[m]) - len(pairs)
             assert anti_invariant_dims(f, entry, cells) == dims, (trial, u)
             coned += 1
-        apex = star_apex(f, key)
-        every_cell = {k: range(f.count(k)) for k in range(-1, f.dim + 2)}
-        assert f.critical_cells(key) == (every_cell if apex is None else f.outside_star(apex)), trial
+        # one rule for every key: the all-ones key cones off nothing, and
+        # the all-zero key of the direct pipeline's rank complexes cones
+        # off the largest star of all
+        assert f.cone(key) == expected_cone(f, key), trial
+        assert f.cone((0,) * n) == expected_cone(f, (0,) * n), trial
         w = WeightFunction(dict(zip(g.vertices, key)), 2)
         for m in range(1, f.dim + 2):
             assert Counter(_weight_pairs(f, w, m)) == bars(every[m]), (trial, m)
@@ -840,8 +852,8 @@ def test_shared_complex_across_threads_matches_serial():
     expected_betti = [free_rank_check(serial_complex, k) for k in range(-1, serial_complex.dim + 2)]
     n = g.n_vertices
     keys = [tuple(int(i == u) for i in range(n)) for u in range(n)] + [(0,) * n, (1,) * n]
-    expected_cells = [build_flag_complex(g).critical_cells(key) for key in keys]
-    assert expected_cells[-1] == {k: range(serial_complex.count(k)) for k in range(-1, serial_complex.dim + 2)}
+    expected_cells = [build_flag_complex(g).cone(key) for key in keys]
+    assert expected_cells[-1] == expected_cone(serial_complex, keys[-1])
     expected_stars = [build_flag_complex(g).outside_star(u) for u in range(n)]
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -855,7 +867,7 @@ def test_shared_complex_across_threads_matches_serial():
                 # a racing thread must never read a partial table, nor a
                 # partial star count or cell list of starred
                 betti[slot] = [free_rank_check(fresh, k) for k in range(-1, fresh.dim + 2)]
-                cells[slot] = [starred.critical_cells(key) for key in keys[slot:] + keys[:slot]]
+                cells[slot] = [starred.cone(key) for key in keys[slot:] + keys[:slot]]
                 cells[slot] += [starred.outside_star((slot - j) % n) for j in range(n)]
                 results[slot] = formula_decomposition(shared, chi, orders)
 

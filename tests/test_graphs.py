@@ -29,6 +29,16 @@ def test_graph_validation():
         SimplicialGraph(["a", "b"], [("a", "c")])
     with pytest.raises(InputError):
         SimplicialGraph(["a", "b"], [("a", "b"), ("b", "a")])
+    # nothing is read through str: a string edge, int endpoints or
+    # vertices, and a mapping are all rejected
+    with pytest.raises(InputError, match="not a pair of vertex strings"):
+        SimplicialGraph(["a", "b"], ["ab"])
+    with pytest.raises(InputError, match="not a pair of vertex strings"):
+        SimplicialGraph(["1", "2"], [(1, 2)])
+    with pytest.raises(InputError, match="not all strings"):
+        SimplicialGraph([1, 2], [])
+    with pytest.raises(InputError, match="not a pair of vertex strings"):
+        SimplicialGraph(["a", "b"], [{"a": 1, "b": 2}])
     g = SimplicialGraph(["b", "a"], [("a", "b")])
     assert g.vertices == ("b", "a")
     assert g.edges == (("b", "a"),)  # stored in declaration order

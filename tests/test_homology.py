@@ -345,13 +345,15 @@ def test_short_truncation_trips_the_pivot_guard(monkeypatch, square_frame):
 def test_rank_drop_at_t_1_trips_the_order_1_guard(monkeypatch, kite):
     # D_j = (t - 1) U, and the order-1 part is (r_j,) only while U keeps
     # the rank r_j at t = 1, where its entries are sign * n_v; here the
-    # degree-1 quotient by St(v0) at t = 1 (told apart by v0's label 2,
-    # which reads 3 at t = 2) loses its rank 2, so U keeps only the star's
-    # rank 3 of its 5 and an order-1 exponent would exceed 1
+    # degree-1 quotient at t = 1 (told apart by v0's label 2, which reads
+    # 3 at t = 2) loses its rank 2, so U keeps only the star's rank 3 of
+    # its 5 and an order-1 exponent would exceed 1; the rank complexes
+    # take the cone of the all-zero key, the largest star
     g, chi = kite
     f = build_flag_complex(g)
     assert full_decomposition(f, chi)[1].torsion[1] == (5,)
-    assert f.star_ranks(0)[1] == 3
+    u, _, star = f.cone((0,) * g.n_vertices)
+    assert star == f.star_ranks(u) and star[1] == 3
     real = homology.reduce_complex
 
     def rank_lost_at_t_1(f, degrees, entry=None, **kwargs):
