@@ -61,6 +61,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import groupby
 from typing import Callable, Optional
 
 from .flagcomplex import FlagComplex, Simplex, boundary_matrix, reduce_complex, simplex_weights
@@ -231,18 +232,21 @@ def _decomposition_from_smith(
     free_rank = kernel_rank - snf_upper.rank
     if free_rank < 0:
         raise ConsistencyError("image rank exceeds kernel rank; not a chain complex")
+    # the invariant factors form a divisibility chain, so equal ones are
+    # neighbours: each run is factored once and counted by its length
     per_d: dict[int, list[int]] = {}
     remainders = []
-    for q in snf_upper.invariant_factors:
+    for q, run in groupby(snf_upper.invariant_factors):
         if q.is_one():
             continue
+        n = len(list(run))
         mults, rem = factor_cyclotomic(q, orders)
         if not rem.is_one():
-            remainders.append(rem)
+            remainders.extend([rem] * n)
         for d, mult in mults.items():
             vec = per_d.setdefault(d, [])
             vec.extend([0] * (mult - len(vec)))
-            vec[mult - 1] += 1
+            vec[mult - 1] += n
     return ModuleDecomposition(
         degree=k + 1,
         free_rank=free_rank,

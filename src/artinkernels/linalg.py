@@ -33,23 +33,31 @@ diagonalizes with degree-minimal pivoting (ties broken by coefficient
 height, then position) by Euclidean steps: an entry is reduced by a
 pseudo-quotient multiple of the pivot line, and a nonzero remainder is
 swapped in as the new pivot, of lower degree (Newman, Integral
-Matrices, 1972, ch. II).  Rows and columns are divided by their integer
+Matrices, 1972, ch. II).  A move computes c*y - q*x on each entry y of
+the line, x being the pivot line's entry there, in one pass over the
+nonzero terms of q and x (polys._submul); where x is zero, y is kept as
+it is, or only scaled when c is not 1.  Pseudo-division walks the
+divisor's nonzero terms alone, so the sparse binomial pivots t^n - 1
+cost two terms a step.  Rows and columns are divided by their integer
 content and their power of t after every step to control coefficient
 growth.  It then repairs the divisibility chain with two-by-two moves on
-the diagonal, which cause no fill-in and need only a gcd.  Every move is
-unimodular over the Laurent ring Q[t^±1], where nonzero constants and
-powers of t are units, and the reported invariant factors are monic with
-their t-power content stripped, the normalization of that ring.
+the diagonal, which cause no fill-in and need only a gcd; equal entries
+are skipped, and each distinct invariant factor becomes one ExactPoly.
+Every move is unimodular over the Laurent ring Q[t^±1], where nonzero
+constants and powers of t are units, and the reported invariant factors
+are monic with their t-power content stripped, the normalization of
+that ring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .polys import ExactPoly, _exquo, _gcd, _lin, _mul, _pdivmod, _trim
+from .polys import ExactPoly, _exquo, _gcd, _mul, _pdivmod, _submul, _terms, _trim
 
 _INT = frozenset((int,))
 
@@ -350,8 +358,8 @@ def _row_step(a: list[list[list[int]]], t: int, i: int) -> None:
     two rows swap and the division repeats."""
     while a[i][t]:
         c, q, _ = _pdivmod(a[i][t], a[t][t])
-        u, v = [c], [-x for x in q]
-        a[i] = [_lin(u, y, v, x) if x or y else y for x, y in zip(a[t], a[i])]
+        q = _terms(q)
+        a[i] = [_submul(c, y, q, x) for x, y in zip(a[t], a[i])]
         _strip_row(a[i])
         if a[i][t]:
             a[t], a[i] = a[i], a[t]
@@ -361,11 +369,9 @@ def _col_step(a: list[list[list[int]]], t: int, j: int) -> None:
     """Clear a[t][j] against the pivot a[t][t]; _row_step on columns."""
     while a[t][j]:
         c, q, _ = _pdivmod(a[t][j], a[t][t])
-        u, v = [c], [-x for x in q]
+        q = _terms(q)
         for row in a:
-            x, y = row[t], row[j]
-            if x or y:
-                row[j] = _lin(u, y, v, x)
+            row[j] = _submul(c, row[j], q, row[t])
         _strip_col(a, j)
         if a[t][j]:
             for row in a:
@@ -449,19 +455,26 @@ def smith_normal_form(matrix: Sequence[Sequence[Sequence[int]]], ncols: Optional
     # phase 2: repair the divisibility chain on the diagonal; replacing
     # (a, b) by (gcd, a*b/gcd) is a unimodular 2x2 move on rows and
     # columns that are otherwise zero, so there is no fill-in; only the
-    # new diagonal is computed, which needs the gcd but no cofactors
+    # new diagonal is computed, which needs the gcd but no cofactors.
+    # Entries are primitive with a positive leading coefficient, so two
+    # associates are equal lists, and equal entries divide each other.
     diag = []
     for i in range(rank):
-        g, low = _divisor([a[i][i]])
-        diag.append(_divide(a[i][i], g, low))
+        e = a[i][i]
+        g, low = _divisor([e])
+        diag.append(_divide(e, g if e[-1] > 0 else -g, low))
     changed = True
     while changed:
         changed = False
         for i in range(rank):
             for j in range(i + 1, rank):
-                if _pdivmod(diag[j], diag[i])[2]:
+                if diag[i] != diag[j] and _pdivmod(diag[j], diag[i])[2]:
                     g = _gcd(diag[i], diag[j])
                     diag[i], diag[j] = g, _mul(diag[i], _exquo(diag[j], g))
                     changed = True
-    invariant = tuple(ExactPoly([Fraction(x, d[-1]) for x in d]) for d in diag)
-    return SmithForm(invariant_factors=invariant, rank=rank, nrows=nrows, ncols=ncols)
+    # equal factors of a divisibility chain are neighbours and share one
+    # ExactPoly
+    invariant: list[ExactPoly] = []
+    for d, run in groupby(diag):
+        invariant += [ExactPoly([Fraction(x, d[-1]) for x in d])] * len(list(run))
+    return SmithForm(invariant_factors=tuple(invariant), rank=rank, nrows=nrows, ncols=ncols)

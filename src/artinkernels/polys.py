@@ -231,6 +231,11 @@ def _integer_coeffs(polys: Sequence[Sequence[Scalar]]) -> list[list[int]]:
     return [_trim([c.numerator * (den // c.denominator) for c in e]) for e in polys]
 
 
+def _terms(a: list[int]) -> list[tuple[int, int]]:
+    """(power, coefficient) for each nonzero coefficient of a."""
+    return [(i, x) for i, x in enumerate(a) if x]
+
+
 def _mul(a: list[int], b: list[int]) -> list[int]:
     if not a or not b:
         return []
@@ -238,7 +243,7 @@ def _mul(a: list[int], b: list[int]) -> list[int]:
         c = a[0]
         return [c * y for y in b]
     out = [0] * (len(a) + len(b) - 1)
-    terms = [(j, y) for j, y in enumerate(b) if y]
+    terms = _terms(b)
     for i, x in enumerate(a):
         if x:
             for j, y in terms:
@@ -246,25 +251,35 @@ def _mul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _lin(u: list[int], a: list[int], v: list[int], b: list[int]) -> list[int]:
-    """u*a + v*b."""
-    p, q = _mul(u, a), _mul(v, b)
-    if len(p) < len(q):
-        p, q = q, p
-    for i, y in enumerate(q):
-        p[i] += y
-    return _trim(p)
+def _submul(c: int, y: list[int], q: list[tuple[int, int]], x: list[int]) -> list[int]:
+    """c*y - q*x, for q given by _terms.  Only the nonzero coefficients of
+    x are walked; when q*x is zero and c == 1, y itself is returned."""
+    if c != 1:
+        y = [c * z for z in y]
+    if not x or not q:
+        return y
+    out = list(y)
+    n = len(x) + q[-1][0]
+    if len(out) < n:
+        out.extend([0] * (n - len(out)))
+    for i, u in enumerate(x):
+        if u:
+            for j, z in q:
+                out[i + j] -= u * z
+    return _trim(out)
 
 
 def _pdivmod(a: list[int], b: list[int]) -> tuple[int, list[int], list[int]]:
     """Pseudo-division: (c, q, r) with c*a == q*b + r, c a positive int
     and deg r < deg b.  Each step scales by no more than it needs to make
     the leading coefficient divisible, so c is 1 whenever the quotient
-    has integer coefficients."""
+    has integer coefficients.  Only the nonzero terms of b are
+    subtracted."""
     db = len(b) - 1
     if len(a) <= db:
         return 1, [], a
     lead = b[-1]
+    terms = _terms(b)
     r = list(a)
     q = [0] * (len(a) - db)
     c = 1
@@ -280,8 +295,8 @@ def _pdivmod(a: list[int], b: list[int]) -> tuple[int, list[int], list[int]]:
             x *= m
         y = x // lead
         q[k] = y
-        for j, z in enumerate(b, k):
-            r[j] -= y * z
+        for j, z in terms:
+            r[k + j] -= y * z
     return c, q, _trim(r[:db])
 
 

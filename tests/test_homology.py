@@ -37,7 +37,7 @@ from artinkernels.flagcomplex import reduce_complex, simplex_weights
 from artinkernels.formulas import _weight_pairs, anti_invariant_entry, anti_invariant_homology
 from artinkernels.graphs import derive_weight, even_reduction, torsion_candidates, weight_classes
 from artinkernels.homology import _decomposition_from_smith, smith_decomposition
-from artinkernels.linalg import local_smith_valuations
+from artinkernels.linalg import SmithForm, local_smith_valuations
 from artinkernels.report import compare_pipelines
 from artinkernels.polys import ExactPoly, _integer_coeffs, t_power_minus_one
 
@@ -514,6 +514,40 @@ def test_cleared_ranks_of_every_complex_match_the_oracle():
         for j, dec in full_decomposition(f, chi).items():
             assert dec.free_rank == f.count(j - 1) - oracle["t = 2", j - 1] - oracle["t = 2", j]
             assert oracle["t = 1", j] == oracle["t = 2", j]
+
+
+def test_decomposition_factors_each_run_of_equal_invariant_factors_once(monkeypatch):
+    # a divisibility chain with runs of equal factors, the last with
+    # non-cyclotomic content t^2 + 2
+    chain = [(1,), (-1, 1), (-1, 1), (-1, 0, 1), (-1, 0, 1), (-2, 0, 1, 0, 1), (-2, 0, 1, 0, 1)]
+    factors = tuple(ExactPoly(c) for c in chain)
+    upper = SmithForm(invariant_factors=factors, rank=len(factors), nrows=len(factors), ncols=9)
+    lower = SmithForm(invariant_factors=(), rank=0, nrows=0, ncols=len(factors))
+    orders = [2, 3]
+    # the per-factor loop
+    per_d, remainders = {}, []
+    for q in factors:
+        if not q.is_one():
+            mults, rem = homology.factor_cyclotomic(q, orders)
+            if not rem.is_one():
+                remainders.append(rem)
+            for d, mult in mults.items():
+                vec = per_d.setdefault(d, [])
+                vec.extend([0] * (mult - len(vec)))
+                vec[mult - 1] += 1
+    assert per_d == {1: [6], 2: [4]}
+    real, calls = homology.factor_cyclotomic, []
+
+    def counting(q, orders):
+        calls.append(q)
+        return real(q, orders)
+
+    monkeypatch.setattr(homology, "factor_cyclotomic", counting)
+    dec = _decomposition_from_smith(0, orders, lower, upper)
+    assert dec.torsion == {d: tuple(vec) for d, vec in per_d.items()}
+    assert dec.remainder_factors == tuple(remainders) == (ExactPoly([2, 0, 1]),) * 2
+    assert dec.free_rank == 0
+    assert calls == [factors[1], factors[3], factors[5]]
 
 
 def test_raw_path_reports_non_cyclotomic_content(monkeypatch, kite):

@@ -28,8 +28,12 @@ from artinkernels.polys import (
     ExactPoly,
     _exquo,
     _gcd,
+    _cyclotomic_coeffs,
     _integer_coeffs,
+    _mul,
     _pdivmod,
+    _submul,
+    _terms,
     factor_cyclotomic,
     poly_gcd,
     t_power_minus_one,
@@ -568,11 +572,28 @@ def random_int_poly(rng, max_degree):
     return cs + [rng.choice([-3, -2, -1, 1, 2, 3])]
 
 
+def gappy_int_poly(rng, max_degree):
+    """Random integer coefficients, mostly zero, with a nonzero leading one."""
+    cs = [rng.choice([0, 0, 0, -2, 1, 3]) for _ in range(rng.randint(0, max_degree))]
+    return cs + [rng.choice([-2, -1, 1, 3])]
+
+
 def test_pseudo_division_identity():
     rng = random.Random(27)
+    pairs = []
     for _ in range(300):
         a = random_int_poly(rng, 7) if rng.random() < 0.9 else []
-        b = random_int_poly(rng, 4)
+        pairs.append((a, random_int_poly(rng, 4)))
+    # sparse divisors, as Smith pivots and cyclotomic trial division meet
+    # them: t^n - 1, Phi_d and divisors with zero gaps
+    sparse = [[-1] + [0] * (n - 1) + [1] for n in range(1, 9)]
+    sparse += [list(_cyclotomic_coeffs(d)) for d in (2, 3, 5, 6, 8, 9, 12, 15, 20)]
+    sparse += [gappy_int_poly(rng, 6) for _ in range(12)]
+    for b in sparse:
+        for _ in range(8):
+            a = random_int_poly(rng, 12) if rng.random() < 0.5 else gappy_int_poly(rng, 14)
+            pairs.append((a, b))
+    for a, b in pairs:
         c, q, r = _pdivmod(a, b)
         assert type(c) is int and c > 0
         assert all(type(x) is int for x in q + r)
@@ -585,6 +606,22 @@ def test_pseudo_division_identity():
         # a product with a primitive factor divides back exactly
         prim = [x // gcd(*b) for x in b]
         assert _exquo(int_coeffs(ExactPoly(a) * ExactPoly(prim)), prim) == a
+
+
+def test_fused_move_matches_mul():
+    # c*y - q*x against _mul, with q and x sparse and c scaling
+    rng = random.Random(31)
+    for trial in range(240):
+        c = (1, 3, -2)[trial % 3]
+        y = [] if trial % 5 == 0 else random_int_poly(rng, 6)
+        q = [] if trial % 11 == 0 else gappy_int_poly(rng, 5)
+        x = [] if trial % 7 == 0 else gappy_int_poly(rng, 6)
+        expected = ExactPoly(_mul([c], y)) - ExactPoly(_mul(q, x))
+        got = _submul(c, y, _terms(q), x)
+        assert got == int_coeffs(expected)
+        if c == 1 and not (q and x):
+            # the entry is left as it is
+            assert got is y
 
 
 def test_primitive_gcd_matches_poly_gcd():
