@@ -295,12 +295,17 @@ def reduce_complex(
     in position order, and the leads are the pivots of rank_rational.
     cells, positions by dimension, reduces the quotient by the sub-complex
     left out (FlagComplex.cone); weights need only the positions kept.
+    A degree with no columns left or no rows, as most degrees of a cone's
+    quotient are, has no leads: it gets {} with no matrix built or reduced.
     """
     out: dict[int, dict[int, int]] = {}
     cleared: dict[int, int] = {}
     for m in reversed(degrees):
         rows = None if cells is None else cells.get(m - 1, ())
         cols = [c for c in (range(f.count(m)) if cells is None else cells.get(m, ())) if c not in cleared]
+        if not cols or rows is not None and not rows:
+            cleared = out[m] = {}
+            continue
         if weights is None:
             pivots: dict[int, dict[int, int]] = {}
             height = f.count(m - 1) if rows is None else len(rows)

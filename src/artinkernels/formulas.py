@@ -12,14 +12,18 @@ cycle spaces bound and locate the largest Jordan blocks.
 For one weight class and degree these are all persistence ranks of one
 filtration (Edelsbrunner, Letscher and Zomorodian, DCG 2002; Zomorodian
 and Carlsson, DCG 2005), counted over the pivots of a weight-ordered
-reduction of the boundary's sparse columns (_weight_pairs): one top-down
-flagcomplex.reduce_complex call, with clearing, per weight class.  The
-ranks of the anti-invariant complex come from the same driver.
+reduction of the boundary's sparse columns (_bars, which _weight_pairs
+wraps for a weight function): one top-down flagcomplex.reduce_complex
+call, with clearing, per weight class.  The ranks of the anti-invariant
+complex come from the same driver.
 Both take the quotient by the closed star of the class's weight-0 vertex
 u with the largest star (FlagComplex.cone), as the direct pipeline does:
 a cone at every weight level, which keeps every bar of positive length,
 and contracted by sigma -> sigma + {u} in the anti-invariant complex,
 whose boundary is -2 * sign toward each facet missing a weight-0 vertex.
+An empty quotient, u next to every vertex, has no bars and no
+anti-invariant homology, and gets neither reduction; a profile with no
+bars and no summands is the zero profile, with no check to run.
 filtration_betti and relative_betti compute single levels and pairs, and
 stay the per-level oracle.
 
@@ -137,16 +141,21 @@ def _bars(f: FlagComplex, key: tuple[int, ...], m: int) -> tuple[tuple[int, int]
     statistic reads, so they are dropped.
 
     One flagcomplex.reduce_complex call per weight class stores every
-    degree's table on f, keyed by the class key and m.
+    degree's table on f, keyed by the class key and m; an empty cone, a
+    quotient with no cells, has no bars and needs no call.
     """
     table = f.weight_pairs.get((key, m))
     if table is None:
         _, cells, _ = f.cone(key)
-        weight = {k: dict(zip(ps, simplex_weights(f, key, k, ps))) for k, ps in cells.items()}
-        tables = {
-            (key, k): tuple((w, weight[k - 1][lead]) for lead, w in leads.items() if w > weight[k - 1][lead])
-            for k, leads in reduce_complex(f, range(1, f.dim + 2), weights=weight, cells=cells).items()
-        }
+        degrees = range(1, f.dim + 2)
+        if any(cells.values()):
+            weight = {k: dict(zip(ps, simplex_weights(f, key, k, ps))) for k, ps in cells.items()}
+            tables = {
+                (key, k): tuple((w, weight[k - 1][lead]) for lead, w in leads.items() if w > weight[k - 1][lead])
+                for k, leads in reduce_complex(f, degrees, weights=weight, cells=cells).items()
+            }
+        else:
+            tables = {(key, k): () for k in degrees}
         f.weight_pairs.update(tables)
         table = tables[key, m]
     return table
@@ -196,6 +205,8 @@ def anti_invariant_entry(rho: Character) -> Callable[[int, str], int]:
 
 def _anti_invariant_dims(f: FlagComplex, key: tuple[int, ...]) -> tuple[int, ...]:
     _, cells, _ = f.cone(key)
+    if not any(cells.values()):
+        return (0,) * (f.dim + 2)
     entry = anti_invariant_entry(Character(dict(zip(f.graph.vertices, (b + 1 for b in key)))))
     ranks = {k: len(leads) for k, leads in reduce_complex(f, range(0, f.dim + 1), entry=entry, cells=cells).items()}
     return tuple(len(cells[m - 1]) - ranks.get(m - 1, 0) - ranks.get(m, 0) for m in range(0, f.dim + 2))
@@ -414,9 +425,11 @@ def solve_exponents(profile: TorsionProfile, k: int) -> Optional[tuple[int, ...]
 
 
 def _profile(f: FlagComplex, key: tuple[int, ...], d: int, k: int, summands: int) -> TorsionProfile:
-    if not any(key):
+    # no d-divisible label, or no bars and no summands: the zero profile
+    bars = _bars(f, key, k + 1) if any(key) else ()
+    if not any(key) or not (bars or summands):
         return TorsionProfile(k, d, 0, 0, 0, 0, ())
-    total, top, maxe = _bar_statistics(_bars(f, key, k + 1), k, summands)
+    total, top, maxe = _bar_statistics(bars, k, summands)
     profile = TorsionProfile(k, d, total, summands, top, maxe)
     profile.validate()
     profile.exponents = solve_exponents(profile, k)

@@ -39,7 +39,11 @@ takes its weight-0 vertex with the largest star, and every class of a
 surjective character has one.  A cone's augmented complex is exact, so
 St(u) has the ranks r[-1] = 0, r[m + 1] = |St(u)_m| - r[m]
 (FlagComplex.star_ranks), each full rank is the quotient's plus r, and
-the quotient keeps the homology and every positive valuation.  A rank at
+the quotient keeps the homology and every positive valuation.  On the
+default fuzz sizes most quotients are empty, since u is often next to
+every vertex: a degree of a quotient with no cells in it or below it has
+no pivots, and no matrix, weight or kernel call is made for it
+(flagcomplex.reduce_complex, _local_vector).  A rank at
 t = 1 that differs from the rank at t = 2, or a class whose pivots do
 not number the rank at t = 2 less its star's, raises ConsistencyError.
 Every other character class goes through smith_decomposition, the Smith
@@ -280,8 +284,8 @@ def _local_vector(
 ) -> tuple[int, ...]:
     """Exponent vector (r_1, r_2, ...) of the local Smith form of a
     graded matrix given by its sparse columns; the pivots must number the
-    rank."""
-    vals = local_smith_valuations(cols, col_weight, row_weight, K)
+    rank.  With no columns there are no pivots and no kernel call."""
+    vals = local_smith_valuations(cols, col_weight, row_weight, K) if cols else ()
     if len(vals) != rank:
         raise ConsistencyError(
             f"{len(vals)} local pivots below s^{K} for rank {rank}: an exponent "
@@ -335,10 +339,6 @@ def full_decomposition(
     # weight-0 vertex; every class of a surjective character has one
     classes = weight_classes(f.graph, chi, torsion_candidates(chi))
     cones = {key: f.cone(key) for key in classes}
-    weights = {
-        key: {k: simplex_weights(f, key, k, kept[k]) for k in range(-1, top + 1)}
-        for key, (_, kept, _) in cones.items()
-    }
     out = {}
     for j in range(0, top + 1):
         free_rank = f.count(j - 1) - ranks[j - 1] - ranks[j]
@@ -356,13 +356,19 @@ def full_decomposition(
             torsion[1] = (ranks[j],)
             # orders d >= 2: a j-simplex weighs at most j + 1, so no
             # valuation reaches K = j + 2; the cut and the pivot count
-            # stay as guards
+            # stay as guards, and a quotient with no j-cells or no
+            # (j-1)-cells has no pivots and gets no columns or weights
             quotients = {}
             for key, orders in classes.items():
-                (u, kept, star_u), weight = cones[key], weights[key]
-                if u not in quotients:
-                    quotients[u] = boundary_matrix(f, j, cols=kept[j], rows=kept[j - 1], sparse=True)
-                vec = _local_vector(quotients[u], weight[j], weight[j - 1], j + 2, ranks[j] - star_u[j])
+                u, kept, star_u = cones[key]
+                cols, col_weight, row_weight = (), (), ()
+                if kept[j] and kept[j - 1]:
+                    if u not in quotients:
+                        quotients[u] = boundary_matrix(f, j, cols=kept[j], rows=kept[j - 1], sparse=True)
+                    cols = quotients[u]
+                    col_weight = simplex_weights(f, key, j, kept[j])
+                    row_weight = simplex_weights(f, key, j - 1, kept[j - 1])
+                vec = _local_vector(cols, col_weight, row_weight, j + 2, ranks[j] - star_u[j])
                 if vec:
                     torsion.update((d, vec) for d in orders)
         out[j] = ModuleDecomposition(degree=j, free_rank=free_rank, torsion=dict(sorted(torsion.items())))

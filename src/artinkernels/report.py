@@ -94,8 +94,10 @@ def parse_dot_input(data: bytes) -> tuple[SimplicialGraph, Character]:
     close_idx = body.rfind("}")
     if open_idx < 0 or close_idx < 0 or close_idx < open_idx:
         raise ParseError("missing graph braces")
-    head = body[:open_idx].strip()
-    if not head.split() or head.split()[0] not in ("graph", "strict"):
+    words = body[:open_idx].split()
+    if words[:1] == ["strict"]:
+        words = words[1:]
+    if words[:1] != ["graph"]:
         raise ParseError("only undirected 'graph' inputs are supported")
     vertices: list[str] = []
     values: dict[str, int] = {}
@@ -137,7 +139,7 @@ def parse_input(data: bytes, filename: str = "") -> tuple[SimplicialGraph, Chara
     stripped = data.lstrip()
     if stripped.startswith(b"{"):
         return parse_json_input(data)
-    if filename.endswith(".dot") or stripped.startswith((b"graph", b"strict")):
+    if filename.endswith(".dot") or stripped.startswith((b"graph", b"strict", b"digraph")):
         return parse_dot_input(data)
     return parse_json_input(data)
 

@@ -71,6 +71,17 @@ def make_square_frame():
     return g, chi
 
 
+def make_apex_over_5_cycle():
+    # a cone: the apex c, label 1, weighs 0 in every class and is next to
+    # every vertex, so its closed star is the whole complex and every
+    # quotient of both pipelines is empty
+    ring = ["v0", "v1", "v2", "v3", "v4"]
+    edges = [("c", v) for v in ring] + [(ring[i], ring[(i + 1) % 5]) for i in range(5)]
+    g = SimplicialGraph(["c"] + ring, edges)
+    chi = Character({"c": 1, "v0": 2, "v1": 4, "v2": 6, "v3": 3, "v4": 2})
+    return g, chi
+
+
 @pytest.fixture
 def tree():
     return make_tree()
@@ -94,6 +105,11 @@ def triforce():
 @pytest.fixture
 def square_frame():
     return make_square_frame()
+
+
+@pytest.fixture
+def apex_over_5_cycle():
+    return make_apex_over_5_cycle()
 
 
 # -- independent oracles -----------------------------------------------------

@@ -15,7 +15,9 @@ from artinkernels import (
     total_weight,
 )
 from artinkernels import Character, WeightFunction, relative_betti, twisted_boundary
-from artinkernels.flagcomplex import level_boundary_matrix, simplex_weights
+from artinkernels import flagcomplex
+from artinkernels.crosscheck import random_connected_graph
+from artinkernels.flagcomplex import level_boundary_matrix, reduce_complex, simplex_weights
 from artinkernels.formulas import anti_invariant_entry
 
 from conftest import (
@@ -320,3 +322,45 @@ def test_boundary_builders_against_incidence_oracle():
                 f.simplices(k - 1),
                 lambda sign, v: -2 * sign if rho[v] == 1 else 0,
             )
+
+
+def test_reduce_complex_builds_and_reduces_no_empty_degree(monkeypatch):
+    # a quotient by a closed star has no cells in degree -1, none in the
+    # degrees above its own dimension, and no rows in degree 0: each such
+    # degree is reported as {} with no matrix built or reduced, and every
+    # other degree leads as its own reduction does, clearing or not
+    rng = random.Random(41)
+    log = []
+
+    def logged(name, real):
+        def call(*args, **kwargs):
+            log.append((name, args[1]) if name == "build" else (name,))
+            return real(*args, **kwargs)
+        return call
+
+    for name, attr in (("build", "boundary_matrix"), ("rank", "rank_rational"), ("reduce", "reduce_columns")):
+        monkeypatch.setattr(flagcomplex, attr, logged(name, getattr(flagcomplex, attr)))
+    skipped = 0
+    for trial in range(40):
+        g = random_connected_graph(rng, 8)
+        f = build_flag_complex(g)
+        key = [rng.randint(0, 1) for _ in range(g.n_vertices)]
+        weight = {k: simplex_weights(f, key, k) for k in range(-1, f.dim + 3)}
+        degrees = range(-1, f.dim + 3)
+        for cells in (None, *(f.outside_star(u) for u in range(g.n_vertices))):
+            kept = cells or {k: range(f.count(k)) for k in range(-1, f.dim + 3)}
+            empty = {m for m in degrees if not kept.get(m) or not kept.get(m - 1)}
+            for weights in (None, weight):
+                log.clear()
+                leads = reduce_complex(f, degrees, weights=weights, cells=cells)
+                assert list(leads) == list(reversed(degrees)), trial
+                built = [step[1] for step in log if step[0] == "build"]
+                assert log == [step for m in built for step in (("build", m), ("reduce" if weights else "rank",))]
+                assert not empty & set(built), (trial, empty, built)
+                for m in degrees:
+                    if m in empty:
+                        assert leads[m] == {}, (trial, m)
+                        skipped += 1
+                    else:
+                        assert leads[m] == reduce_complex(f, range(m, m + 1), weights=weights, cells=cells)[m], (trial, m)
+    assert skipped > 500

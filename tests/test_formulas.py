@@ -40,6 +40,7 @@ from artinkernels import (
     torsion_profile,
     weighted_exponent_sum,
 )
+from artinkernels import formulas
 from artinkernels.crosscheck import (
     cross_validate_once,
     random_connected_graph,
@@ -655,6 +656,27 @@ def test_torsion_profile_no_divisible_vertex():
     f = build_flag_complex(g)
     profile = torsion_profile(f, chi, 5, 0, summands_of(f, chi, 5, 0))
     assert profile.exponents == () and profile.summand_count == 0
+
+
+def test_an_empty_cone_has_no_bars_and_its_profile_is_still_checked(monkeypatch, apex_over_5_cycle):
+    # every class cones off the apex c, whose closed star is the whole
+    # complex: no bars, zero anti-invariant homology and zero summands,
+    # with no reduction run, so each profile is the zero profile; a
+    # summand count of 1 with no bars is still refused by the profile check
+    g, chi = apex_over_5_cycle
+    f = build_flag_complex(g)
+    calls = []
+    monkeypatch.setattr(formulas, "reduce_complex", lambda *args, **kwargs: calls.append(args))
+    for key, orders in weight_classes(g, chi, candidate_torsion_orders(chi)).items():
+        rho = even_reduction(chi, orders[0])
+        assert anti_invariant_homology(f, rho) == (0,) * (f.dim + 2), key
+        assert summand_counts(f, rho) == [0] * (f.dim + 1), key
+        for k in range(0, f.dim + 1):
+            assert _weight_pairs(f, derive_weight(chi, orders[0]), k + 1) == (), (key, k)
+            assert torsion_profile(f, chi, orders[0], k, 0) == TorsionProfile(k, orders[0], 0, 0, 0, 0, ())
+            with pytest.raises(ConsistencyError, match="weighted sum 0 outside \\[1, "):
+                torsion_profile(f, chi, orders[0], k, 1)
+    assert calls == []
 
 
 # -- properties ----------------------------------------------------------------

@@ -367,6 +367,46 @@ def test_rank_drop_at_t_1_trips_the_order_1_guard(monkeypatch, kite):
         full_decomposition(f, chi)
 
 
+def test_an_empty_cone_calls_no_local_smith_form(monkeypatch, apex_over_5_cycle):
+    # the apex, label 1, weighs 0 in all four classes and its closed star
+    # is the whole complex: every quotient is empty, the torsion is the
+    # order-1 part alone, and no class reaches the local kernel
+    g, chi = apex_over_5_cycle
+    f = build_flag_complex(g)
+    classes = weight_classes(g, chi, torsion_candidates(chi))
+    assert len(classes) == 4
+    for key in [(0,) * g.n_vertices, *classes]:
+        u, cells, _ = f.cone(key)
+        assert g.vertices[u] == "c" and not any(cells.values()), key
+    calls = []
+    real = homology.local_smith_valuations
+    monkeypatch.setattr(homology, "local_smith_valuations", lambda *args: calls.append(args) or real(*args))
+    got = full_decomposition(f, chi)
+    assert calls == []
+    want = smith_decomposition(f, chi)
+    assert list(got) == list(want)
+    for j in want:
+        assert got[j] == want[j], j
+    assert got[2].torsion == {1: (5,)}
+
+
+def test_a_tampered_star_rank_trips_the_pivot_count_guard_of_an_empty_quotient(monkeypatch, apex_over_5_cycle):
+    # the empty quotient skips the kernel but not the count: its pivots
+    # (none) must number the rank at t = 2 less the star's, so a class
+    # star rank one short in degree 2 raises, as a dropped pivot would
+    g, chi = apex_over_5_cycle
+    f = build_flag_complex(g)
+    real = f.cone
+
+    def short_star(key):
+        u, cells, star = real(key)
+        return (u, cells, {**star, 2: star[2] - 1}) if any(key) else (u, cells, star)
+
+    monkeypatch.setattr(f, "cone", short_star)
+    with pytest.raises(ConsistencyError, match="0 local pivots below s\\^4 for rank 1"):
+        full_decomposition(f, chi)
+
+
 def star_cells(f, u, k):
     outside = set(f.outside_star(u).get(k, ()))
     return [p for p in range(f.count(k)) if p not in outside]

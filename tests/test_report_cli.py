@@ -82,6 +82,26 @@ def test_parse_dot_errors():
         parse_dot_input(b"graph g { a [weight=1]; }")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [b"digraph { a [n=1]; b [n=2]; a -- b; }", b"strict digraph { a [n=1]; b [n=2]; a -- b; }", b"strict { a [n=1]; }"],
+)
+def test_every_header_but_graph_is_refused(tmp_path, capsys, text):
+    # only `graph` and `strict graph` name an undirected graph; a digraph
+    # is refused as one, strict or not and whichever parser it reaches
+    with pytest.raises(ParseError, match="only undirected 'graph' inputs are supported"):
+        parse_dot_input(text)
+    with pytest.raises(ParseError, match="only undirected 'graph' inputs are supported"):
+        parse_input(text)
+    target = tmp_path / "input.txt"
+    target.write_bytes(text)
+    assert main(["decompose", "--input", str(target)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "only undirected 'graph' inputs are supported" in err
+    g, chi = parse_dot_input(text.replace(b"digraph", b"graph").replace(b"strict {", b"strict graph {"))
+    assert chi["a"] == 1
+
+
 def test_canonical_round_trip():
     for name in FIXTURES:
         g, chi = parse_input(fixture_bytes(name))
