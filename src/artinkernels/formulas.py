@@ -29,9 +29,10 @@ stay the per-level oracle.
 
 Every statistic of an order sees it only through its 0/1 weight class,
 the key of graphs.weight_classes.  formula_decomposition reads each
-class once per degree through keyed cores (_bars, _summand_counts, one
-pass over the bars) and copies the profile to the class's other orders;
-the public readers derive the key and call the same cores.
+class once per degree through keyed cores (_bars, _summand_counts): the
+bars are the exponent vector (_exponents), the double cover's count must
+equal the number of bars, and the profile is copied to the class's
+other orders; the public readers derive the key and call the same cores.
 """
 
 from __future__ import annotations
@@ -166,15 +167,16 @@ def _weight_pairs(f: FlagComplex, w: WeightFunction, m: int) -> tuple[tuple[int,
     return _bars(f, tuple(w[v] for v in f.graph.vertices), m)
 
 
-def _bar_statistics(bars: Sequence[tuple[int, int]], k: int, summands: int) -> tuple[int, int, int]:
-    """weighted_exponent_sum, top_jordan_count and max_exponent (given the
-    summand count) of degree k+1, in one pass over the degree-(k+1) bars."""
-    total = top = longest = 0
+def _exponents(bars: Sequence[tuple[int, int]]) -> tuple[int, ...]:
+    """The exponent vector (r_1 .. r_M) of one degree: one summand of
+    exponent weight - lead weight per bar.  The weight-class boundary is
+    the graded boundary of the weight filtration, whose Smith form over
+    Q[s] is the barcode (Zomorodian and Carlsson, DCG 2005, sections
+    3-4); M is the longest bar, so no trailing zero is kept."""
+    vec = [0] * max((weight - lead for weight, lead in bars), default=0)
     for weight, lead in bars:
-        total += weight - lead
-        longest = max(longest, weight - lead)
-        top += lead <= 0 and weight > k + 1
-    return total, top, 0 if summands == 0 else total if summands == 1 else longest
+        vec[weight - lead - 1] += 1
+    return tuple(vec)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +263,7 @@ def weighted_exponent_sum(f: FlagComplex, w: WeightFunction, k: int) -> int:
     weight - lead weight over the paired tau, that is over the bars.
     """
     _check_degree(f, k)
-    return _bar_statistics(_weight_pairs(f, w, k + 1), k, 0)[0]
+    return sum(weight - lead for weight, lead in _weight_pairs(f, w, k + 1))
 
 
 def top_jordan_count(f: FlagComplex, w: WeightFunction, k: int) -> int:
@@ -269,7 +271,7 @@ def top_jordan_count(f: FlagComplex, w: WeightFunction, k: int) -> int:
     of the map from weight-0 k-cycles dying in the full complex into the
     classes of the level just below the full (k+1)-skeleton."""
     _check_degree(f, k)
-    return _bar_statistics(_weight_pairs(f, w, k + 1), k, 0)[1]
+    return sum(lead <= 0 and weight > k + 1 for weight, lead in _weight_pairs(f, w, k + 1))
 
 
 def c_rank(f: FlagComplex, w: WeightFunction, k: int, i: int, j: int) -> int:
@@ -296,7 +298,8 @@ def max_exponent(f: FlagComplex, w: WeightFunction, k: int, summands: int) -> in
     q < weight, so the largest gap is the largest weight - lead weight.
     """
     _check_degree(f, k)
-    return _bar_statistics(_weight_pairs(f, w, k + 1), k, summands)[2]
+    lengths = [weight - lead for weight, lead in _weight_pairs(f, w, k + 1)]
+    return 0 if summands == 0 else sum(lengths) if summands == 1 else max(lengths, default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -352,10 +355,11 @@ def h1_even_summary(g: SimplicialGraph, rho: Character) -> tuple[int, int]:
 class TorsionProfile:
     """Everything the formula pipeline knows about one primary part.
 
-    weighted_sum is the dimension counted per irreducible factor,
-    summand_count the number of summands, top_count the number of
-    maximal-exponent (k+2) summands, max_exponent the largest exponent;
-    exponents is the full vector when the statistics pin it down.
+    exponents is the full vector (r_1 .. r_M), trailing zeros trimmed;
+    weighted_sum (the dimension counted per irreducible factor),
+    top_count (the number of maximal-exponent k+2 summands) and
+    max_exponent are read off it, and summand_count is the double
+    cover's count of summands.
     """
 
     k: int
@@ -364,7 +368,7 @@ class TorsionProfile:
     summand_count: int
     top_count: int
     max_exponent: int
-    exponents: Optional[tuple[int, ...]] = None
+    exponents: tuple[int, ...] = ()
 
     def validate(self) -> None:
         lo, hi = self.summand_count, (self.k + 2) * self.summand_count
@@ -374,18 +378,14 @@ class TorsionProfile:
             raise ConsistencyError("more maximal blocks than blocks")
         if self.max_exponent > self.k + 2:
             raise ConsistencyError("exponent exceeds the degree bound")
-        if self.exponents is not None:
-            vec = self.exponents
-            if sum(vec) != self.summand_count:
-                raise ConsistencyError("exponent vector count mismatch")
-            if sum((j + 1) * r for j, r in enumerate(vec)) != self.weighted_sum:
-                raise ConsistencyError("exponent vector weight mismatch")
 
 
 def solve_exponents(profile: TorsionProfile, k: int) -> Optional[tuple[int, ...]]:
     """The unique exponent vector (r_1 .. r_{k+2}) with the profiled count,
     weighted sum, top count and maximal exponent, trailing zeros trimmed;
-    None when several vectors match, and no match raises.
+    None when several vectors match, and no match raises.  A closed-form
+    helper that no pipeline calls: formula_decomposition reads the vector
+    off the bars.
 
     A nonzero top count pins r_{k+2} (the maximal exponent is then k+2);
     otherwise a maximal exponent M pins one summand at M.  The other
@@ -429,10 +429,17 @@ def _profile(f: FlagComplex, key: tuple[int, ...], d: int, k: int, summands: int
     bars = _bars(f, key, k + 1) if any(key) else ()
     if not any(key) or not (bars or summands):
         return TorsionProfile(k, d, 0, 0, 0, 0, ())
-    total, top, maxe = _bar_statistics(bars, k, summands)
-    profile = TorsionProfile(k, d, total, summands, top, maxe)
+    vec = _exponents(bars)
+    weighted = sum(j * r for j, r in enumerate(vec, start=1))
+    profile = TorsionProfile(k, d, weighted, summands, vec[k + 1] if len(vec) > k + 1 else 0, len(vec), vec)
     profile.validate()
-    profile.exponents = solve_exponents(profile, k)
+    # two theorems count the summands: the bars of the weight filtration
+    # and the anti-invariant homology of the double cover
+    if len(bars) != summands:
+        raise ConsistencyError(
+            f"bar count {len(bars)} differs from the double cover's summand count {summands} "
+            f"in degree {k + 1}, order {d}"
+        )
     return profile
 
 
@@ -452,9 +459,9 @@ def formula_decomposition(
 ) -> dict[int, dict]:
     """Formula-side summary per homology degree.
 
-    Returns degree -> {"free_rank", "torsion" (resolved vectors only),
-    "profiles" (order -> TorsionProfile)}.  Degree 0 is the constant
-    answer for a surjective character.
+    Returns degree -> {"free_rank", "torsion" (order -> exponent vector,
+    orders with no torsion omitted), "profiles" (order -> TorsionProfile)}.
+    Degree 0 is the constant answer for a surjective character.
     """
     top = f.dim + 1
     if max_degree is not None:
@@ -475,6 +482,6 @@ def formula_decomposition(
             p = _profile(f, key, ds[0], k, counts[k])
             stats = (p.weighted_sum, p.summand_count, p.top_count, p.max_exponent, p.exponents)
             out[k + 1]["profiles"].update({d: TorsionProfile(k, d, *stats) for d in ds})
-            if p.exponents is not None and any(p.exponents):
+            if p.exponents:
                 out[k + 1]["torsion"].update(dict.fromkeys(ds, p.exponents))
     return out

@@ -200,16 +200,6 @@ class ModuleDecomposition:
     def summand_count(self, d: int) -> int:
         return sum(self.exponent_vector(d))
 
-    def weighted_sum(self, d: int) -> int:
-        return sum((j + 1) * r for j, r in enumerate(self.exponent_vector(d)))
-
-    def max_exponent(self, d: int) -> int:
-        return len(self.exponent_vector(d))
-
-    def top_count(self, d: int, k: int) -> int:
-        vec = self.exponent_vector(d)
-        return vec[k + 1] if len(vec) > k + 1 else 0
-
     def is_zero(self) -> bool:
         return self.free_rank == 0 and not self.torsion and not self.remainder_factors
 

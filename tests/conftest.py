@@ -82,6 +82,26 @@ def make_apex_over_5_cycle():
     return g, chi
 
 
+def make_ambiguous_h3():
+    # labels 2 on a, d, f, g and 1 elsewhere: the order-2 part of H_3 is
+    # (0, 2, 1), whose count 3, weighted sum 7, largest exponent 3 and
+    # top count 0 fit (1, 0, 2) as well, so those four statistics leave
+    # it open and only the bars pin it down
+    g = SimplicialGraph(
+        list("abcdefghijkl"),
+        [
+            ("a", "c"), ("a", "d"), ("a", "e"), ("a", "f"), ("a", "g"), ("a", "j"), ("a", "k"), ("a", "l"),
+            ("b", "c"), ("b", "f"), ("b", "g"), ("b", "h"), ("b", "i"), ("c", "e"), ("c", "f"), ("c", "g"),
+            ("c", "j"), ("c", "k"), ("d", "e"), ("d", "f"), ("d", "g"), ("d", "h"), ("d", "i"), ("d", "j"),
+            ("d", "k"), ("d", "l"), ("e", "g"), ("e", "h"), ("e", "i"), ("e", "l"), ("f", "g"), ("f", "h"),
+            ("f", "i"), ("f", "k"), ("f", "l"), ("g", "h"), ("g", "i"), ("g", "j"), ("h", "j"), ("h", "l"),
+            ("i", "l"), ("j", "k"), ("k", "l"),
+        ],
+    )
+    chi = Character({v: 2 if v in "adfg" else 1 for v in g.vertices})
+    return g, chi
+
+
 @pytest.fixture
 def tree():
     return make_tree()
@@ -110,6 +130,11 @@ def square_frame():
 @pytest.fixture
 def apex_over_5_cycle():
     return make_apex_over_5_cycle()
+
+
+@pytest.fixture
+def ambiguous_h3():
+    return make_ambiguous_h3()
 
 
 # -- independent oracles -----------------------------------------------------

@@ -43,6 +43,7 @@ from artinkernels import (
 from artinkernels import formulas
 from artinkernels.crosscheck import (
     cross_validate_once,
+    fuzz,
     random_connected_graph,
     random_nonresonant_character,
 )
@@ -677,6 +678,69 @@ def test_an_empty_cone_has_no_bars_and_its_profile_is_still_checked(monkeypatch,
             with pytest.raises(ConsistencyError, match="weighted sum 0 outside \\[1, "):
                 torsion_profile(f, chi, orders[0], k, 1)
     assert calls == []
+
+
+def drop_shortest_bar(monkeypatch):
+    real = formulas._bars
+
+    def short_one(f, key, m):
+        return tuple(sorted(real(f, key, m), key=lambda bar: bar[0] - bar[1])[1:])
+
+    monkeypatch.setattr(formulas, "_bars", short_one)
+
+
+def test_a_dropped_bar_trips_the_count_guard(monkeypatch, kite):
+    # the kite's order-2 part of H_1 is (0, 2): one of its two bars left
+    # still passes the profile check, and only the double cover's count
+    # of 2 summands refuses it
+    g, chi = kite
+    drop_shortest_bar(monkeypatch)
+    want = "bar count 1 differs from the double cover's summand count 2 in degree 1, order 2"
+    with pytest.raises(ConsistencyError, match=want):
+        formula_decomposition(build_flag_complex(g), chi, candidate_torsion_orders(chi))
+
+
+def test_fuzz_records_a_tripped_count_guard_as_a_mismatch(monkeypatch):
+    # most trials lose a bar of exponent 1 and fail the profile check on
+    # their weighted sum; trial 5 keeps its weighted sum in bounds and
+    # fails on the count alone, and fuzz runs on after each failure
+    drop_shortest_bar(monkeypatch)
+    result = fuzz(20, 1)
+    assert result.trials == 20 and len(result.mismatches) > 1
+    count = [msg for msg in result.mismatches if "differs from the double cover's summand count" in msg]
+    assert len(count) == 1 and count[0].startswith("trial 5 ("), result.mismatches
+
+
+def test_formula_decomposition_calls_no_solver(monkeypatch, ambiguous_h3):
+    def forbidden(*args):
+        raise AssertionError("solve_exponents called")
+
+    monkeypatch.setattr(formulas, "solve_exponents", forbidden)
+    for g, chi in (make_kite(), make_square_frame(), make_triforce(), make_tree(), ambiguous_h3):
+        out = formula_decomposition(build_flag_complex(g), chi, candidate_torsion_orders(chi))
+        assert all(p.exponents is not None for entry in out.values() for p in entry["profiles"].values())
+
+
+def test_solver_agrees_with_the_bars_wherever_it_resolves(ambiguous_h3):
+    # the solver stays an oracle: where the four statistics pin a vector
+    # down it is the bar vector; the ambiguous H_3 profile is left open
+    rng = random.Random(71)
+    cases = [ambiguous_h3]
+    for _ in range(40):
+        g = random_connected_graph(rng, 8)
+        cases.append((g, random_nonresonant_character(rng, g, 12)))
+    resolved, unresolved = Counter(), []
+    for g, chi in cases:
+        out = formula_decomposition(build_flag_complex(g), chi, candidate_torsion_orders(chi))
+        for m, entry in out.items():
+            for d, profile in entry["profiles"].items():
+                vec = solve_exponents(profile, m - 1)
+                if vec is None:
+                    unresolved.append(profile.exponents)
+                else:
+                    assert vec == profile.exponents, (m, d, profile)
+                    resolved[len(vec) > 0] += 1
+    assert resolved[True] > 50 and (0, 2, 1) in unresolved
 
 
 # -- properties ----------------------------------------------------------------

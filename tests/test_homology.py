@@ -663,3 +663,22 @@ def test_even_reduction_check_names_each_difference(kite):
     for what, changed in changes.items():
         issues = even_reduction_check(f, chi, "", {**raw, 1: changed}, raw)
         assert len(issues) == 1 and issues[0].startswith("H_1: " + what), issues
+
+
+def test_compare_pipelines_names_each_difference(kite):
+    # one line per difference: the free rank, the order-1 part, or one
+    # order's exponent vector, never a line per statistic of that vector
+    g, chi = kite
+    f = build_flag_complex(g)
+    orders = candidate_torsion_orders(chi)
+    direct, formula = full_decomposition(f, chi), formula_decomposition(f, chi, orders)
+    assert compare_pipelines(direct, formula, orders) == []
+    h1 = direct[1]
+    changes = {
+        ": free rank": dataclasses.replace(h1, free_rank=h1.free_rank + 1),
+        ": order-1 part": dataclasses.replace(h1, torsion={**h1.torsion, 1: (4,)}),
+        " d=2: exponents": dataclasses.replace(h1, torsion={**h1.torsion, 2: (1, 1)}),
+    }
+    for what, changed in changes.items():
+        issues = compare_pipelines({**direct, 1: changed}, formula, orders)
+        assert len(issues) == 1 and issues[0].startswith("H_1" + what), issues

@@ -1,6 +1,7 @@
 """Input parsing, report serialization, CLI behavior and exit codes."""
 
 import json
+import re
 
 import pytest
 
@@ -56,21 +57,23 @@ def test_parse_json_rejects_edges_that_are_not_string_pairs(tmp_path, capsys, ed
 
 
 def test_parse_dot():
-    text = b"""
-    graph kernel {
-      a [n=18];
-      b [n=4];
-      c [n=12];
-      a -- b;
-      a -- c;
-    }
-    """
-    g, chi = parse_dot_input(text)
-    assert g.vertices == ("a", "b", "c")
-    assert chi["a"] == 18
-    assert g.edges == (("a", "b"), ("a", "c"))
-    g2, chi2 = parse_input(text.strip())
-    assert g2.vertices == g.vertices and chi2.values == chi.values
+    # DOT keywords are case-independent
+    for header in (b"graph kernel", b"Graph", b"GRAPH g", b"Strict Graph"):
+        text = b"""
+        %s {
+          a [n=18];
+          b [n=4];
+          c [n=12];
+          a -- b;
+          a -- c;
+        }
+        """ % header
+        g, chi = parse_dot_input(text)
+        assert g.vertices == ("a", "b", "c")
+        assert chi["a"] == 18
+        assert g.edges == (("a", "b"), ("a", "c"))
+        g2, chi2 = parse_input(text.strip())
+        assert g2.vertices == g.vertices and chi2.values == chi.values
 
 
 def test_parse_dot_errors():
@@ -84,7 +87,13 @@ def test_parse_dot_errors():
 
 @pytest.mark.parametrize(
     "text",
-    [b"digraph { a [n=1]; b [n=2]; a -- b; }", b"strict digraph { a [n=1]; b [n=2]; a -- b; }", b"strict { a [n=1]; }"],
+    [
+        b"digraph { a [n=1]; b [n=2]; a -- b; }",
+        b"strict digraph { a [n=1]; b [n=2]; a -- b; }",
+        b"strict { a [n=1]; }",
+        b"DiGraph { a [n=1]; b [n=2]; a -- b; }",
+        b"STRICT DIGRAPH g { a [n=1]; }",
+    ],
 )
 def test_every_header_but_graph_is_refused(tmp_path, capsys, text):
     # only `graph` and `strict graph` name an undirected graph; a digraph
@@ -98,7 +107,7 @@ def test_every_header_but_graph_is_refused(tmp_path, capsys, text):
     assert main(["decompose", "--input", str(target)]) == 1
     out, err = capsys.readouterr()
     assert out == "" and "only undirected 'graph' inputs are supported" in err
-    g, chi = parse_dot_input(text.replace(b"digraph", b"graph").replace(b"strict {", b"strict graph {"))
+    g, chi = parse_dot_input(re.sub(b"(?i)digraph", b"graph", text).replace(b"strict {", b"strict graph {"))
     assert chi["a"] == 1
 
 
@@ -150,6 +159,25 @@ def test_run_exit_codes_and_formulas_refusal():
         JobSpec(data=fixture_bytes("tree_resonant"), method="direct", allow_resonant=True)
     )
     assert code == 0
+
+
+def test_formula_only_report_reads_every_vector_off_the_bars(ambiguous_h3):
+    # H_3's order-2 profile (3 summands, weighted sum 7, largest exponent
+    # 3) fits two vectors; the formula-only report must still print the
+    # direct module and the vector, in every degree
+    data = canonical_input_json(*ambiguous_h3)
+    lines = {}
+    for method in ("direct", "formulas"):
+        report, code = run(JobSpec(data=data, method=method))
+        assert code == 0
+        lines[method] = [x for x in emit_report(report, "text").decode().splitlines() if x.startswith("H_")]
+    assert "H_3 = (K[t±1]/Φ1)^26 ⊕ (K[t±1]/Φ2^2)^2 ⊕ K[t±1]/Φ2^3" in lines["direct"]
+    assert lines["formulas"] == lines["direct"]
+    report, code = run(JobSpec(data=data, method="both"))
+    assert code == 0 and report.agreement == "agree"
+    doc = json.loads(emit_report(report, "json"))
+    assert doc["profiles"]["3"]["2"]["exponents"] == [0, 2, 1]
+    assert b"undetermined" not in emit_report(report, "text")
 
 
 def test_emitted_degrees_structure():
