@@ -6,6 +6,12 @@ chain complex here is augmented; reduced homology is then uniform across
 degrees, with the degree-0 boundary matrix being the all-ones
 augmentation row.
 
+Each simplex is one int, its code: bit i set for each vertex i, as
+Ripser codes Rips simplices (Bauer, J. Appl. Comput. Topol. 5, 2021).
+Every table is read off the codes: a facet is code ^ (1 << v), St(u) is
+the codes inside u's closed neighbourhood mask, and a weight under 0/1
+vertex weights is a popcount.  Simplex objects are made only on request.
+
 Each complex tabulates the faces of its simplices once (FlagComplex.faces),
 and boundary_matrix is the one builder that turns that table into a
 matrix: filtration levels keep a subset of the columns, relative pairs
@@ -14,25 +20,24 @@ twisted and anti-invariant complexes of the other modules replace the
 incidence sign through its entry hook.  It reads the table as sparse
 columns, which the eliminations of linalg take as they are; the dense
 matrix is a view of them for the Smith form over Q[t] and for callers
-that index entries.  reduce_complex ranks or pairs a whole chain complex
-with one top-down column reduction that clears, or its quotient by the
-closed star of a vertex u, the cone of the sigma with sigma + {u} a
-clique (outside_star).  Under any entry hook that keeps u's entry a unit
-the star is acyclic, so the quotient keeps the reduced homology, and
-star_ranks gives the ranks the quotient lacks from the star's cell
-counts alone; for u of weight 0 the quotient also keeps every bar of
-positive length of the weight filtration.  FlagComplex.cone picks u for
-every quotient of both pipelines: a weight class's weight-0 vertex with
-the largest star, and for the rank complexes, whose entries are units
-everywhere, the largest star of all (the all-zero key).
+that index entries.
+
+reduce_complex ranks or pairs a whole chain complex with one top-down
+column reduction that clears, or its quotient by the closed star of a
+vertex u (outside_star).  Under any entry hook that keeps u's entry a
+unit the star is a cone on u, hence acyclic, so the quotient keeps the
+reduced homology, and star_ranks gives the ranks the quotient lacks from
+the star's cell counts alone; for u of weight 0 the quotient also keeps
+every bar of positive length of the weight filtration.  FlagComplex.cone
+picks u for every quotient of both pipelines: a weight class's weight-0
+vertex with the largest star, and for the rank complexes, whose entries
+are units everywhere, the largest star of all (the all-zero key).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import attrgetter
 from typing import Callable, Optional, Sequence, Union
 
 from .graphs import InputError, SimplicialGraph, WeightFunction
@@ -89,41 +94,52 @@ def incidence(sigma: Simplex, tau: Simplex) -> int:
 class FlagComplex:
     """All cliques of a graph, graded by dimension, in lexicographic order.
 
+    codes[d] lists the codes of the d-simplices (dimension -1 .. dim) in
+    the lexicographic order of their vertex index tuples, and the position
+    of a simplex is its place there (the one code-to-position dict
+    _position); _adjacency[i] is the mask of vertex i's neighbours.
+
     boundary_ranks, None until homology.boundary_rank first runs, is then
     the untwisted boundary's rank in every degree, one table assigned
     whole.  weight_pairs holds the bars (weight > lead weight) of every
     degree of a 0/1 weight vector, stored by the formula pipeline's one
-    reduce_complex call per vector; faces memoizes the face table of
-    each dimension, outside_star the cells outside each vertex's closed
-    star and cone each key's quotient, next to one count of the
-    simplices through each vertex.
+    reduce_complex call per vector.  The memos: faces, the face table of
+    each dimension; the star of each vertex, its outside_star cells with
+    its star_ranks; cone, each key's quotient, next to one count of the
+    simplices through each vertex; and each key's weight-1 vertex mask.
     Every entry is complete when stored and a function of the complex
     and its key alone, so threads sharing a complex can at worst compute
     an entry twice and store the same value.
     """
 
-    def __init__(self, graph: SimplicialGraph, levels: dict[int, list[Simplex]]):
+    def __init__(self, graph: SimplicialGraph, codes: dict[int, list[int]], adjacency: list[int]):
         self.graph = graph
-        self._levels = levels
-        self.dim = max(levels)
-        self._positions: dict[int, dict[tuple[int, ...], int]] = {
-            d: {s.indices: i for i, s in enumerate(simps)} for d, simps in levels.items()
-        }
+        self.codes = codes
+        self._adjacency = adjacency
+        self.dim = max(codes)
+        self._position = {code: p for level in codes.values() for p, code in enumerate(level)}
         self.boundary_ranks: Optional[dict[int, int]] = None
         self.weight_pairs: dict[tuple[tuple[int, ...], int], tuple[tuple[int, int], ...]] = {}
         self._faces: dict[int, tuple[tuple[tuple[int, int, str], ...], ...]] = {}
-        self._outside: dict[int, dict[int, list[int]]] = {}
+        self._stars: dict[int, tuple[dict[int, list[int]], dict[int, int]]] = {}
         self._cones: dict[tuple[int, ...], tuple] = {}
-        self._through: Optional[Counter[int]] = None
+        self._through: Optional[list[int]] = None
+        self._masks: dict[tuple[int, ...], int] = {}
+        self._simplices: dict[int, tuple[Simplex, ...]] = {}
 
     def simplices(self, dim: int) -> tuple[Simplex, ...]:
-        return tuple(self._levels.get(dim, ()))
+        """The dim-simplices as Simplex objects, made on the first call."""
+        if dim not in self._simplices:
+            names, every = self.graph.vertices, range(self.graph.n_vertices)
+            indices = (tuple(i for i in every if code >> i & 1) for code in self.codes.get(dim, ()))
+            self._simplices[dim] = tuple(Simplex(tuple(map(names.__getitem__, idx)), idx) for idx in indices)
+        return self._simplices[dim]
 
     def count(self, dim: int) -> int:
-        return len(self._levels.get(dim, ()))
+        return len(self.codes.get(dim, ()))
 
     def position(self, dim: int, indices: tuple[int, ...]) -> int:
-        return self._positions[dim][indices]
+        return self._position[sum(1 << i for i in indices)]
 
     def faces(self, k: int) -> tuple[tuple[tuple[int, int, str], ...], ...]:
         """Face table of the k-simplices, built once per dimension.
@@ -135,35 +151,44 @@ class FlagComplex:
         """
         table = self._faces.get(k)
         if table is None:
-            below = self._positions.get(k - 1, {})
-            table = self._faces[k] = tuple(
-                tuple(
-                    (below[sigma.facet(i)], -1 if (k - i) % 2 else 1, v)
-                    for i, v in enumerate(sigma.vertices)
-                )
-                for sigma in self._levels.get(k, ())
-            )
+            at, names, rows = self._position, self.graph.vertices, []
+            for code in self.codes.get(k, ()):
+                row, rest, after = [], code, k
+                while rest:
+                    low = rest & -rest
+                    row.append((at[code ^ low], -1 if after % 2 else 1, names[low.bit_length() - 1]))
+                    rest ^= low
+                    after -= 1
+                rows.append(tuple(row))
+            table = self._faces[k] = tuple(rows)
         return table
+
+    def _star(self, u: int) -> tuple[dict[int, list[int]], dict[int, int]]:
+        star = self._stars.get(u)
+        if star is None:
+            far, outside, ranks = ~(self._adjacency[u] | 1 << u), {}, {-1: 0}
+            for m, codes in self.codes.items():
+                kept = outside[m] = [p for p, code in enumerate(codes) if code & far]
+                ranks[m + 1] = len(codes) - len(kept) - ranks[m]
+            outside[self.dim + 1], ranks[self.dim + 1] = [], 0
+            star = self._stars[u] = outside, ranks
+        return star
 
     def outside_star(self, u: int) -> dict[int, list[int]]:
         """Positions, per dimension -1 .. dim + 1, of the simplices outside
-        the closed star of vertex u: those with a vertex neither u nor next to u."""
-        if u not in self._outside:
-            near = {i for i in range(self.graph.n_vertices) if i == u or self.graph.adjacent(u, i)}
-            levels = ((d, self._levels.get(d, ())) for d in range(-1, self.dim + 2))
-            self._outside[u] = {d: [p for p, s in enumerate(simps) if not near.issuperset(s.indices)] for d, simps in levels}
-        return self._outside[u]
+        the closed star of vertex u: those with a vertex neither u nor next
+        to u, so whose code meets the complement of u's closed neighbourhood."""
+        return self._star(u)[0]
 
     def star_ranks(self, u: int) -> dict[int, int]:
         """Boundary ranks, per degree -1 .. dim + 1, of the closed star of
         vertex u, under any entry hook that keeps u's entry a unit: the
         star is a cone on u, so its augmented complex is exact, and
-        r[-1] = 0, r[m + 1] = |St(u)_m| - r[m].  A complex's boundary rank
-        is its quotient's (outside_star) plus the star's."""
-        outside, ranks = self.outside_star(u), {-1: 0}
-        for m in range(-1, self.dim + 1):
-            ranks[m + 1] = self.count(m) - len(outside[m]) - ranks[m]
-        return ranks
+        r[-1] = 0, r[m + 1] = |St(u)_m| - r[m], up to r[dim + 1] = 0 (no
+        cells above; a complex cut at max_dim lacks the cones of its top
+        simplices, so exactness stops below dim).  A complex's boundary
+        rank is its quotient's (outside_star) plus the star's."""
+        return self._star(u)[1]
 
     def cone(self, key: Sequence[int]) -> tuple[Optional[int], dict[int, Sequence[int]], dict[int, int]]:
         """(u, outside_star(u), star_ranks(u)), the quotient of every
@@ -177,10 +202,10 @@ class FlagComplex:
             zeros = [i for i, x in enumerate(key) if not x]
             if zeros:
                 if self._through is None:
-                    simps = chain.from_iterable(self._levels.values())
-                    self._through = Counter(chain.from_iterable(map(attrgetter("indices"), simps)))
+                    cells = list(chain.from_iterable(self.codes.values()))
+                    self._through = [sum(map((1 << v).__and__, cells)) >> v for v in range(self.graph.n_vertices)]
                 u = max(zeros, key=self._through.__getitem__)
-                cone = u, self.outside_star(u), self.star_ranks(u)
+                cone = (u, *self._star(u))
             else:
                 every = range(-1, self.dim + 2)
                 cone = None, {d: range(self.count(d)) for d in every}, dict.fromkeys(every, 0)
@@ -195,27 +220,29 @@ class FlagComplex:
 def build_flag_complex(g: SimplicialGraph, max_dim: Optional[int] = None) -> FlagComplex:
     """Enumerate every clique of g (all of them, not just maximal ones).
 
-    Depth-first extension over the ordered vertex set, with an explicit
-    stack; an optional max_dim prunes cliques with more than max_dim + 1
-    vertices.  Deterministic: each dimension comes out in lexicographic
-    order.
+    One dimension at a time: each clique of the last one, in order, is
+    extended by each of its candidates (the vertices after its last one
+    and next to all of its own, one adjacency mask) in ascending order,
+    so each dimension comes out in lexicographic order with no sort and
+    no recursion.  An optional max_dim prunes cliques with more than
+    max(max_dim, 0) + 1 vertices.
     """
-    levels: dict[int, list[Simplex]] = {-1: [Simplex((), ())]}
-    stack: list[tuple[tuple[int, ...], list[int]]] = [((), list(range(g.n_vertices)))]
-    while stack:
-        prefix, candidates = stack.pop()
-        for v in candidates:
-            clique = prefix + (v,)
-            simp = Simplex(tuple(g.vertices[i] for i in clique), clique)
-            levels.setdefault(simp.dim, []).append(simp)
-            if max_dim is not None and len(clique) >= max_dim + 1:
-                continue
-            nxt = [w for w in candidates if w > v and g.adjacent(v, w)]
-            if nxt:
-                stack.append((clique, nxt))
-    for simps in levels.values():
-        simps.sort(key=lambda s: s.indices)
-    return FlagComplex(g, levels)
+    every = range(g.n_vertices)
+    adjacency = [sum(1 << j for j in every if g.adjacent(i, j)) for i in every]
+    codes = {-1: [0]}
+    level = [(0, (1 << g.n_vertices) - 1)]
+    for d in range(0, g.n_vertices if max_dim is None else max(max_dim, 0) + 1):
+        extended = []
+        for code, candidates in level:
+            while candidates:
+                low = candidates & -candidates
+                candidates ^= low
+                extended.append((code | low, candidates & adjacency[low.bit_length() - 1]))
+        if not extended:
+            break
+        codes[d] = [code for code, _ in extended]
+        level = extended
+    return FlagComplex(g, codes, adjacency)
 
 
 def boundary_matrix(
@@ -327,12 +354,17 @@ def simplex_weight(sigma: Simplex, w: WeightFunction) -> int:
 
 def simplex_weights(f: FlagComplex, key: Sequence[int], k: int, positions: Optional[Sequence[int]] = None) -> list[int]:
     """Weights of the k-simplices at positions (all of them by default),
-    under vertex weights given in the graph's vertex order (the key of
-    graphs.weight_classes)."""
-    simps = f.simplices(k)
+    under 0/1 vertex weights given in the graph's vertex order (the key of
+    graphs.weight_classes): the popcount of each code's weight-1 vertices,
+    under one mask per key."""
+    key = tuple(key)
+    mask = f._masks.get(key)
+    if mask is None:
+        mask = f._masks[key] = sum(1 << i for i, x in enumerate(key) if x)
+    codes = f.codes.get(k, ())
     if positions is not None:
-        simps = map(simps.__getitem__, positions)
-    return [sum(map(key.__getitem__, s.indices)) for s in simps]
+        codes = map(codes.__getitem__, positions)
+    return list(map(int.bit_count, map(mask.__and__, codes)))
 
 
 def total_weight(f: FlagComplex, w: WeightFunction, k: int) -> int:

@@ -289,17 +289,18 @@ def c_rank(f: FlagComplex, w: WeightFunction, k: int, i: int, j: int) -> int:
 
 
 def max_exponent(f: FlagComplex, w: WeightFunction, k: int, summands: int) -> int:
-    """Largest exponent j with a summand of exponent j in degree k+1.
+    """Largest exponent j with a summand of exponent j in degree k+1, 0
+    when there is no torsion: the longest bar.
 
-    0 when there is no torsion; with a single summand the exponent equals
-    the weighted sum; otherwise it is the largest level gap q - p + 1
-    over nonzero located-cycle ranks (target level q, source level p).
-    A paired tau counts in those ranks exactly when lead weight <= p and
-    q < weight, so the largest gap is the largest weight - lead weight.
+    It is the largest level gap q - p + 1 over nonzero located-cycle
+    ranks (target level q, source level p).  A paired tau counts in those
+    ranks exactly when lead weight <= p and q < weight, so the largest gap
+    is the largest weight - lead weight.  The bars alone give it, so
+    summands, the double cover's summand count, is not read; _profile
+    checks that count against the bars.
     """
     _check_degree(f, k)
-    lengths = [weight - lead for weight, lead in _weight_pairs(f, w, k + 1)]
-    return 0 if summands == 0 else sum(lengths) if summands == 1 else max(lengths, default=0)
+    return max((weight - lead for weight, lead in _weight_pairs(f, w, k + 1)), default=0)
 
 
 # ---------------------------------------------------------------------------

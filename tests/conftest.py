@@ -178,6 +178,27 @@ def brute_force_cliques(g: SimplicialGraph):
     return by_size
 
 
+def tuple_cliques(g: SimplicialGraph, max_dim=None):
+    """Every clique of g as an index tuple, per dimension -1 .. dim, each
+    dimension sorted lexicographically: depth-first extension over the
+    ordered vertex set with an explicit stack and adjacency tests, no
+    vertex masks.  max_dim prunes as build_flag_complex does: cliques
+    with more than max_dim + 1 vertices are not extended to."""
+    levels = {-1: [()]}
+    stack = [((), list(range(g.n_vertices)))]
+    while stack:
+        prefix, candidates = stack.pop()
+        for v in candidates:
+            clique = prefix + (v,)
+            levels.setdefault(len(clique) - 1, []).append(clique)
+            if max_dim is not None and len(clique) >= max_dim + 1:
+                continue
+            extended = [w for w in candidates if w > v and g.adjacent(v, w)]
+            if extended:
+                stack.append((clique, extended))
+    return {d: sorted(cliques) for d, cliques in sorted(levels.items())}
+
+
 def oracle_divisors(n: int):
     return [d for d in range(1, abs(n) + 1) if n % d == 0]
 

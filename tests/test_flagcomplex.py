@@ -2,6 +2,8 @@
 boundary matrices, weights, and the filtration levels."""
 
 import random
+import sys
+import threading
 
 from artinkernels import (
     Simplex,
@@ -27,6 +29,7 @@ from conftest import (
     make_tree,
     make_triforce,
     oracle_rank,
+    tuple_cliques,
 )
 from artinkernels import SimplicialGraph
 
@@ -364,3 +367,123 @@ def test_reduce_complex_builds_and_reduces_no_empty_degree(monkeypatch):
                     else:
                         assert leads[m] == reduce_complex(f, range(m, m + 1), weights=weights, cells=cells)[m], (trial, m)
     assert skipped > 500
+
+
+# -- clique codes against the tuple enumeration ------------------------------
+
+
+def code_cases():
+    """200 random graphs on 0 .. 9 vertices, edgeless to complete, so many
+    disconnected, each with a max_dim of None, 0, 1 or 2, and the tuple
+    oracle's cliques per dimension."""
+    rng = random.Random(53)
+    for _ in range(200):
+        n = rng.randint(0, 9)
+        p = rng.choice((0.0, 0.2, 0.4, 0.6, 0.8, 1.0))
+        names = [f"x{i}" for i in range(n)]
+        edges = [(names[a], names[b]) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
+        g = SimplicialGraph(names, edges)
+        max_dim = rng.choice((None, None, 0, 1, 2))
+        yield g, build_flag_complex(g, max_dim), tuple_cliques(g, max_dim)
+
+
+def test_clique_codes_match_the_tuple_enumeration():
+    dims = set()
+    for g, f, oracle in code_cases():
+        assert f.dim == max(oracle) and list(f.codes) == list(oracle)
+        for d in range(-1, f.dim + 2):
+            cliques = oracle.get(d, [])
+            assert f.codes.get(d, []) == [sum(1 << i for i in c) for c in cliques]
+            assert f.count(d) == len(cliques)
+            assert f.simplices(d) == tuple(Simplex(tuple(g.vertices[i] for i in c), c) for c in cliques)
+            assert all(f.position(d, c) == p for p, c in enumerate(cliques))
+        dims.add(f.dim)
+    assert dims >= {-1, 0, 1, 2, 3}
+
+
+def test_face_table_matches_the_tuple_enumeration():
+    for g, f, oracle in code_cases():
+        slot = {c: p for cliques in oracle.values() for p, c in enumerate(cliques)}
+        for k in range(-1, f.dim + 2):
+            assert f.faces(k) == tuple(
+                tuple((slot[c[:i] + c[i + 1 :]], -1 if (k - i) % 2 else 1, g.vertices[v]) for i, v in enumerate(c))
+                for c in oracle.get(k, [])
+            ), k
+
+
+def test_closed_stars_match_the_tuple_enumeration():
+    # outside_star by adjacency tests on the index tuples, and star_ranks
+    # as the ranks of the boundary restricted to the star's own cells
+    for g, f, oracle in code_cases():
+        for u in range(g.n_vertices):
+            near = {u} | {v for v in range(g.n_vertices) if g.adjacent(u, v)}
+            outside = {d: [p for p, c in enumerate(oracle.get(d, [])) if not near.issuperset(c)] for d in range(-1, f.dim + 2)}
+            assert f.outside_star(u) == outside, u
+            star = {d: [p for p in range(f.count(d)) if p not in outside.get(d, ())] for d in range(-2, f.dim + 2)}
+            ranks = {m: rank_rational(boundary_matrix(f, m, cols=star[m], rows=star[m - 1], sparse=True), height=len(star[m - 1])) for m in range(0, f.dim + 2)}
+            assert f.star_ranks(u) == {-1: 0, **ranks}, u
+            assert f.star_ranks(u) is f.star_ranks(u)
+
+
+def test_cones_and_class_weights_match_the_tuple_enumeration():
+    # every 0/1 key: the cone's vertex is the weight-0 vertex through the
+    # most simplices, the lowest index on ties, and each simplex weighs
+    # the sum of its vertices' weights
+    ties = 0
+    for g, f, oracle in code_cases():
+        n = g.n_vertices
+        through = [sum(v in c for cliques in oracle.values() for c in cliques) for v in range(n)]
+        every = range(-1, f.dim + 2)
+        for bits in range(1 << n):
+            key = tuple(bits >> i & 1 for i in range(n))
+            zeros = [i for i in range(n) if not key[i]]
+            if zeros:
+                most = max(through[i] for i in zeros)
+                u = min(i for i in zeros if through[i] == most)
+                ties += sum(through[i] == most for i in zeros) > 1
+                assert f.cone(key) == (u, f.outside_star(u), f.star_ranks(u)), key
+            else:
+                assert f.cone(key) == (None, {d: range(f.count(d)) for d in every}, dict.fromkeys(every, 0))
+            for k in every:
+                weights = [sum(key[i] for i in c) for c in oracle.get(k, [])]
+                assert simplex_weights(f, key, k) == weights, (key, k)
+                assert simplex_weights(f, list(key), k, range(1, f.count(k), 2)) == weights[1::2], (key, k)
+    assert ties > 1000
+
+
+def test_code_memos_across_threads_match_serial():
+    # more threads than cores, short switch interval: threads race to fill
+    # one complex's Simplex, closed-star and weight-mask memos, each from
+    # another vertex on; every read must equal the serial one
+    g = random_connected_graph(random.Random(71), 8)
+    n = g.n_vertices
+    keys = [tuple(int(i == u) for i in range(n)) for u in range(n)]
+
+    def read(f, slot):
+        order = [(slot + j) % n for j in range(n)]
+        dims = range(-1, f.dim + 2)
+        return (
+            [f.simplices(k) for k in dims],
+            [f.star_ranks(u) for u in order],
+            [simplex_weights(f, keys[u], k) for u in order for k in dims],
+        )
+
+    expected = [read(build_flag_complex(g), slot) for slot in range(4)]
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            shared, results = build_flag_complex(g), [None] * 4
+
+            def work(slot):
+                results[slot] = read(shared, slot)
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert results == expected
+    finally:
+        sys.setswitchinterval(old_interval)

@@ -300,6 +300,14 @@ def test_max_exponent_examples():
     assert max_exponent(f, derive_weight(chi, 6), 0, summands_of(f, chi, 6, 0)) == 2
 
 
+def test_max_exponent_reads_the_bars_alone():
+    # the kite's order-2 class has two bars of length 2 in degree 1, and
+    # a summand count of 0, 1, 2 or 3 leaves its largest exponent at 2
+    f, w, chi = w2(make_kite())
+    assert _weight_pairs(f, w, 1) == ((2, 0), (2, 0)) and summands_of(f, chi, 2, 0) == 2
+    assert [max_exponent(f, w, 0, s) for s in range(4)] == [2, 2, 2, 2]
+
+
 def per_level_weighted_sum(f, w, k):
     """The weighted exponent sum as its per-level formula: filtration
     Betti numbers of the (k+1)-skeleton and relative pairs against the

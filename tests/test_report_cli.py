@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from artinkernels import InputError
+from artinkernels import InputError, Simplex
 from artinkernels.cli import FIXTURES, fixture_bytes, golden_bytes, main, run_fixture
 from artinkernels.report import (
     JobSpec,
@@ -251,6 +251,19 @@ def test_cli_rejects_order_lists_that_select_nothing(tmp_path, capsys, spec):
 
 
 def test_goldens_match():
+    for name in FIXTURES:
+        assert run_fixture(name) == golden_bytes(name), name
+
+
+def test_reports_make_no_simplex_objects(monkeypatch):
+    # both pipelines and the Q[t] Smith form read the clique codes alone:
+    # with Simplex refusing construction every report still matches
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a Simplex was made")
+
+    monkeypatch.setattr(Simplex, "__init__", refuse)
+    with pytest.raises(AssertionError, match="a Simplex was made"):
+        Simplex((), ())
     for name in FIXTURES:
         assert run_fixture(name) == golden_bytes(name), name
 
