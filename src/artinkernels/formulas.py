@@ -31,8 +31,10 @@ Every statistic of an order sees it only through its 0/1 weight class,
 the key of graphs.weight_classes.  formula_decomposition reads each
 class once per degree through keyed cores (_bars, _summand_counts): the
 bars are the exponent vector (_exponents), the double cover's count must
-equal the number of bars, and the profile is copied to the class's
-other orders; the public readers derive the key and call the same cores.
+equal the number of bars, and the class's other orders share the vector;
+the public readers derive the key and call the same cores.  It answers
+and admits as the direct pipeline does, and TorsionProfile.of reads a
+profile off a vector.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from .graphs import (
     WeightFunction,
     weight_classes,
 )
-from .homology import boundary_rank, free_rank_check, t_minus_1_part
+from .homology import ModuleDecomposition, boundary_rank, free_rank_check, require_admissible, t_minus_1_part
 from .linalg import rank_rational
 
 
@@ -371,6 +373,13 @@ class TorsionProfile:
     max_exponent: int
     exponents: tuple[int, ...] = ()
 
+    @classmethod
+    def of(cls, k: int, d: int, exponents: Sequence[int], summands: int) -> TorsionProfile:
+        """The profile of the trimmed exponent vector (r_1 .. r_M) of degree k+1."""
+        n = len(exponents)
+        weighted = sum(j * r for j, r in enumerate(exponents, start=1))
+        return cls(k, d, weighted, summands, exponents[k + 1] if n > k + 1 else 0, n, tuple(exponents))
+
     def validate(self) -> None:
         lo, hi = self.summand_count, (self.k + 2) * self.summand_count
         if not (lo <= self.weighted_sum <= hi):
@@ -430,9 +439,7 @@ def _profile(f: FlagComplex, key: tuple[int, ...], d: int, k: int, summands: int
     bars = _bars(f, key, k + 1) if any(key) else ()
     if not any(key) or not (bars or summands):
         return TorsionProfile(k, d, 0, 0, 0, 0, ())
-    vec = _exponents(bars)
-    weighted = sum(j * r for j, r in enumerate(vec, start=1))
-    profile = TorsionProfile(k, d, weighted, summands, vec[k + 1] if len(vec) > k + 1 else 0, len(vec), vec)
+    profile = TorsionProfile.of(k, d, _exponents(bars), summands)
     profile.validate()
     # two theorems count the summands: the bars of the weight filtration
     # and the anti-invariant homology of the double cover
@@ -457,32 +464,30 @@ def formula_decomposition(
     chi: Character,
     orders: Sequence[int],
     max_degree: Optional[int] = None,
-) -> dict[int, dict]:
-    """Formula-side summary per homology degree.
-
-    Returns degree -> {"free_rank", "torsion" (order -> exponent vector,
-    orders with no torsion omitted), "profiles" (order -> TorsionProfile)}.
-    Degree 0 is the constant answer for a surjective character.
-    """
+) -> dict[int, ModuleDecomposition]:
+    """Decompositions of degrees 0 .. dim F + 1, as full_decomposition
+    gives them, with the torsion of order 1 and of each order in orders
+    and no remainder factors; degree 0 is the constant answer for a
+    surjective character.  It admits as full_decomposition does, with
+    no override: a degenerate character raises InputError."""
+    require_admissible(f, chi, allow_degenerate=False)
     top = f.dim + 1
     if max_degree is not None:
         top = min(top, max_degree)
-    out: dict[int, dict] = {}
+    out: dict[int, ModuleDecomposition] = {}
     if top >= 0:
-        out[0] = {"free_rank": 0, "torsion": {1: (1,)}, "profiles": {}}
+        out[0] = ModuleDecomposition(0, 0, {1: (1,)})
     for k in range(0, top):
         rank1 = t_minus_1_part(f, k)
-        out[k + 1] = {"free_rank": free_rank_check(f, k), "torsion": {1: (rank1,)} if rank1 else {}, "profiles": {}}
+        out[k + 1] = ModuleDecomposition(k + 1, free_rank_check(f, k), {1: (rank1,)} if rank1 else {})
     # Every statistic of an order is read off its weight class: each class
-    # is read once per degree, and its other orders copy that profile.
+    # is read once per degree, and its other orders share that vector.
     for key, ds in weight_classes(f.graph, chi, orders).items():
-        if key and all(key):
-            raise InputError(f"every label is divisible by {ds[0]}; the character cannot be surjective")
         counts = _summand_counts(f, key) if any(key) and top >= 1 else [0] * top
         for k in range(0, top):
-            p = _profile(f, key, ds[0], k, counts[k])
-            stats = (p.weighted_sum, p.summand_count, p.top_count, p.max_exponent, p.exponents)
-            out[k + 1]["profiles"].update({d: TorsionProfile(k, d, *stats) for d in ds})
-            if p.exponents:
-                out[k + 1]["torsion"].update(dict.fromkeys(ds, p.exponents))
+            vec = _profile(f, key, ds[0], k, counts[k]).exponents
+            if vec:
+                out[k + 1].torsion.update(dict.fromkeys(ds, vec))
+    for dec in out.values():
+        dec.torsion = dict(sorted(dec.torsion.items()))
     return out

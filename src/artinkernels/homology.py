@@ -162,7 +162,7 @@ def require_admissible(f: FlagComplex, chi: Character, allow_degenerate: bool) -
     cls = classify_character(f.graph, chi)
     if cls is not CharacterClass.NON_RESONANT_SURJECTIVE and not allow_degenerate:
         raise InputError(
-            f"character is {cls.value}; pass the degenerate-character override to proceed"
+            f"character is {cls.value}; only the direct pipeline takes it, with allow_degenerate (--allow-resonant)"
         )
     return cls
 

@@ -7,6 +7,10 @@ integer attribute n, undirected edges with --).  The JSON report schema
 is {"degrees": {"<m>": {"free_rank": int, "torsion": {"<d>": [...]}}},
 "method": ..., "agreement": ...} plus formula profiles and provenance;
 serialization is key-sorted so identical inputs give identical bytes.
+
+Both pipelines answer with homology.ModuleDecomposition, so degrees
+serialize by one path, the direct pipeline's when both ran; the formula
+profiles are read off the formula vectors (TorsionProfile.of).
 """
 
 from __future__ import annotations
@@ -162,29 +166,17 @@ class Report:
     method: str
     degrees: dict[int, ModuleDecomposition]
     profiles: dict[int, dict[int, TorsionProfile]] = field(default_factory=dict)
-    formula_degrees: dict[int, dict] = field(default_factory=dict)
+    formula_degrees: dict[int, ModuleDecomposition] = field(default_factory=dict)
     agreement: Optional[str] = None
     mismatches: list[str] = field(default_factory=list)
     provenance: dict = field(default_factory=dict)
 
 
 def _decomposition_json(dec: ModuleDecomposition) -> dict:
-    return {
-        "free_rank": dec.free_rank,
-        "torsion": {str(d): list(vec) for d, vec in sorted(dec.torsion.items())},
-        **(
-            {"remainder_factors": [str(p) for p in dec.remainder_factors]}
-            if dec.remainder_factors
-            else {}
-        ),
-    }
-
-
-def _formula_degree_json(entry: dict) -> dict:
-    return {
-        "free_rank": entry["free_rank"],
-        "torsion": {str(d): list(vec) for d, vec in sorted(entry["torsion"].items())},
-    }
+    out = {"free_rank": dec.free_rank, "torsion": {str(d): list(vec) for d, vec in sorted(dec.torsion.items())}}
+    if dec.remainder_factors:
+        out["remainder_factors"] = [str(p) for p in dec.remainder_factors]
+    return out
 
 
 def _profile_json(profile: TorsionProfile) -> dict:
@@ -199,39 +191,52 @@ def _profile_json(profile: TorsionProfile) -> dict:
 
 def compare_pipelines(
     degrees: dict[int, ModuleDecomposition],
-    formula: dict[int, dict],
+    formula: dict[int, ModuleDecomposition],
     orders: Sequence[int],
 ) -> list[str]:
     """Per degree the free rank, the order-1 part and one exponent vector
-    per order, between the two pipelines; every other statistic of either
-    side is a function of these.  Returns the list of mismatch
-    descriptions (empty means agreement)."""
+    per order, between the two pipelines, which answer the same degrees;
+    every other statistic of either side is a function of these.  Returns
+    the list of mismatch descriptions (empty means agreement)."""
     issues = []
-    for m, entry in formula.items():
-        direct = degrees.get(m)
-        if direct is None:
-            continue
-        if direct.free_rank != entry["free_rank"]:
-            issues.append(
-                f"H_{m}: free rank {direct.free_rank} (direct) vs {entry['free_rank']} (formulas)"
-            )
-        d1_direct = direct.exponent_vector(1)
-        d1_formula = entry["torsion"].get(1, ())
-        if tuple(d1_direct) != tuple(d1_formula):
-            issues.append(f"H_{m}: order-1 part {d1_direct} vs {d1_formula}")
+    for m, theirs in formula.items():
+        direct = degrees[m]
+        if direct.free_rank != theirs.free_rank:
+            issues.append(f"H_{m}: free rank {direct.free_rank} (direct) vs {theirs.free_rank} (formulas)")
+        if direct.torsion == theirs.torsion:
+            continue  # every order agrees
+        if direct.exponent_vector(1) != theirs.exponent_vector(1):
+            issues.append(f"H_{m}: order-1 part {direct.exponent_vector(1)} vs {theirs.exponent_vector(1)}")
         for d in orders:
-            profile = entry["profiles"].get(d)
-            if profile is not None and profile.exponents != direct.exponent_vector(d):
+            if direct.exponent_vector(d) != theirs.exponent_vector(d):
                 issues.append(
                     f"H_{m} d={d}: exponents {direct.exponent_vector(d)} (direct) "
-                    f"vs {profile.exponents} (formulas)"
+                    f"vs {theirs.exponent_vector(d)} (formulas)"
                 )
     return issues
+
+
+def _profiles(dec: ModuleDecomposition, orders: Sequence[int]) -> dict[int, TorsionProfile]:
+    """The formula profile of each order in one degree (none in degree 0),
+    read once per distinct exponent vector; its summand count sum(vec), the
+    number of bars, matched the double cover's count in the pipeline."""
+    if dec.degree == 0:
+        return {}
+    k, made, out = dec.degree - 1, {}, {}
+    for d in orders:
+        vec = dec.torsion.get(d, ())
+        p = made.get(vec)
+        if p is None:
+            p = made[vec] = TorsionProfile.of(k, d, vec, sum(vec))
+        out[d] = TorsionProfile(k, d, p.weighted_sum, p.summand_count, p.top_count, p.max_exponent, vec)
+    return out
 
 
 def run(job: JobSpec) -> tuple[Report, int]:
     """Execute a job; returns the report and the process exit code
     (0 success, 1 input error, 2 cross-validation mismatch)."""
+    if job.method not in ("direct", "formulas", "both"):
+        raise InputError(f"unknown method {job.method!r}: use direct, formulas or both")
     if job.max_degree is not None and job.max_degree < 0:
         raise InputError(f"max degree must be non-negative, got {job.max_degree}")
     graph, chi = parse_input(job.data)
@@ -260,9 +265,7 @@ def run(job: JobSpec) -> tuple[Report, int]:
         )
     if job.method in ("formulas", "both"):
         report.formula_degrees = formula_decomposition(f, chi, orders, max_degree=job.max_degree)
-        report.profiles = {
-            m: dict(entry["profiles"]) for m, entry in report.formula_degrees.items()
-        }
+        report.profiles = {m: _profiles(dec, orders) for m, dec in report.formula_degrees.items()}
     code = 0
     if job.method == "both":
         report.mismatches = compare_pipelines(report.degrees, report.formula_degrees, orders)
@@ -285,19 +288,15 @@ def _provenance(data: bytes, graph: SimplicialGraph) -> dict:
 
 
 def report_to_json_obj(report: Report) -> dict:
-    degrees_src = report.degrees or {}
     obj: dict = {
         "method": report.method,
         "agreement": report.agreement,
         "provenance": report.provenance,
+        "degrees": {
+            str(m): _decomposition_json(dec)
+            for m, dec in sorted((report.degrees or report.formula_degrees).items())
+        },
     }
-    if degrees_src:
-        obj["degrees"] = {str(m): _decomposition_json(dec) for m, dec in sorted(degrees_src.items())}
-    else:
-        obj["degrees"] = {
-            str(m): _formula_degree_json(entry)
-            for m, entry in sorted(report.formula_degrees.items())
-        }
     if report.profiles:
         obj["profiles"] = {
             str(m): {str(d): _profile_json(p) for d, p in sorted(per.items())}
@@ -308,13 +307,13 @@ def report_to_json_obj(report: Report) -> dict:
     return obj
 
 
-def _module_text(free_rank: int, torsion: dict[int, Sequence[int]]) -> str:
+def _module_text(dec: ModuleDecomposition) -> str:
     parts = []
-    if free_rank == 1:
+    if dec.free_rank == 1:
         parts.append("K[t±1]")
-    elif free_rank > 1:
-        parts.append(f"K[t±1]^{free_rank}")
-    for d, vec in sorted(torsion.items()):
+    elif dec.free_rank > 1:
+        parts.append(f"K[t±1]^{dec.free_rank}")
+    for d, vec in sorted(dec.torsion.items()):
         for j, r in enumerate(vec, start=1):
             if r == 0:
                 continue
@@ -358,16 +357,11 @@ def emit_report(report: Report, fmt: str = "json") -> bytes:
     if fmt != "text":
         raise InputError(f"unknown output format {fmt!r}")
     lines = []
-    degrees = report.degrees or {}
-    if degrees:
-        for m, dec in sorted(degrees.items()):
-            lines.append(f"H_{m} = {_module_text(dec.free_rank, dec.torsion)}")
-            if dec.remainder_factors:
-                rems = ", ".join(str(p) for p in dec.remainder_factors)
-                lines.append(f"    non-cyclotomic content: {rems}")
-    else:
-        for m, entry in sorted(report.formula_degrees.items()):
-            lines.append(f"H_{m} = {_module_text(entry['free_rank'], entry['torsion'])}")
+    for m, dec in sorted((report.degrees or report.formula_degrees).items()):
+        lines.append(f"H_{m} = {_module_text(dec)}")
+        if dec.remainder_factors:
+            rems = ", ".join(str(p) for p in dec.remainder_factors)
+            lines.append(f"    non-cyclotomic content: {rems}")
     for m, per in sorted(report.profiles.items()):
         for d, p in sorted(per.items()):
             lines.append(

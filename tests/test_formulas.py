@@ -50,7 +50,9 @@ from artinkernels.crosscheck import (
 from artinkernels.flagcomplex import reduce_complex
 from artinkernels.formulas import _weight_pairs, anti_invariant_entry
 from artinkernels.linalg import reduce_columns
-from artinkernels.graphs import weight_classes
+from artinkernels.graphs import torsion_candidates, weight_classes
+from artinkernels.homology import ModuleDecomposition
+from artinkernels.report import JobSpec, canonical_input_json, run
 
 from conftest import (
     bars,
@@ -62,6 +64,13 @@ from conftest import (
     make_triforce,
     oracle_rank,
 )
+
+
+def report_profiles(g, chi):
+    """The formula profiles of a formulas-only report, degree -> order -> profile."""
+    report, code = run(JobSpec(data=canonical_input_json(g, chi), method="formulas"))
+    assert code == 0
+    return report.profiles
 
 
 def w2(pair):
@@ -719,14 +728,30 @@ def test_fuzz_records_a_tripped_count_guard_as_a_mismatch(monkeypatch):
     assert len(count) == 1 and count[0].startswith("trial 5 ("), result.mismatches
 
 
+def test_formula_decomposition_refuses_degenerate_characters():
+    # the rule of full_decomposition, with no override, before any
+    # elimination: on the path a - b - c with labels 2, 0, 3 the direct
+    # side reads H_1 = K[t±1] ⊕ Φ1, and the formulas, which assume a
+    # non-resonant character, would read Φ1^2 ⊕ Φ2 ⊕ Φ3 with free rank 0
+    g = SimplicialGraph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    f = build_flag_complex(g)
+    for labels, kind in (((2, 0, 3), "Resonant"), ((2, -1, 3), "NonPositive"), ((2, 4, 6), "NonSurjective")):
+        chi = Character(dict(zip(g.vertices, labels)))
+        with pytest.raises(InputError, match=f"character is {kind}; only the direct pipeline takes it"):
+            formula_decomposition(f, chi, torsion_candidates(chi))
+    assert f.boundary_ranks is None and f.weight_pairs == {}
+    resonant = Character({"a": 2, "b": 0, "c": 3})
+    assert full_decomposition(f, resonant, allow_degenerate=True)[1] == ModuleDecomposition(1, 1, {1: (1,)})
+
+
 def test_formula_decomposition_calls_no_solver(monkeypatch, ambiguous_h3):
     def forbidden(*args):
         raise AssertionError("solve_exponents called")
 
     monkeypatch.setattr(formulas, "solve_exponents", forbidden)
     for g, chi in (make_kite(), make_square_frame(), make_triforce(), make_tree(), ambiguous_h3):
-        out = formula_decomposition(build_flag_complex(g), chi, candidate_torsion_orders(chi))
-        assert all(p.exponents is not None for entry in out.values() for p in entry["profiles"].values())
+        profiles = report_profiles(g, chi)
+        assert all(p.exponents is not None for per in profiles.values() for p in per.values())
 
 
 def test_solver_agrees_with_the_bars_wherever_it_resolves(ambiguous_h3):
@@ -739,9 +764,8 @@ def test_solver_agrees_with_the_bars_wherever_it_resolves(ambiguous_h3):
         cases.append((g, random_nonresonant_character(rng, g, 12)))
     resolved, unresolved = Counter(), []
     for g, chi in cases:
-        out = formula_decomposition(build_flag_complex(g), chi, candidate_torsion_orders(chi))
-        for m, entry in out.items():
-            for d, profile in entry["profiles"].items():
+        for m, per in report_profiles(g, chi).items():
+            for d, profile in per.items():
                 vec = solve_exponents(profile, m - 1)
                 if vec is None:
                     unresolved.append(profile.exponents)
@@ -870,7 +894,8 @@ def test_profiles_shared_per_weight_class_match_fresh_profiles():
     for g, chi in cases:
         orders = candidate_torsion_orders(chi)
         f = build_flag_complex(g)
-        out = formula_decomposition(f, chi, orders)
+        formula_decomposition(f, chi, orders)
+        profiles = report_profiles(g, chi)
         classes = set(weight_classes(g, chi, orders))
         shared_classes += len(orders) - len(classes)
         # the weight-pair memo is keyed by the same class keys, one table
@@ -879,8 +904,8 @@ def test_profiles_shared_per_weight_class_match_fresh_profiles():
             (key, m) for key in classes if any(key) for m in range(1, f.dim + 2)
         }
         fresh = build_flag_complex(g)
-        for m, entry in out.items():
-            for d, profile in entry["profiles"].items():
+        for m, per in profiles.items():
+            for d, profile in per.items():
                 assert profile.d == d
                 assert profile == torsion_profile(fresh, chi, d, m - 1, summands_of(fresh, chi, d, m - 1))
         # every order of a shared class, read statistic by statistic off a
@@ -893,12 +918,12 @@ def test_profiles_shared_per_weight_class_match_fresh_profiles():
                 w = derive_weight(chi, d)
                 counts = summand_counts(alone, even_reduction(chi, d)) if any(key) else [0] * (alone.dim + 1)
                 for k in range(alone.dim + 1):
-                    profile = out[k + 1]["profiles"][d]
+                    profile = profiles[k + 1][d]
                     assert profile.summand_count == counts[k]
                     assert profile.weighted_sum == weighted_exponent_sum(alone, w, k)
                     assert profile.top_count == top_jordan_count(alone, w, k)
                     assert profile.max_exponent == max_exponent(alone, w, k, counts[k])
-                    assert profile.exponents == out[k + 1]["profiles"][ds[0]].exponents
+                    assert profile.exponents == profiles[k + 1][ds[0]].exponents
                     shared_tops += profile.top_count > 0
                     shared_multiples += profile.summand_count > 1
     assert shared_classes > 0 and shared_tops > 0 and shared_multiples > 0

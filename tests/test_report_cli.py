@@ -1,12 +1,16 @@
-"""Input parsing, report serialization, CLI behavior and exit codes."""
+"""Input parsing, report serialization, CLI behavior and exit codes, and
+the README's library example."""
 
 import json
+import random
 import re
+from pathlib import Path
 
 import pytest
 
 from artinkernels import InputError, Simplex
 from artinkernels.cli import FIXTURES, fixture_bytes, golden_bytes, main, run_fixture
+from artinkernels.crosscheck import random_connected_graph, random_nonresonant_character
 from artinkernels.report import (
     JobSpec,
     ParseError,
@@ -196,12 +200,23 @@ def test_text_format():
     assert "H_3 = 0" in text
 
 
-@pytest.mark.parametrize("name", ["tree", "kite", "triforce", "square_frame"])
+def report_input(name: str) -> bytes:
+    """A fixture, or for random-<seed> a default-fuzz-size input drawn from that seed."""
+    if not name.startswith("random-"):
+        return fixture_bytes(name)
+    rng = random.Random(int(name.removeprefix("random-")))
+    g = random_connected_graph(rng, 6)
+    return canonical_input_json(g, random_nonresonant_character(rng, g, 12))
+
+
+@pytest.mark.parametrize(
+    "name", ["tree", "kite", "triforce", "square_frame", *(f"random-{seed}" for seed in range(30))]
+)
 def test_formulas_report_matches_direct_report(name):
-    # a formulas-only report serializes its own degree entries; on the
-    # fixtures they must read exactly as the direct pipeline's modules
+    # a formulas-only report serializes the formula pipeline's degrees;
+    # they must read exactly as the direct pipeline's modules
     reports = {
-        method: run(JobSpec(data=fixture_bytes(name), method=method))[0]
+        method: run(JobSpec(data=report_input(name), method=method))[0]
         for method in ("formulas", "direct")
     }
     docs = {method: json.loads(emit_report(r, "json")) for method, r in reports.items()}
@@ -223,6 +238,26 @@ def test_d_filter_and_max_degree():
     # an order that is neither 1 nor a candidate could only select nothing
     with pytest.raises(InputError, match=r"order 7 .*\(candidates: 2, 3, 4, 6, 9, 12, 18\)"):
         run(JobSpec(data=fixture_bytes("tree"), method="both", d_filter=[6, 7]))
+
+
+def test_unknown_method_is_refused():
+    # a method the report does not know is refused, never answered with
+    # an empty report and exit code 0
+    for method in ("Both", "formula", ""):
+        with pytest.raises(InputError, match="unknown method"):
+            run(JobSpec(data=fixture_bytes("kite"), method=method))
+
+
+def test_readme_library_example_runs(capsys):
+    # the README's library example runs as printed, and its last line
+    # shows the two pipelines answering one degree with equal modules
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library entry points", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("{0: ModuleDecomposition(degree=0")
+    assert lines[-1] == "True"
 
 
 def test_negative_max_degree_is_rejected(tmp_path, capsys):
