@@ -16,17 +16,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from math import gcd
+from typing import Optional, Sequence
 
 from .flagcomplex import FlagComplex, build_flag_complex
 from .formulas import formula_decomposition
-from .graphs import (
-    Character,
-    ConsistencyError,
-    InputError,
-    SimplicialGraph,
-    candidate_torsion_orders,
-)
-from .homology import full_decomposition, smith_decomposition
+from .graphs import Character, ConsistencyError, InputError, SimplicialGraph
+from .homology import Admission, full_decomposition, require_admissible, smith_decomposition
 from .report import compare_pipelines
 
 
@@ -69,12 +64,18 @@ class CrossCheckResult:
 
 
 def cross_validate_once(
-    f: FlagComplex, chi: Character, tag: str, direct: dict, orders: list[int]
+    f: FlagComplex,
+    chi: Character,
+    tag: str,
+    direct: dict,
+    orders: Sequence[int],
+    admitted: Optional[Admission] = None,
 ) -> list[str]:
     """Compare the two pipelines on one input, given the direct
-    decomposition and the candidate torsion orders of chi; returns
-    mismatch strings prefixed with tag."""
-    formula = formula_decomposition(f, chi, orders)
+    decomposition and the candidate torsion orders of chi (and chi's
+    admission, when the caller holds it); returns mismatch strings
+    prefixed with tag."""
+    formula = formula_decomposition(f, chi, orders, admitted=admitted)
     return [tag + msg for msg in compare_pipelines(direct, formula, orders)]
 
 
@@ -106,7 +107,7 @@ def even_reduction_check(f: FlagComplex, chi: Character, tag: str, direct: dict,
     return issues
 
 
-def monodromy_check(f: FlagComplex, chi: Character, tag: str, raw: dict, orders: list[int]) -> list[str]:
+def monodromy_check(f: FlagComplex, chi: Character, tag: str, raw: dict, orders: Sequence[int]) -> list[str]:
     """Non-resonant invariants of the raw decomposition (the local one
     cannot show non-cyclotomic content): cyclotomic-only factors with
     orders dividing a label (orders, the candidate torsion orders of
@@ -150,12 +151,14 @@ def fuzz(
         result.trials += 1
         result.comparisons += 1
         f = build_flag_complex(g)
-        orders = candidate_torsion_orders(chi)
+        # one admission per trial, read by every pipeline below
+        admitted = require_admissible(f, chi, allow_degenerate=False)
+        orders = admitted.orders
         try:
-            direct = full_decomposition(f, chi)
-            result.mismatches.extend(cross_validate_once(f, chi, tag, direct, orders))
+            direct = full_decomposition(f, chi, admitted=admitted)
+            result.mismatches.extend(cross_validate_once(f, chi, tag, direct, orders, admitted))
             if check_reduction or check_monodromy:
-                raw = smith_decomposition(f, chi)
+                raw = smith_decomposition(f, chi, admitted=admitted)
             if check_reduction:
                 result.mismatches.extend(even_reduction_check(f, chi, tag, direct, raw))
             if check_monodromy:

@@ -59,7 +59,14 @@ from .graphs import (
     WeightFunction,
     weight_classes,
 )
-from .homology import ModuleDecomposition, boundary_rank, free_rank_check, require_admissible, t_minus_1_part
+from .homology import (
+    Admission,
+    ModuleDecomposition,
+    boundary_rank,
+    free_rank_check,
+    require_admissible,
+    t_minus_1_part,
+)
 from .linalg import rank_rational
 
 
@@ -464,13 +471,17 @@ def formula_decomposition(
     chi: Character,
     orders: Sequence[int],
     max_degree: Optional[int] = None,
+    admitted: Optional[Admission] = None,
 ) -> dict[int, ModuleDecomposition]:
     """Decompositions of degrees 0 .. dim F + 1, as full_decomposition
     gives them, with the torsion of order 1 and of each order in orders
     and no remainder factors; degree 0 is the constant answer for a
     surjective character.  It admits as full_decomposition does, with
-    no override: a degenerate character raises InputError."""
-    require_admissible(f, chi, allow_degenerate=False)
+    no override: a degenerate character raises InputError.  When orders
+    are admitted's candidate orders, their weight classes are read off
+    admitted (require_admissible); a subset is grouped afresh."""
+    admitted = require_admissible(f, chi, allow_degenerate=False, admitted=admitted)
+    classes = admitted.classes if tuple(orders) == admitted.orders else weight_classes(f.graph, chi, orders)
     top = f.dim + 1
     if max_degree is not None:
         top = min(top, max_degree)
@@ -482,7 +493,7 @@ def formula_decomposition(
         out[k + 1] = ModuleDecomposition(k + 1, free_rank_check(f, k), {1: (rank1,)} if rank1 else {})
     # Every statistic of an order is read off its weight class: each class
     # is read once per degree, and its other orders share that vector.
-    for key, ds in weight_classes(f.graph, chi, orders).items():
+    for key, ds in classes.items():
         counts = _summand_counts(f, key) if any(key) and top >= 1 else [0] * top
         for k in range(0, top):
             vec = _profile(f, key, ds[0], k, counts[k]).exponents

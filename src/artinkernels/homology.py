@@ -158,13 +158,36 @@ def _twisted_smith(f: FlagComplex, chi: Character, k: int) -> SmithForm:
     return smith_normal_form(rows, ncols=f.count(k))
 
 
-def require_admissible(f: FlagComplex, chi: Character, allow_degenerate: bool) -> CharacterClass:
-    cls = classify_character(f.graph, chi)
+@dataclass(frozen=True)
+class Admission:
+    """What every pipeline reads of a character before any elimination:
+    its class, its candidate torsion orders (graphs.torsion_candidates)
+    and those orders' 0/1 weight classes (graphs.weight_classes).  Only
+    require_admissible makes one, so whoever holds one has classified the
+    character, and each pipeline handed one still refuses by its own rule.
+    """
+
+    character_class: CharacterClass
+    orders: tuple[int, ...]
+    classes: dict[tuple[int, ...], list[int]]
+
+
+def require_admissible(
+    f: FlagComplex, chi: Character, allow_degenerate: bool, admitted: Optional[Admission] = None
+) -> Admission:
+    """Refuse a degenerate character unless allow_degenerate, and return
+    chi's admission: admitted when given, which must be chi's on f.graph,
+    else a new one, classified once per input by report.run and
+    crosscheck.fuzz and shared by every pipeline they call."""
+    cls = classify_character(f.graph, chi) if admitted is None else admitted.character_class
     if cls is not CharacterClass.NON_RESONANT_SURJECTIVE and not allow_degenerate:
         raise InputError(
             f"character is {cls.value}; only the direct pipeline takes it, with allow_degenerate (--allow-resonant)"
         )
-    return cls
+    if admitted is None:
+        orders = tuple(torsion_candidates(chi))
+        admitted = Admission(cls, orders, weight_classes(f.graph, chi, orders))
+    return admitted
 
 
 def twisted_boundary(
@@ -250,10 +273,11 @@ def _decomposition_from_smith(
 
 
 def smith_decomposition(
-    f: FlagComplex, chi: Character, max_degree: Optional[int] = None
+    f: FlagComplex, chi: Character, max_degree: Optional[int] = None, admitted: Optional[Admission] = None
 ) -> dict[int, ModuleDecomposition]:
     """Decompositions for all homology degrees 0 .. dim F + 1 from Smith
-    forms over Q[t], for any character; admission is full_decomposition's.
+    forms over Q[t], for any character; admission is full_decomposition's,
+    and only the candidate orders are read off admitted when given.
 
     Each twisted boundary is Smith-reduced once and shared between the
     two degrees it touches.
@@ -261,7 +285,7 @@ def smith_decomposition(
     top = f.dim + 1
     if max_degree is not None:
         top = min(top, max_degree)
-    orders = torsion_candidates(chi)
+    orders = torsion_candidates(chi) if admitted is None else admitted.orders
     snfs = {k: _twisted_smith(f, chi, k) for k in range(-1, top + 1)}
     return {
         k + 1: _decomposition_from_smith(k, orders, snfs[k], snfs[k + 1])
@@ -301,6 +325,7 @@ def full_decomposition(
     chi: Character,
     max_degree: Optional[int] = None,
     allow_degenerate: bool = False,
+    admitted: Optional[Admission] = None,
 ) -> dict[int, ModuleDecomposition]:
     """Decompositions for all homology degrees 0 .. dim F + 1.
 
@@ -309,11 +334,12 @@ def full_decomposition(
     from one local Smith form per degree and 0/1 weight class, each on
     the quotient by a closed star (see the module docstring).  Every
     other class, admitted by allow_degenerate, goes through
-    smith_decomposition.
+    smith_decomposition.  The class and the weight classes are read off
+    admitted (require_admissible) when given.
     """
-    cls = require_admissible(f, chi, allow_degenerate)
-    if cls is not CharacterClass.NON_RESONANT_SURJECTIVE:
-        return smith_decomposition(f, chi, max_degree)
+    admitted = require_admissible(f, chi, allow_degenerate, admitted)
+    if admitted.character_class is not CharacterClass.NON_RESONANT_SURJECTIVE:
+        return smith_decomposition(f, chi, max_degree, admitted)
     top = f.dim + 1
     if max_degree is not None:
         top = min(top, max_degree)
@@ -327,7 +353,7 @@ def full_decomposition(
     ranks1 = {j: len(leads) + star[j] for j, leads in coned_1.items()}
     # a weight class grades its complex by units only on the star of a
     # weight-0 vertex; every class of a surjective character has one
-    classes = weight_classes(f.graph, chi, torsion_candidates(chi))
+    classes = admitted.classes
     cones = {key: f.cone(key) for key in classes}
     out = {}
     for j in range(0, top + 1):

@@ -7,10 +7,18 @@ integer attribute n, undirected edges with --).  The JSON report schema
 is {"degrees": {"<m>": {"free_rank": int, "torsion": {"<d>": [...]}}},
 "method": ..., "agreement": ...} plus formula profiles and provenance;
 serialization is key-sorted so identical inputs give identical bytes.
+The JSON equals json.dumps(report_dict, sort_keys=True, indent=2) plus a
+newline.  A report-shaped writer (_report_json) produces it from the
+Report's fields, with no dict built: one template per degree and per
+profile, each distinct profile formatted once per report.  The tests'
+reference builds the report dict and runs the generic writer
+(_dump_json) on it.
 
 Both pipelines answer with homology.ModuleDecomposition, so degrees
 serialize by one path, the direct pipeline's when both ran; the formula
-profiles are read off the formula vectors (TorsionProfile.of).
+profiles are read off the formula vectors (TorsionProfile.of).  run
+admits each input once (homology.require_admissible) and hands that
+admission to both pipelines.
 """
 
 from __future__ import annotations
@@ -24,14 +32,8 @@ from typing import Optional, Sequence
 
 from .flagcomplex import build_flag_complex
 from .formulas import TorsionProfile, formula_decomposition
-from .graphs import (
-    Character,
-    CharacterClass,
-    InputError,
-    SimplicialGraph,
-    classify_character,
-)
-from .homology import ModuleDecomposition, full_decomposition, torsion_candidates
+from .graphs import Character, CharacterClass, InputError, SimplicialGraph
+from .homology import ModuleDecomposition, full_decomposition, require_admissible
 
 
 class ParseError(InputError):
@@ -68,7 +70,8 @@ def parse_json_input(data: bytes) -> tuple[SimplicialGraph, Character]:
     missing = [v for v in vertices if v not in char]
     if missing:
         raise ParseError(f"character value missing for vertices {missing}")
-    extra = [v for v in char if v not in set(vertices)]
+    known = set(vertices)
+    extra = [v for v in char if v not in known]
     if extra:
         raise ParseError(f"character defined on unknown vertices {extra}")
     values = {}
@@ -172,23 +175,6 @@ class Report:
     provenance: dict = field(default_factory=dict)
 
 
-def _decomposition_json(dec: ModuleDecomposition) -> dict:
-    out = {"free_rank": dec.free_rank, "torsion": {str(d): list(vec) for d, vec in sorted(dec.torsion.items())}}
-    if dec.remainder_factors:
-        out["remainder_factors"] = [str(p) for p in dec.remainder_factors]
-    return out
-
-
-def _profile_json(profile: TorsionProfile) -> dict:
-    return {
-        "summand_count": profile.summand_count,
-        "weighted_sum": profile.weighted_sum,
-        "top_count": profile.top_count,
-        "max_exponent": profile.max_exponent,
-        "exponents": list(profile.exponents),
-    }
-
-
 def compare_pipelines(
     degrees: dict[int, ModuleDecomposition],
     formula: dict[int, ModuleDecomposition],
@@ -240,13 +226,17 @@ def run(job: JobSpec) -> tuple[Report, int]:
     if job.max_degree is not None and job.max_degree < 0:
         raise InputError(f"max degree must be non-negative, got {job.max_degree}")
     graph, chi = parse_input(job.data)
-    cls = classify_character(graph, chi)
+    f = build_flag_complex(graph)
+    # one admission per input, read by both pipelines; each still
+    # refuses by its own rule
+    admitted = require_admissible(f, chi, allow_degenerate=True)
+    cls = admitted.character_class
     if job.method in ("formulas", "both") and cls is not CharacterClass.NON_RESONANT_SURJECTIVE:
         raise InputError(
             f"{cls.value} character unsupported by the formula pipeline; "
             "use --method direct (with --allow-resonant for degenerate labels)"
         )
-    orders = torsion_candidates(chi)
+    orders = admitted.orders
     if job.d_filter is not None:
         for d in job.d_filter:
             if d != 1 and d not in orders:
@@ -255,16 +245,15 @@ def run(job: JobSpec) -> tuple[Report, int]:
                     f"(candidates: {', '.join(map(str, orders)) or 'none'})"
                 )
         wanted = set(job.d_filter)
-        orders = [d for d in orders if d in wanted]
-    f = build_flag_complex(graph)
+        orders = tuple(d for d in orders if d in wanted)
 
     report = Report(method=job.method, degrees={}, provenance=_provenance(job.data, graph))
     if job.method in ("direct", "both"):
         report.degrees = full_decomposition(
-            f, chi, max_degree=job.max_degree, allow_degenerate=job.allow_resonant
+            f, chi, max_degree=job.max_degree, allow_degenerate=job.allow_resonant, admitted=admitted
         )
     if job.method in ("formulas", "both"):
-        report.formula_degrees = formula_decomposition(f, chi, orders, max_degree=job.max_degree)
+        report.formula_degrees = formula_decomposition(f, chi, orders, max_degree=job.max_degree, admitted=admitted)
         report.profiles = {m: _profiles(dec, orders) for m, dec in report.formula_degrees.items()}
     code = 0
     if job.method == "both":
@@ -285,26 +274,6 @@ def _provenance(data: bytes, graph: SimplicialGraph) -> dict:
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
-
-
-def report_to_json_obj(report: Report) -> dict:
-    obj: dict = {
-        "method": report.method,
-        "agreement": report.agreement,
-        "provenance": report.provenance,
-        "degrees": {
-            str(m): _decomposition_json(dec)
-            for m, dec in sorted((report.degrees or report.formula_degrees).items())
-        },
-    }
-    if report.profiles:
-        obj["profiles"] = {
-            str(m): {str(d): _profile_json(p) for d, p in sorted(per.items())}
-            for m, per in sorted(report.profiles.items())
-        }
-    if report.mismatches:
-        obj["mismatches"] = list(report.mismatches)
-    return obj
 
 
 def _module_text(dec: ModuleDecomposition) -> str:
@@ -350,10 +319,77 @@ def _dump_json(obj, indent: str = "") -> str:
     raise TypeError(f"cannot serialize {kind.__name__} in a report")
 
 
+# A report's own nodes sit at fixed depths, so each is one template with
+# its keys in the order sort_keys gives; an exponent vector sits at the
+# same depth in a degree's torsion and in a profile.
+_DEGREE_JSON = '{{\n      "free_rank": {},{}\n      "torsion": {}\n    }}'
+_PROFILE_JSON = (
+    '{{\n        "exponents": {},\n        "max_exponent": {},\n        "summand_count": {},'
+    '\n        "top_count": {},\n        "weighted_sum": {}\n      }}'
+)
+
+
+def _vector_json(vec: Sequence[int]) -> str:
+    return "[\n          " + ",\n          ".join(map(int.__repr__, vec)) + "\n        ]" if vec else "[]"
+
+
+def _object_json(entries: list[str], indent: str) -> str:
+    """An object's text from its '"<key>": <value>' entries, for integer
+    keys.  A key's closing quote sorts below every digit and minus sign a
+    longer key could go on with, so sorting the entries sorts the keys as
+    strings, as sort_keys does ("10" < "2")."""
+    if not entries:
+        return "{}"
+    entries.sort()
+    sep = ",\n" + indent + "  "
+    return "{" + sep[1:] + sep.join(entries) + "\n" + indent + "}"
+
+
+def _degree_json(dec: ModuleDecomposition) -> str:
+    remainder = ""
+    if dec.remainder_factors:
+        factors = ",\n        ".join(encode_basestring_ascii(str(p)) for p in dec.remainder_factors)
+        remainder = '\n      "remainder_factors": [\n        ' + factors + "\n      ],"
+    torsion = [f'"{d}": {_vector_json(vec)}' for d, vec in dec.torsion.items()]
+    return _DEGREE_JSON.format(dec.free_rank, remainder, _object_json(torsion, "      "))
+
+
+def _report_json(report: Report) -> str:
+    """The text of json.dumps(obj, sort_keys=True, indent=2) of the
+    report's dict, written from its fields without building the dict:
+    one template per degree and per profile, each distinct profile
+    formatted once per report.  The free-form provenance and mismatch
+    list go through _dump_json."""
+    degrees = report.degrees or report.formula_degrees
+    agreement = "null" if report.agreement is None else encode_basestring_ascii(report.agreement)
+    parts = [
+        '{\n  "agreement": ' + agreement,
+        ',\n  "degrees": ' + _object_json([f'"{m}": {_degree_json(dec)}' for m, dec in degrees.items()], "  "),
+        ',\n  "method": ' + encode_basestring_ascii(report.method),
+    ]
+    if report.mismatches:
+        parts.append(',\n  "mismatches": ' + _dump_json(report.mismatches, "  "))
+    if report.profiles:
+        made: dict[tuple, str] = {}
+        per_degree = []
+        for m, per in report.profiles.items():
+            entries = []
+            for d, p in per.items():
+                key = (p.exponents, p.max_exponent, p.summand_count, p.top_count, p.weighted_sum)
+                text = made.get(key)
+                if text is None:
+                    text = made[key] = _PROFILE_JSON.format(_vector_json(key[0]), *key[1:])
+                entries.append(f'"{d}": {text}')
+            per_degree.append(f'"{m}": {_object_json(entries, "    ")}')
+        parts.append(',\n  "profiles": ' + _object_json(per_degree, "  "))
+    parts.append(',\n  "provenance": ' + _dump_json(report.provenance, "  ") + "\n}\n")
+    return "".join(parts)
+
+
 def emit_report(report: Report, fmt: str = "json") -> bytes:
     """Deterministic serialization; identical reports give identical bytes."""
     if fmt == "json":
-        return (_dump_json(report_to_json_obj(report)) + "\n").encode("utf-8")
+        return _report_json(report).encode("utf-8")
     if fmt != "text":
         raise InputError(f"unknown output format {fmt!r}")
     lines = []

@@ -10,12 +10,14 @@ library's kernels and span intersections, which test_linalg checks
 against oracle_rank.
 """
 
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+import artinkernels.graphs as graphs
 from artinkernels import Character, SimplicialGraph, boundary_matrix, filtration_level, simplex_weight
 from artinkernels.flagcomplex import level_boundary_matrix, reduce_complex
 from artinkernels.linalg import intersect_spans, nullspace, span_rank
@@ -260,3 +262,70 @@ def full_weight_pairs(f, key):
 def bars(pairs):
     """The pairs of positive length, weight > lead weight, as a multiset."""
     return Counter(pair for pair in pairs if pair[0] > pair[1])
+
+
+# -- call counts ----------------------------------------------------------------
+
+
+def count_admission_calls(monkeypatch):
+    """Wrap classify_character, torsion_candidates and weight_classes at
+    every module global of the package bound to them, graphs' own
+    included, so calls between and inside modules all count; returns the
+    list of (name, args) calls, appended to as they happen."""
+    calls = []
+    modules = [m for n, m in sys.modules.items() if n == "artinkernels" or n.startswith("artinkernels.")]
+    for name in ("classify_character", "torsion_candidates", "weight_classes"):
+        real = getattr(graphs, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls.append((_name, args))
+            return _real(*args)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+# -- the generic report writer ----------------------------------------------------
+
+
+def _decomposition_json(dec):
+    out = {"free_rank": dec.free_rank, "torsion": {str(d): list(vec) for d, vec in sorted(dec.torsion.items())}}
+    if dec.remainder_factors:
+        out["remainder_factors"] = [str(p) for p in dec.remainder_factors]
+    return out
+
+
+def _profile_json(profile):
+    return {
+        "summand_count": profile.summand_count,
+        "weighted_sum": profile.weighted_sum,
+        "top_count": profile.top_count,
+        "max_exponent": profile.max_exponent,
+        "exponents": list(profile.exponents),
+    }
+
+
+def reference_report_json(report):
+    """The report as the dict whose json.dumps(sort_keys=True, indent=2)
+    text is the JSON report: the reference of report.emit_report, which
+    writes that text from the report's fields without building the dict."""
+    obj = {
+        "method": report.method,
+        "agreement": report.agreement,
+        "provenance": report.provenance,
+        "degrees": {
+            str(m): _decomposition_json(dec)
+            for m, dec in sorted((report.degrees or report.formula_degrees).items())
+        },
+    }
+    if report.profiles:
+        obj["profiles"] = {
+            str(m): {str(d): _profile_json(p) for d, p in sorted(per.items())}
+            for m, per in sorted(report.profiles.items())
+        }
+    if report.mismatches:
+        obj["mismatches"] = list(report.mismatches)
+    return obj

@@ -56,6 +56,7 @@ from artinkernels.report import JobSpec, canonical_input_json, run
 
 from conftest import (
     bars,
+    count_admission_calls,
     full_weight_pairs,
     kernel_map_rank,
     make_kite,
@@ -839,18 +840,21 @@ def test_thorough_fuzz_builds_one_complex_per_trial(monkeypatch, capsys):
 
 
 def test_thorough_trial_lists_its_candidate_orders_once(monkeypatch):
+    # a trial admits its character once (homology.require_admissible):
+    # its class, its candidate orders and their weight classes are read
+    # once and shared by both pipelines and the raw Smith forms
     import artinkernels.crosscheck as crosscheck
 
-    listed = []
-
-    def counting_orders(chi):
-        listed.append(chi)
-        return candidate_torsion_orders(chi)
-
-    monkeypatch.setattr(crosscheck, "candidate_torsion_orders", counting_orders)
-    result = crosscheck.fuzz(3, 11, check_reduction=True, check_monodromy=True)
-    assert (result.trials, result.mismatches) == (3, [])
-    assert len(listed) == 3
+    calls = count_admission_calls(monkeypatch)
+    for thorough in (False, True):
+        calls.clear()
+        result = crosscheck.fuzz(3, 11, check_reduction=thorough, check_monodromy=thorough)
+        assert (result.trials, result.mismatches) == (3, [])
+        assert Counter(name for name, _ in calls) == {
+            "classify_character": 3,
+            "torsion_candidates": 3,
+            "weight_classes": 3,
+        }
 
 
 def test_weight_classes_and_pair_memo_key_by_vertex():

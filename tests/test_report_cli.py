@@ -4,16 +4,20 @@ the README's library example."""
 import json
 import random
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from artinkernels import InputError, Simplex
+from artinkernels import InputError, Simplex, TorsionProfile
 from artinkernels.cli import FIXTURES, fixture_bytes, golden_bytes, main, run_fixture
 from artinkernels.crosscheck import random_connected_graph, random_nonresonant_character
+from artinkernels.homology import ModuleDecomposition
+from artinkernels.polys import ExactPoly
 from artinkernels.report import (
     JobSpec,
     ParseError,
+    Report,
     _dump_json,
     canonical_input_json,
     emit_report,
@@ -21,6 +25,8 @@ from artinkernels.report import (
     parse_input,
     run,
 )
+
+from conftest import count_admission_calls, reference_report_json
 
 
 def test_parse_json_minimal():
@@ -140,6 +146,123 @@ def test_json_writer_matches_the_indented_json_module():
         assert _dump_json(doc) == json.dumps(doc, sort_keys=True, indent=2)
     with pytest.raises(TypeError):
         _dump_json({"x": 0.5})
+
+
+def reference_bytes(report: Report) -> bytes:
+    return (_dump_json(reference_report_json(report)) + "\n").encode("utf-8")
+
+
+def test_report_writer_matches_the_generic_writer_on_every_fixture():
+    # every method that admits a fixture, the resonant one by its override
+    for name in FIXTURES:
+        resonant = name == "tree_resonant"
+        for method in ("direct",) if resonant else ("direct", "formulas", "both"):
+            report, _ = run(JobSpec(data=fixture_bytes(name), method=method, allow_resonant=resonant))
+            assert emit_report(report, "json") == reference_bytes(report), (name, method)
+
+
+def test_report_writer_matches_the_generic_writer_on_random_inputs():
+    # labels up to 12 give orders 10, 11 and 12, whose keys sort before
+    # "2" as strings; some of them carry torsion as well as profiles
+    two_digit = set()
+    for seed in range(30):
+        report, _ = run(JobSpec(data=report_input(f"random-{seed}"), method="both"))
+        assert emit_report(report, "json") == reference_bytes(report), seed
+        two_digit.update(d for dec in report.degrees.values() for d in dec.torsion if d >= 10)
+    assert two_digit
+
+
+def test_report_writer_matches_the_generic_writer_on_cut_reports():
+    for job in (
+        JobSpec(data=fixture_bytes("tree"), method="both", max_degree=0),
+        JobSpec(data=fixture_bytes("tree"), method="both", d_filter=[12, 6, 1]),
+        JobSpec(data=fixture_bytes("square_frame"), method="formulas", d_filter=[2], max_degree=1),
+    ):
+        report, _ = run(job)
+        assert emit_report(report, "json") == reference_bytes(report), job
+
+
+def test_report_writer_matches_the_generic_writer_on_a_hand_built_report():
+    # no golden has remainder factors or degrees past 9, whose keys sort
+    # as strings too; profiles repeat, so their shared text is reused
+    degrees = {
+        m: ModuleDecomposition(
+            m, m % 3, {1: (m,), 2: (0, 1), 10: (2,)} if m else {}, (ExactPoly([2, 0, 1]),) * (m % 2)
+        )
+        for m in range(12)
+    }
+    profiles = {
+        m: {d: TorsionProfile.of(m - 1, d, (0, 1) if d == 2 else (2,), 1 if d == 2 else 2) for d in (2, 10)}
+        for m in range(1, 12)
+    }
+    report = Report(
+        method="both",
+        degrees=degrees,
+        profiles={0: {}, **profiles},
+        agreement="agree",
+        provenance={"input_sha256": "0" * 64, "vertices": ["a", "é"]},
+    )
+    text = emit_report(report, "json")
+    assert text == reference_bytes(report)
+    assert b'"remainder_factors": [\n        "t^2 + 2"\n      ]' in text
+    assert list(json.loads(text)["degrees"]) == sorted(str(m) for m in range(12))
+
+
+def test_report_writer_matches_the_generic_writer_on_a_mismatch(monkeypatch):
+    import artinkernels.report as report_module
+
+    real = report_module.formula_decomposition
+
+    def one_off(*args, **kwargs):
+        out = real(*args, **kwargs)
+        out[1].free_rank += 1
+        return out
+
+    monkeypatch.setattr(report_module, "formula_decomposition", one_off)
+    report, code = run(JobSpec(data=fixture_bytes("kite"), method="both"))
+    assert code == 2 and report.agreement == "mismatch" and report.mismatches
+    assert emit_report(report, "json") == reference_bytes(report)
+
+
+def test_report_writer_matches_the_generic_writer_on_non_ascii_names():
+    data = json.dumps(
+        {
+            "vertices": ["é", "Φ₂", "\"q\"", "tab\t"],
+            "edges": [["é", "Φ₂"], ["Φ₂", "\"q\""], ["\"q\"", "tab\t"]],
+            "character": {"é": 2, "Φ₂": 3, "\"q\"": 4, "tab\t": 6},
+        }
+    ).encode("utf-8")
+    for method in ("direct", "formulas", "both"):
+        report, _ = run(JobSpec(data=data, method=method))
+        text = emit_report(report, "json")
+        assert text == reference_bytes(report)
+        assert json.loads(text)["provenance"]["vertices"] == ["é", "Φ₂", '"q"', "tab\t"]
+
+
+def test_each_report_admits_its_input_once(monkeypatch):
+    # report.run classifies the character, lists its candidate orders and
+    # groups them into weight classes once; both pipelines read that
+    calls = count_admission_calls(monkeypatch)
+    jobs = [
+        JobSpec(data=fixture_bytes(name), method=method)
+        for name in ("tree", "kite", "triforce", "square_frame")
+        for method in ("direct", "formulas", "both")
+    ]
+    jobs.append(JobSpec(data=fixture_bytes("tree_resonant"), method="direct", allow_resonant=True))
+    jobs += [JobSpec(data=report_input(f"random-{seed}"), method="both") for seed in range(5)]
+    for job in jobs:
+        calls.clear()
+        run(job)
+        assert Counter(name for name, _ in calls) == {
+            "classify_character": 1,
+            "torsion_candidates": 1,
+            "weight_classes": 1,
+        }, job
+    # under --d the formula side groups only its filtered orders
+    calls.clear()
+    run(JobSpec(data=fixture_bytes("tree"), method="both", d_filter=[6, 2]))
+    grouped = [args[2] for name, args in calls if name == "weight_classes"]
+    assert grouped == [(2, 3, 4, 6, 9, 12, 18), (2, 6)]
 
 
 def test_run_determinism():
