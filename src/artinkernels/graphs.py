@@ -34,30 +34,49 @@ class SimplicialGraph:
         verts = tuple(vertices)
         if not all(isinstance(v, str) for v in verts):
             raise InputError(f"vertices {verts!r} are not all strings")
+        self._build(verts, edges, checked=False)
+
+    @classmethod
+    def _from_string_pairs(cls, vertices: Sequence[str], edges: Iterable[Sequence[str]]) -> "SimplicialGraph":
+        """The graph of vertices and edges whose types the caller has
+        checked (the input parsers): vertex strings and pairs of them.
+        Only the graph's own rules are checked here."""
+        g = cls.__new__(cls)
+        g._build(tuple(vertices), edges, checked=True)
+        return g
+
+    def _build(self, verts: tuple[str, ...], edges: Iterable[Sequence[str]], checked: bool) -> None:
+        """Index the vertices and edges; each edge's type is checked
+        unless checked says the caller has done it."""
         if len(set(verts)) != len(verts):
             raise InputError("duplicate vertex identifiers")
         self.vertices = verts
-        self._index = {v: i for i, v in enumerate(verts)}
+        self._index = index = {v: i for i, v in enumerate(verts)}
         seen: set[tuple[int, int]] = set()
         adj: dict[int, set[int]] = {i: set() for i in range(len(verts))}
-        norm_edges = []
         for edge in edges:
-            if not isinstance(edge, (tuple, list)) or len(edge) != 2 or not all(isinstance(x, str) for x in edge):
+            if not checked and (
+                not isinstance(edge, (tuple, list))
+                or len(edge) != 2
+                or not isinstance(edge[0], str)
+                or not isinstance(edge[1], str)
+            ):
                 raise InputError(f"edge {edge!r} is not a pair of vertex strings")
             a, b = edge
             if a == b:
                 raise InputError(f"self-loop at vertex {a!r}")
             for x in (a, b):
-                if x not in self._index:
+                if x not in index:
                     raise InputError(f"edge endpoint {x!r} is not a declared vertex")
-            i, j = sorted((self._index[a], self._index[b]))
+            i, j = index[a], index[b]
+            if i > j:
+                i, j = j, i
             if (i, j) in seen:
                 raise InputError(f"duplicate edge {{{verts[i]!r}, {verts[j]!r}}}")
             seen.add((i, j))
             adj[i].add(j)
             adj[j].add(i)
-            norm_edges.append((verts[i], verts[j]))
-        self.edges = tuple(sorted(norm_edges, key=lambda e: (self._index[e[0]], self._index[e[1]])))
+        self.edges = tuple((verts[i], verts[j]) for i, j in sorted(seen))
         self._adjacency = {i: frozenset(neigh) for i, neigh in adj.items()}
 
     def index(self, v: str) -> int:
@@ -86,7 +105,7 @@ class SimplicialGraph:
         """Same abstract graph with a different vertex declaration order."""
         if sorted(order) != sorted(self.vertices):
             raise InputError("reordering must permute the existing vertex set")
-        return SimplicialGraph(order, self.edges)
+        return SimplicialGraph._from_string_pairs(order, self.edges)
 
     def __repr__(self) -> str:
         return f"SimplicialGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"

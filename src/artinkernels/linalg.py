@@ -26,27 +26,32 @@ characters, whose exponents there have a known bound.
 
 Polynomial matrices hold integer coefficient sequences only (constant
 term first), as the twisted boundaries are built.  The Smith form over
-Q[t] serves degenerate characters and is the oracle of the local path.
-It eliminates on plain-int coefficient lists with the arithmetic of
-polys (pseudo-division, exact quotients, primitive gcd).  It
-diagonalizes with degree-minimal pivoting (ties broken by coefficient
-height, then position) by Euclidean steps: an entry is reduced by a
-pseudo-quotient multiple of the pivot line, and a nonzero remainder is
-swapped in as the new pivot, of lower degree (Newman, Integral
-Matrices, 1972, ch. II).  A move computes c*y - q*x on each entry y of
-the line, x being the pivot line's entry there, in one pass over the
-nonzero terms of q and x (polys._submul); where x is zero, y is kept as
-it is, or only scaled when c is not 1.  Pseudo-division walks the
-divisor's nonzero terms alone, so the sparse binomial pivots t^n - 1
-cost two terms a step.  Rows and columns are divided by their integer
-content and their power of t after every step to control coefficient
-growth.  It then repairs the divisibility chain with two-by-two moves on
-the diagonal, which cause no fill-in and need only a gcd; equal entries
-are skipped, and each distinct invariant factor becomes one ExactPoly.
-Every move is unimodular over the Laurent ring Q[t^±1], where nonzero
-constants and powers of t are units, and the reported invariant factors
-are monic with their t-power content stripped, the normalization of
-that ring.
+Q[t] serves degenerate characters and is the oracle of the local path.  A
+matrix with at most one row or column (every boundary out of the
+vertices is one) has at most one invariant factor, the gcd of its
+entries, so it is not eliminated: the entries are folded by the
+primitive gcd of polys, whose leading coefficient is positive, and its
+power of t is stripped.  A larger matrix is eliminated on plain-int
+coefficient lists with the arithmetic of polys (pseudo-division, exact
+quotients, primitive gcd).  It diagonalizes with degree-minimal pivoting
+(ties broken by coefficient height, then position) by Euclidean steps:
+an entry is reduced by a pseudo-quotient multiple of the pivot line, and
+a nonzero remainder is swapped in as the new pivot, of lower degree
+(Newman, Integral Matrices, 1972, ch. II).  A move computes c*y - q*x on
+each entry y of the line, x being the pivot line's entry there, in one
+pass over the nonzero terms of q and x (polys._submul); where x is zero,
+y is kept as it is, or only scaled when c is not 1.  Pseudo-division
+walks the divisor's nonzero terms alone, so the sparse binomial pivots
+t^n - 1 cost two terms a step.  Rows and columns are divided by their
+integer content and their power of t after every step to control
+coefficient growth.  It then repairs the divisibility chain with
+two-by-two moves on the diagonal, which cause no fill-in and need only a
+gcd; equal entries are skipped, and each distinct invariant factor
+becomes one ExactPoly, read off its ints as they are when its leading
+coefficient is 1.  Every move is unimodular over the Laurent ring
+Q[t^±1], where nonzero constants and powers of t are units, and the
+reported invariant factors are monic with their t-power content
+stripped, the normalization of that ring.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ from itertools import groupby
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .polys import ExactPoly, _exquo, _gcd, _mul, _pdivmod, _submul, _terms, _trim
+from .polys import ONE, ExactPoly, _exquo, _gcd, _mul, _pdivmod, _submul, _terms, _trim
 
 _INT = frozenset((int,))
 
@@ -411,20 +416,53 @@ class SmithForm:
     ncols: int
 
 
+def _factor(d: list[int]) -> ExactPoly:
+    """A primitive invariant factor with positive leading coefficient as a
+    monic ExactPoly; a leading 1 needs no division."""
+    lead = d[-1]
+    return ExactPoly(d if lead == 1 else [Fraction(x, lead) for x in d])
+
+
+def _line_smith(matrix: Sequence[Sequence[Sequence[int]]], nrows: int, ncols: int) -> SmithForm:
+    """Smith form of a matrix with at most one row or column: its one
+    invariant factor, if any entry is nonzero, is the gcd of the entries,
+    primitive with a positive leading coefficient (polys._gcd) and its
+    power of t stripped."""
+    g: list[int] = []
+    for row in matrix:
+        for e in row:
+            if e and not e[-1]:
+                e = _trim(list(e))
+            if e:
+                g = _gcd(e, g)
+                if len(g) == 1:
+                    return SmithForm(invariant_factors=(ONE,), rank=1, nrows=nrows, ncols=ncols)
+    if not g:
+        return SmithForm(invariant_factors=(), rank=0, nrows=nrows, ncols=ncols)
+    low = 0
+    while not g[low]:
+        low += 1
+    return SmithForm(invariant_factors=(_factor(g[low:]),), rank=1, nrows=nrows, ncols=ncols)
+
+
 def smith_normal_form(matrix: Sequence[Sequence[Sequence[int]]], ncols: Optional[int] = None) -> SmithForm:
     """Smith normal form over Q[t] of a list of rows of integer coefficient
     sequences, constant term first, trailing zeros allowed.
 
     ncols is only needed when the matrix has no rows.  Every move is
     unimodular over the Laurent ring Q[t^±1]: rows and columns are
-    divided by their content and t-power after every step.
+    divided by their content and t-power after every step.  A matrix
+    with at most one row or column is not eliminated: its one invariant
+    factor is the gcd of its entries (_line_smith).
     """
-    a = [[e if not e or e[-1] else _trim(list(e)) for e in row] for row in matrix]
-    nrows = len(a)
+    nrows = len(matrix)
     if nrows:
-        ncols = len(a[0])
+        ncols = len(matrix[0])
     elif ncols is None:
         raise ValueError("ncols required for a matrix with no rows")
+    if nrows <= 1 or ncols <= 1:
+        return _line_smith(matrix, nrows, ncols)
+    a = [[e if not e or e[-1] else _trim(list(e)) for e in row] for row in matrix]
 
     # phase 1: diagonalize (no divisibility enforcement); a division
     # that leaves a remainder swaps it in as a pivot of lower degree, so
@@ -476,5 +514,5 @@ def smith_normal_form(matrix: Sequence[Sequence[Sequence[int]]], ncols: Optional
     # ExactPoly
     invariant: list[ExactPoly] = []
     for d, run in groupby(diag):
-        invariant += [ExactPoly([Fraction(x, d[-1]) for x in d])] * len(list(run))
+        invariant += [_factor(d)] * len(list(run))
     return SmithForm(invariant_factors=tuple(invariant), rank=rank, nrows=nrows, ncols=ncols)

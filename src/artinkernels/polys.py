@@ -48,7 +48,7 @@ class ExactPoly:
         return not self.coeffs
 
     def is_one(self) -> bool:
-        return self.coeffs == (Fraction(1),)
+        return self.coeffs == ONE.coeffs
 
     def leading(self) -> Fraction:
         if not self.coeffs:
@@ -360,21 +360,30 @@ def cyclotomic(d: int) -> ExactPoly:
 def factor_cyclotomic(
     p: ExactPoly, candidates: Iterable[int]
 ) -> tuple[dict[int, int], ExactPoly]:
-    """Split off cyclotomic factors Phi_d for d in candidates (1 is always tried).
+    """Split off cyclotomic factors Phi_d for d in candidates (1 is always
+    tried, first).
 
     Returns (multiplicities, remainder) with
     p == remainder * prod(Phi_d ** mult[d]) up to a nonzero scalar, the
-    remainder monic and no Phi_d dividing it for tried d.  A remainder
-    different from 1 is a legal outcome; callers decide whether it
-    violates their hypotheses.  The division runs on integer
+    remainder monic and no Phi_d dividing it for tried d; it is the
+    shared ONE when p is a product of the Phi_d.  A remainder different
+    from 1 is a legal outcome; callers decide whether it violates their
+    hypotheses.  The Phi_d of distinct orders are coprime irreducibles,
+    so the candidates are tried in the order given and need no sorting;
+    a repeated order divides no further.  The division runs on integer
     coefficients: Phi_d is monic, so an exact quotient of an integer
-    polynomial by it is again integer.
+    polynomial by it is again integer.  Integral coefficients are read
+    as they are, and only a p with a fractional one is scaled by the lcm
+    of its denominators.
     """
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
-    rem = _integer_coeffs([p.coeffs])[0]
+    cs = p.coeffs
+    rem = [c.numerator for c in cs if c.denominator == 1]
+    if len(rem) != len(cs):
+        rem = _integer_coeffs([cs])[0]
     mults: dict[int, int] = {}
-    for d in sorted(set(candidates) | {1}):
+    for d in (1, *candidates):
         phi = _cyclotomic_coeffs(d)
         while len(rem) >= len(phi):
             _, q, r = _pdivmod(rem, phi)
@@ -382,6 +391,9 @@ def factor_cyclotomic(
                 break
             rem = q
             mults[d] = mults.get(d, 0) + 1
+        if len(rem) == 1:
+            # a constant: no Phi_d divides it
+            return mults, ONE
     return mults, ExactPoly(rem).monic()
 
 

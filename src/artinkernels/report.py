@@ -60,13 +60,14 @@ def parse_json_input(data: bytes) -> tuple[SimplicialGraph, Character]:
         raise ParseError("'vertices' must be a list of strings")
     edges = doc["edges"]
     if not isinstance(edges, list) or not all(
-        isinstance(e, list) and len(e) == 2 and all(isinstance(v, str) for v in e) for e in edges
+        isinstance(e, list) and len(e) == 2 and isinstance(e[0], str) and isinstance(e[1], str) for e in edges
     ):
         raise ParseError("'edges' must be a list of pairs of vertex strings")
     char = doc["character"]
     if not isinstance(char, dict):
         raise ParseError("'character' must be an object")
-    graph = SimplicialGraph(vertices, edges)
+    # the types are checked above, once; the graph checks its own rules
+    graph = SimplicialGraph._from_string_pairs(vertices, edges)
     missing = [v for v in vertices if v not in char]
     if missing:
         raise ParseError(f"character value missing for vertices {missing}")
@@ -127,7 +128,7 @@ def parse_dot_input(data: bytes) -> tuple[SimplicialGraph, Character]:
                 edges.append((m.group(1), m.group(2)))
                 continue
             raise ParseError(f"line {lineno}: cannot parse statement {stmt!r}")
-    graph = SimplicialGraph(vertices, edges)
+    graph = SimplicialGraph._from_string_pairs(vertices, edges)
     return graph, Character(values)
 
 

@@ -44,6 +44,33 @@ def test_graph_validation():
     assert g.edges == (("b", "a"),)  # stored in declaration order
 
 
+def test_parsers_graph_checks_only_the_graph_rules():
+    # the input parsers type-check each edge once and build the graph
+    # through _from_string_pairs, which gives the graph the constructor
+    # gives and keeps every rule of the graph itself
+    rng = random.Random(41)
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        verts = [f"x{k}" for k in rng.sample(range(20), n)]
+        edges = [[verts[i], verts[j]] for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+        rng.shuffle(edges)
+        edges = [e[::-1] if rng.random() < 0.5 else e for e in edges]
+        want = SimplicialGraph(verts, edges)
+        got = SimplicialGraph._from_string_pairs(verts, edges)
+        assert (got.vertices, got.edges) == (want.vertices, want.edges)
+        assert all(got.adjacent(i, j) == want.adjacent(i, j) for i in range(n) for j in range(n))
+    for verts, edges, message in (
+        (["a", "a"], [], "duplicate vertex"),
+        (["a", "b"], [("a", "a")], "self-loop"),
+        (["a", "b"], [("a", "c")], "not a declared vertex"),
+        (["a", "b"], [("a", "b"), ("b", "a")], "duplicate edge"),
+    ):
+        with pytest.raises(InputError, match=message):
+            SimplicialGraph._from_string_pairs(verts, edges)
+        with pytest.raises(InputError, match=message):
+            SimplicialGraph(verts, edges)
+
+
 def test_classify_examples(tree):
     g, chi = tree
     assert classify_character(g, chi) is CharacterClass.NON_RESONANT_SURJECTIVE

@@ -460,6 +460,66 @@ def test_snf_determinantal_divisors_of_twisted_boundaries():
             checked += min(tb.nrows, tb.ncols) > 1
 
 
+def test_snf_of_one_row_or_column_against_determinantal_divisors():
+    # a matrix with at most one row or column is not eliminated: its one
+    # invariant factor is the gcd of its entries.  The entries have zeros,
+    # t-power content, negative leading coefficients and more than two
+    # terms; padding the matrix with zeros to two rows and two columns,
+    # which the elimination takes, changes no invariant factor.
+    rng = random.Random(37)
+    shapes = {"row": 0, "column": 0, "t-power": 0, "negative": 0}
+    for trial in range(300):
+        n = rng.randint(1, 6)
+        rows, cols = (1, n) if trial % 2 else (n, 1)
+        shift = rng.choice((0, 0, 1, 3))
+        sign = rng.choice((1, -1))
+        common = random_int_poly(rng, 2) if trial % 3 == 0 else [1]
+        ints = []
+        for _ in range(rows):
+            row = []
+            for _ in range(cols):
+                if rng.random() < 0.25:
+                    row.append(())
+                    continue
+                body = gappy_int_poly(rng, 4) if rng.random() < 0.5 else random_int_poly(rng, 4)
+                e = [0] * shift + [sign * x for x in _mul(body, common)]
+                row.append(tuple(e) + (0,) * rng.randint(0, 1))
+            ints.append(row)
+        snf = smith_normal_form(ints)
+        assert (snf.nrows, snf.ncols) == (rows, cols)
+        mat = [[ExactPoly(e) for e in row] for row in ints]
+        assert_determinantal_divisors(mat, snf)
+        nonzero = [e for row in mat for e in row if not e.is_zero()]
+        assert snf.rank == (1 if nonzero else 0)
+        if nonzero:
+            # the fold of polys._gcd that gives the factor is primitive with
+            # a positive leading coefficient, the normalization of the
+            # elimination's diagonal
+            g = []
+            for e in nonzero:
+                g = _gcd(int_coeffs(e), g)
+            assert gcd(*g) == 1 and g[-1] > 0
+            assert ExactPoly(g).strip_t_power().monic() == snf.invariant_factors[0]
+        padded = [list(row) + [()] * (2 - cols) for row in ints] + [[()] * max(cols, 2)] * (2 - rows)
+        assert smith_normal_form(padded).invariant_factors == snf.invariant_factors
+        shapes["row" if rows == 1 else "column"] += 1
+        shapes["t-power"] += bool(shift and nonzero)
+        shapes["negative"] += bool(nonzero) and all(e.leading() < 0 for e in nonzero)
+    assert min(shapes.values()) >= 30
+    # a t-power and a sign are units of Q[t^±1]: the factor is monic with
+    # nonzero constant term
+    snf = smith_normal_form([[(0, 0, -2, -2), (0, 0, 0, -4, 0, 4)]])
+    assert snf.invariant_factors == (p(1, 1),)
+    snf = smith_normal_form([[(0, 3, 0, -3)], [()], [(0, 0, -6, 0, 6)]])
+    assert snf.invariant_factors == (p(-1, 0, 1),) and snf.rank == 1
+    # empty shapes have no invariant factor
+    for rows, cols in ((0, 3), (3, 0), (0, 0), (1, 0), (0, 1)):
+        snf = smith_normal_form([[()] * cols for _ in range(rows)], ncols=cols)
+        assert (snf.invariant_factors, snf.rank, snf.nrows, snf.ncols) == ((), 0, rows, cols)
+    snf = smith_normal_form([[(), (0,), (0, 0)]])
+    assert (snf.invariant_factors, snf.rank) == ((), 0)
+
+
 # -- local Smith forms of graded matrices over Q[s]/s^K ------------------------
 
 

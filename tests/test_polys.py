@@ -191,6 +191,51 @@ def test_factor_cyclotomic_against_trial_division_oracle():
         assert factor_cyclotomic(prod, candidates) == oracle_factor_cyclotomic(prod, candidates)
 
 
+def test_factor_cyclotomic_reads_integral_and_rational_multiples_alike():
+    # the integral coefficients are read as they are, a rational multiple
+    # through the lcm of its denominators: both give the same answer,
+    # with or without a non-cyclotomic remainder
+    rng = random.Random(19)
+    cofactors = [ONE, p(2, 0, 1), p(1, 3, 0, 1), p(-5, 0, 0, 2)]
+    for trial in range(150):
+        prod = rng.choice(cofactors) * rng.choice((1, -1))
+        for _ in range(rng.randint(0, 4)):
+            prod = prod * cyclotomic(rng.randint(1, 12))
+        candidates = rng.sample(range(2, 13), rng.randint(0, 11))
+        scale = Fraction(rng.randint(1, 7), rng.randint(2, 7)) * rng.choice((1, -1))
+        assert all(c.denominator == 1 for c in prod.coeffs)
+        got = factor_cyclotomic(prod, candidates)
+        assert factor_cyclotomic(prod * scale, candidates) == got
+        assert got == oracle_factor_cyclotomic(prod, candidates)
+        if got[1] == ONE:
+            # a product of the Phi_d gives back the shared ONE
+            assert got[1] is ONE
+    # Phi_7 has degree 6, more than Phi_8 (4) and Phi_8 * Phi_1 (5): a loop
+    # that stopped at the first Phi_d longer than what is left would miss
+    # Phi_8
+    for cofactor in (ONE, p(-1, 1), p(2, 0, 1)):
+        prod = cyclotomic(8) * cofactor
+        for scale in (1, Fraction(-3, 2)):
+            mults, rem = factor_cyclotomic(prod * scale, [2, 7, 8])
+            assert mults.get(8) == 1 and not mults.get(7)
+            assert rem == (p(2, 0, 1) if cofactor == p(2, 0, 1) else ONE)
+
+
+def test_factor_cyclotomic_ignores_candidate_order_and_repeats():
+    # the Phi_d of distinct orders are coprime, so the candidates need no
+    # sorting, and a repeated order divides no further
+    rng = random.Random(23)
+    for _ in range(60):
+        prod = rng.choice([ONE, p(2, 0, 1)])
+        for _ in range(rng.randint(0, 5)):
+            prod = prod * cyclotomic(rng.randint(1, 10))
+        candidates = list(range(2, 11))
+        want = factor_cyclotomic(prod, candidates)
+        rng.shuffle(candidates)
+        assert factor_cyclotomic(prod, candidates + candidates[:3] + [1]) == want
+        assert factor_cyclotomic(prod, iter(candidates)) == want
+
+
 def test_cyclotomic_matches_division_oracle():
     for d in range(1, 61):
         assert cyclotomic(d) == oracle_cyclotomic(d)
