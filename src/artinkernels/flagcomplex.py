@@ -164,11 +164,16 @@ class FlagComplex:
         return table
 
     def _star(self, u: int) -> tuple[dict[int, list[int]], dict[int, int]]:
+        """(outside_star(u), star_ranks(u)), memoized.  An apex u, next to
+        every other vertex, has nothing outside its closed neighbourhood:
+        one mask test gives empty outside lists with no scan of the cells,
+        and its star ranks come from the cell counts alone."""
         star = self._stars.get(u)
         if star is None:
-            far, outside, ranks = ~(self._adjacency[u] | 1 << u), {}, {-1: 0}
+            far = ~(self._adjacency[u] | 1 << u) & ((1 << self.graph.n_vertices) - 1)
+            outside, ranks = {}, {-1: 0}
             for m, codes in self.codes.items():
-                kept = outside[m] = [p for p, code in enumerate(codes) if code & far]
+                kept = outside[m] = [p for p, code in enumerate(codes) if code & far] if far else []
                 ranks[m + 1] = len(codes) - len(kept) - ranks[m]
             outside[self.dim + 1], ranks[self.dim + 1] = [], 0
             star = self._stars[u] = outside, ranks
@@ -177,7 +182,9 @@ class FlagComplex:
     def outside_star(self, u: int) -> dict[int, list[int]]:
         """Positions, per dimension -1 .. dim + 1, of the simplices outside
         the closed star of vertex u: those with a vertex neither u nor next
-        to u, so whose code meets the complement of u's closed neighbourhood."""
+        to u, so whose code meets the complement of u's closed neighbourhood.
+        Every list is empty for an apex u, next to every other vertex, and
+        is then made with no scan of the cells."""
         return self._star(u)[0]
 
     def star_ranks(self, u: int) -> dict[int, int]:

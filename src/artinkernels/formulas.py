@@ -12,27 +12,33 @@ cycle spaces bound and locate the largest Jordan blocks.
 For one weight class and degree these are all persistence ranks of one
 filtration (Edelsbrunner, Letscher and Zomorodian, DCG 2002; Zomorodian
 and Carlsson, DCG 2005), counted over the pivots of a weight-ordered
-reduction of the boundary's sparse columns (_bars, which _weight_pairs
-wraps for a weight function): one top-down flagcomplex.reduce_complex
-call, with clearing, per weight class.  The ranks of the anti-invariant
-complex come from the same driver.
+reduction of the boundary's sparse columns (_class_bars, read by _bars,
+which _weight_pairs wraps for a weight function): one top-down
+flagcomplex.reduce_complex call, with clearing, per weight class.  The
+ranks of the anti-invariant complex come from the same driver, under an
+entry hook built from the class key.
 Both take the quotient by the closed star of the class's weight-0 vertex
 u with the largest star (FlagComplex.cone), as the direct pipeline does:
 a cone at every weight level, which keeps every bar of positive length,
 and contracted by sigma -> sigma + {u} in the anti-invariant complex,
 whose boundary is -2 * sign toward each facet missing a weight-0 vertex.
-An empty quotient, u next to every vertex, has no bars and no
-anti-invariant homology, and gets neither reduction; a profile with no
-bars and no summands is the zero profile, with no check to run.
+An empty quotient, u an apex (next to every other vertex), has no bars
+and no anti-invariant homology, and gets neither reduction; its summand
+counts, -b~_k less the count before, must all be 0, and
+formula_decomposition makes no per-degree call for its class.  A
+profile with no bars and no summands is the zero profile, with no check
+to run.
 filtration_betti and relative_betti compute single levels and pairs, and
 stay the per-level oracle.
 
 Every statistic of an order sees it only through its 0/1 weight class,
-the key of graphs.weight_classes.  formula_decomposition reads each
-class once per degree through keyed cores (_bars, _summand_counts): the
-bars are the exponent vector (_exponents), the double cover's count must
-equal the number of bars, and the class's other orders share the vector;
-the public readers derive the key and call the same cores.  It answers
+the key of graphs.weight_classes.  formula_decomposition looks each
+class's cone up once and passes its cells to keyed cores (_class_bars,
+_anti_invariant_dims), with the reduced Betti numbers read once per
+complex for _summand_counts: the bars are the exponent vector
+(_exponents), the double cover's count must equal the number of bars,
+and the class's other orders share the vector; the public readers
+derive the key and call the same cores.  It answers
 and admits as the direct pipeline does, and TorsionProfile.of reads a
 profile off a vector.
 """
@@ -40,7 +46,7 @@ profile off a vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .flagcomplex import (
     FiltrationLevel,
@@ -148,27 +154,32 @@ def _bars(f: FlagComplex, key: tuple[int, ...], m: int) -> tuple[tuple[int, int]
     lies in the chains of weight <= p exactly when it combines paired tau
     of lead weight <= p.  Clearing keeps every B_q, hence that count;
     the quotient by the cone changes only zero-length pairs, which no
-    statistic reads, so they are dropped.
-
-    One flagcomplex.reduce_complex call per weight class stores every
-    degree's table on f, keyed by the class key and m; an empty cone, a
-    quotient with no cells, has no bars and needs no call.
+    statistic reads, so they are dropped.  Read off f's table, which
+    _class_bars fills for every degree at once.
     """
     table = f.weight_pairs.get((key, m))
     if table is None:
-        _, cells, _ = f.cone(key)
-        degrees = range(1, f.dim + 2)
-        if any(cells.values()):
-            weight = {k: dict(zip(ps, simplex_weights(f, key, k, ps))) for k, ps in cells.items()}
-            tables = {
-                (key, k): tuple((w, weight[k - 1][lead]) for lead, w in leads.items() if w > weight[k - 1][lead])
-                for k, leads in reduce_complex(f, degrees, weights=weight, cells=cells).items()
-            }
-        else:
-            tables = {(key, k): () for k in degrees}
-        f.weight_pairs.update(tables)
-        table = tables[key, m]
+        table = _class_bars(f, key, f.cone(key)[1])[m]
     return table
+
+
+def _class_bars(
+    f: FlagComplex, key: tuple[int, ...], cells: dict[int, Sequence[int]]
+) -> dict[int, tuple[tuple[int, int], ...]]:
+    """The bars (_bars) of every degree 1 .. dim + 1 of the class key,
+    from one flagcomplex.reduce_complex call on the cells of its cone's
+    quotient, stored on f keyed by the class key and the degree; a
+    quotient with no cells has no bars and needs no call."""
+    if any(cells.values()):
+        weight = {k: dict(zip(ps, simplex_weights(f, key, k, ps))) for k, ps in cells.items()}
+        tables = {
+            k: tuple((w, weight[k - 1][lead]) for lead, w in leads.items() if w > weight[k - 1][lead])
+            for k, leads in reduce_complex(f, range(1, f.dim + 2), weights=weight, cells=cells).items()
+        }
+    else:
+        tables = dict.fromkeys(range(1, f.dim + 2), ())
+    f.weight_pairs.update(((key, k), table) for k, table in tables.items())
+    return tables
 
 
 def _weight_pairs(f: FlagComplex, w: WeightFunction, m: int) -> tuple[tuple[int, int], ...]:
@@ -210,15 +221,22 @@ def anti_invariant_entry(rho: Character) -> Callable[[int, str], int]:
     the even-character twisted boundary at t = -1, which is -2 * sign
     toward the facet missing a weight-0 vertex and 0 for weight 1."""
     _check_even_values(rho)
-    coeff = {v: -2 if n == 1 else 0 for v, n in rho.values.items()}
+    return _key_entry(rho.values, (n - 1 for n in rho.values.values()))
+
+
+def _key_entry(names: Iterable[str], key: Iterable[int]) -> Callable[[int, str], int]:
+    """anti_invariant_entry of the 0/1 weights key on the vertices names,
+    in the same order."""
+    coeff = {v: 0 if b else -2 for v, b in zip(names, key)}
     return lambda sign, v: coeff[v] * sign
 
 
-def _anti_invariant_dims(f: FlagComplex, key: tuple[int, ...]) -> tuple[int, ...]:
-    _, cells, _ = f.cone(key)
+def _anti_invariant_dims(f: FlagComplex, key: tuple[int, ...], cells: dict[int, Sequence[int]]) -> tuple[int, ...]:
+    """anti_invariant_homology of the class key, given the cells of its
+    cone's quotient: all 0, with no reduction run, when there are none."""
     if not any(cells.values()):
         return (0,) * (f.dim + 2)
-    entry = anti_invariant_entry(Character(dict(zip(f.graph.vertices, (b + 1 for b in key)))))
+    entry = _key_entry(f.graph.vertices, key)
     ranks = {k: len(leads) for k, leads in reduce_complex(f, range(0, f.dim + 1), entry=entry, cells=cells).items()}
     return tuple(len(cells[m - 1]) - ranks.get(m - 1, 0) - ranks.get(m, 0) for m in range(0, f.dim + 2))
 
@@ -226,13 +244,16 @@ def _anti_invariant_dims(f: FlagComplex, key: tuple[int, ...]) -> tuple[int, ...
 def anti_invariant_homology(f: FlagComplex, rho: Character) -> tuple[int, ...]:
     """Dimensions of the anti-invariant double-cover homology, degree 0 up
     to dim F + 1, from one reduce_complex call on its class's cone."""
-    return _anti_invariant_dims(f, _even_key(f, rho))
+    key = _even_key(f, rho)
+    return _anti_invariant_dims(f, key, f.cone(key)[1])
 
 
-def _summand_counts(f: FlagComplex, key: tuple[int, ...]) -> list[int]:
-    dims, out = _anti_invariant_dims(f, key), [0]
-    for k in range(f.dim + 1):
-        out.append(dims[k + 1] - free_rank_check(f, k) - out[-1])
+def _summand_counts(dims: Sequence[int], betti: Sequence[int]) -> list[int]:
+    """The recursion of summand_counts on the anti-invariant dimensions
+    dims and the reduced Betti numbers betti, both from degree 0 on."""
+    out = [0]
+    for k, b in enumerate(betti):
+        out.append(dims[k + 1] - b - out[-1])
         if out[-1] < 0:
             raise ConsistencyError(f"negative summand count {out[-1]} in degree {k + 1}")
     return out[1:]
@@ -249,7 +270,8 @@ def summand_counts(f: FlagComplex, rho: Character) -> list[int]:
     key = _even_key(f, rho)
     if all(key) or not any(key):
         raise InputError("constant even character: no double cover to use")
-    return _summand_counts(f, key)
+    betti = [free_rank_check(f, k) for k in range(f.dim + 1)]
+    return _summand_counts(_anti_invariant_dims(f, key, f.cone(key)[1]), betti)
 
 
 # ---------------------------------------------------------------------------
@@ -441,10 +463,9 @@ def solve_exponents(profile: TorsionProfile, k: int) -> Optional[tuple[int, ...]
     return tuple(vec[:maxe])
 
 
-def _profile(f: FlagComplex, key: tuple[int, ...], d: int, k: int, summands: int) -> TorsionProfile:
-    # no d-divisible label, or no bars and no summands: the zero profile
-    bars = _bars(f, key, k + 1) if any(key) else ()
-    if not any(key) or not (bars or summands):
+def _profile(k: int, d: int, bars: Sequence[tuple[int, int]], summands: int) -> TorsionProfile:
+    # no bars and no summands: the zero profile
+    if not (bars or summands):
         return TorsionProfile(k, d, 0, 0, 0, 0, ())
     profile = TorsionProfile.of(k, d, _exponents(bars), summands)
     profile.validate()
@@ -463,7 +484,8 @@ def torsion_profile(f: FlagComplex, chi: Character, d: int, k: int, summands: in
     summand count (summand_counts of the even reduction)."""
     _check_degree(f, k)
     (key,) = weight_classes(f.graph, chi, [d])
-    return _profile(f, key, d, k, summands)
+    # no d-divisible label: the zero profile, whatever the count
+    return _profile(k, d, _bars(f, key, k + 1), summands) if any(key) else _profile(k, d, (), 0)
 
 
 def formula_decomposition(
@@ -488,15 +510,25 @@ def formula_decomposition(
     out: dict[int, ModuleDecomposition] = {}
     if top >= 0:
         out[0] = ModuleDecomposition(0, 0, {1: (1,)})
+    betti = [free_rank_check(f, k) for k in range(f.dim + 1)] if top >= 1 else []
     for k in range(0, top):
         rank1 = t_minus_1_part(f, k)
-        out[k + 1] = ModuleDecomposition(k + 1, free_rank_check(f, k), {1: (rank1,)} if rank1 else {})
+        out[k + 1] = ModuleDecomposition(k + 1, betti[k], {1: (rank1,)} if rank1 else {})
     # Every statistic of an order is read off its weight class: each class
-    # is read once per degree, and its other orders share that vector.
+    # with a d-divisible label is read once, on its cone, and its other
+    # orders share its vectors.
     for key, ds in classes.items():
-        counts = _summand_counts(f, key) if any(key) and top >= 1 else [0] * top
+        if top < 1 or not any(key):
+            continue
+        _, cells, _ = f.cone(key)
+        counts = _summand_counts(_anti_invariant_dims(f, key, cells), betti)
+        _class_bars(f, key, cells)
+        if not any(cells.values()):
+            # an empty quotient: no bars, and counts that passed the guard
+            # only as zeros, so only zero profiles
+            continue
         for k in range(0, top):
-            vec = _profile(f, key, ds[0], k, counts[k]).exponents
+            vec = _profile(k, ds[0], _bars(f, key, k + 1), counts[k]).exponents
             if vec:
                 out[k + 1].torsion.update(dict.fromkeys(ds, vec))
     for dec in out.values():

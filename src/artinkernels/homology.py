@@ -40,10 +40,12 @@ surjective character has one.  A cone's augmented complex is exact, so
 St(u) has the ranks r[-1] = 0, r[m + 1] = |St(u)_m| - r[m]
 (FlagComplex.star_ranks), each full rank is the quotient's plus r, and
 the quotient keeps the homology and every positive valuation.  On the
-default fuzz sizes most quotients are empty, since u is often next to
-every vertex: a degree of a quotient with no cells in it or below it has
-no pivots, and no matrix, weight or kernel call is made for it
-(flagcomplex.reduce_complex, _local_vector).  A rank at
+default fuzz sizes most quotients are empty, since u is often an apex,
+next to every other vertex, whose star FlagComplex takes with one mask
+test: a degree of a quotient with no cells in it or below it has no
+pivots, and no matrix, weight or kernel call is made for it
+(flagcomplex.reduce_complex, full_decomposition), only the integer check
+that the rank at t = 2 equals the star's.  A rank at
 t = 1 that differs from the rank at t = 2, or a class whose pivots do
 not number the rank at t = 2 less its star's, raises ConsistencyError.
 Every other character class goes through smith_decomposition, the Smith
@@ -293,18 +295,22 @@ def smith_decomposition(
     }
 
 
+def _pivot_count_error(pivots: int, K: int, rank: int) -> ConsistencyError:
+    return ConsistencyError(
+        f"{pivots} local pivots below s^{K} for rank {rank}: an exponent "
+        "reached the truncation or the rank dropped at t = 2"
+    )
+
+
 def _local_vector(
     cols: list[dict[int, int]], col_weight: list[int], row_weight: list[int], K: int, rank: int
 ) -> tuple[int, ...]:
     """Exponent vector (r_1, r_2, ...) of the local Smith form of a
     graded matrix given by its sparse columns; the pivots must number the
-    rank.  With no columns there are no pivots and no kernel call."""
-    vals = local_smith_valuations(cols, col_weight, row_weight, K) if cols else ()
+    rank."""
+    vals = local_smith_valuations(cols, col_weight, row_weight, K)
     if len(vals) != rank:
-        raise ConsistencyError(
-            f"{len(vals)} local pivots below s^{K} for rank {rank}: an exponent "
-            "reached the truncation or the rank dropped at t = 2"
-        )
+        raise _pivot_count_error(len(vals), K, rank)
     vec = [0] * max(vals, default=0)
     for v in vals:
         if v:
@@ -373,18 +379,21 @@ def full_decomposition(
             # orders d >= 2: a j-simplex weighs at most j + 1, so no
             # valuation reaches K = j + 2; the cut and the pivot count
             # stay as guards, and a quotient with no j-cells or no
-            # (j-1)-cells has no pivots and gets no columns or weights
+            # (j-1)-cells has no pivots: it gets no columns, weights or
+            # kernel call, only the count, rank at t = 2 equal to its star's
             quotients = {}
             for key, orders in classes.items():
                 u, kept, star_u = cones[key]
-                cols, col_weight, row_weight = (), (), ()
-                if kept[j] and kept[j - 1]:
-                    if u not in quotients:
-                        quotients[u] = boundary_matrix(f, j, cols=kept[j], rows=kept[j - 1], sparse=True)
-                    cols = quotients[u]
-                    col_weight = simplex_weights(f, key, j, kept[j])
-                    row_weight = simplex_weights(f, key, j - 1, kept[j - 1])
-                vec = _local_vector(cols, col_weight, row_weight, j + 2, ranks[j] - star_u[j])
+                rank = ranks[j] - star_u[j]
+                if not (kept[j] and kept[j - 1]):
+                    if rank:
+                        raise _pivot_count_error(0, j + 2, rank)
+                    continue
+                if u not in quotients:
+                    quotients[u] = boundary_matrix(f, j, cols=kept[j], rows=kept[j - 1], sparse=True)
+                col_weight = simplex_weights(f, key, j, kept[j])
+                row_weight = simplex_weights(f, key, j - 1, kept[j - 1])
+                vec = _local_vector(quotients[u], col_weight, row_weight, j + 2, rank)
                 if vec:
                     torsion.update((d, vec) for d in orders)
         out[j] = ModuleDecomposition(degree=j, free_rank=free_rank, torsion=dict(sorted(torsion.items())))

@@ -205,6 +205,26 @@ def oracle_divisors(n: int):
     return [d for d in range(1, abs(n) + 1) if n % d == 0]
 
 
+# -- closed stars by a scan of every cell ---------------------------------------
+
+
+def scan_star(f, u):
+    """outside_star(u) and star_ranks(u) by a scan of every cell, with
+    adjacency tests on the index tuples and no vertex masks: the cells
+    with a vertex neither u nor next to u are outside, and the star's
+    ranks run r[-1] = 0, r[m + 1] = |St(u)_m| - r[m], up to r[dim + 1] = 0.
+    The reference of FlagComplex._star, which takes no scan for an apex."""
+    g = f.graph
+    outside, ranks = {}, {-1: 0}
+    for m in range(-1, f.dim + 1):
+        outside[m] = [
+            p for p, s in enumerate(f.simplices(m)) if any(v != u and not g.adjacent(u, v) for v in s.indices)
+        ]
+        ranks[m + 1] = f.count(m) - len(outside[m]) - ranks[m]
+    outside[f.dim + 1], ranks[f.dim + 1] = [], 0
+    return outside, ranks
+
+
 # -- located-cycle ranks from explicit cycle and boundary spans ---------------
 
 

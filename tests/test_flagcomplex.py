@@ -4,6 +4,7 @@ boundary matrices, weights, and the filtration levels."""
 import random
 import sys
 import threading
+from itertools import combinations
 
 from artinkernels import (
     Simplex,
@@ -29,6 +30,7 @@ from conftest import (
     make_tree,
     make_triforce,
     oracle_rank,
+    scan_star,
     tuple_cliques,
 )
 from artinkernels import SimplicialGraph
@@ -423,6 +425,43 @@ def test_closed_stars_match_the_tuple_enumeration():
             ranks = {m: rank_rational(boundary_matrix(f, m, cols=star[m], rows=star[m - 1], sparse=True), height=len(star[m - 1])) for m in range(0, f.dim + 2)}
             assert f.star_ranks(u) == {-1: 0, **ranks}, u
             assert f.star_ranks(u) is f.star_ranks(u)
+
+
+def apex_cases():
+    """Complete graphs on 1 .. 7 vertices, and cones over 200 random graphs
+    on 0 .. 7 vertices, edgeless to nearly complete, with 1 .. 3 apexes
+    (next to every other vertex) at random places in the vertex order;
+    each with a max_dim of None, 0, 1 or 2."""
+    for n in range(1, 8):
+        names = [f"x{i}" for i in range(n)]
+        for max_dim in (None, 0, 1, 2):
+            yield build_flag_complex(SimplicialGraph(names, list(combinations(names, 2))), max_dim)
+    rng = random.Random(79)
+    for _ in range(200):
+        n, p = rng.randint(0, 7), rng.choice((0.0, 0.3, 0.6, 0.9))
+        names = [f"x{i}" for i in range(n)]
+        for a in range(rng.randint(1, 3)):
+            names.insert(rng.randint(0, len(names)), f"c{a}")
+        edges = [(a, b) for a, b in combinations(names, 2) if "c" in (a[0], b[0]) or rng.random() < p]
+        yield build_flag_complex(SimplicialGraph(names, edges), rng.choice((None, None, 0, 1, 2)))
+
+
+def test_apex_stars_match_a_scan_of_every_cell():
+    # an apex's closed star is the whole complex, so _star takes no scan
+    # for it; every vertex, apex or not, and those missing one neighbour
+    # among them, must match the scan of every cell
+    apexes = near = 0
+    for f in apex_cases():
+        g = f.graph
+        for u in range(g.n_vertices):
+            outside, ranks = scan_star(f, u)
+            assert f.outside_star(u) == outside and f.star_ranks(u) == ranks, (g, u)
+            missing = sum(v != u and not g.adjacent(u, v) for v in range(g.n_vertices))
+            if not missing:
+                apexes += 1
+                assert not any(outside.values()), (g, u)
+            near += missing == 1
+    assert apexes > 600 and near > 100
 
 
 def test_cones_and_class_weights_match_the_tuple_enumeration():

@@ -5,6 +5,7 @@ Smith forms against the raw Smith forms over Q[t]."""
 import dataclasses
 import random
 from collections import Counter
+from math import gcd
 
 import pytest
 
@@ -19,11 +20,16 @@ from artinkernels import (
     formula_decomposition,
     free_rank_check,
     full_decomposition,
+    max_exponent,
     rank_rational,
     simplex_weight,
     smith_normal_form,
+    summand_counts,
     t_minus_1_part,
+    top_jordan_count,
+    torsion_profile,
     twisted_boundary,
+    weighted_exponent_sum,
 )
 from artinkernels import homology
 from artinkernels.crosscheck import (
@@ -405,6 +411,73 @@ def test_a_tampered_star_rank_trips_the_pivot_count_guard_of_an_empty_quotient(m
     monkeypatch.setattr(f, "cone", short_star)
     with pytest.raises(ConsistencyError, match="0 local pivots below s\\^4 for rank 1"):
         full_decomposition(f, chi)
+
+
+def test_a_tampered_betti_number_trips_the_summand_count_guard_of_an_empty_quotient(apex_over_5_cycle):
+    # the formula side's twin: an empty quotient has no anti-invariant
+    # homology, so its summand counts are -b~_k less the one before, and
+    # a degree-1 boundary rank one short, b~_0 = 1, must raise
+    g, chi = apex_over_5_cycle
+    f = build_flag_complex(g)
+    orders = candidate_torsion_orders(chi)
+    assert all(not any(f.cone(key)[1].values()) for key in weight_classes(g, chi, orders))
+    homology.boundary_rank(f, 0)
+    f.boundary_ranks = {**f.boundary_ranks, 1: f.boundary_ranks[1] - 1}
+    assert free_rank_check(f, 0) == 1
+    with pytest.raises(ConsistencyError, match="negative summand count -1 in degree 1"):
+        formula_decomposition(f, chi, orders)
+
+
+def apex_inputs(rng, count):
+    """count random connected graphs on 2 .. 4 vertices, each coned by one
+    or two apexes (next to every other vertex) at random places in the
+    vertex order, with non-resonant labels up to 12, an apex's among 4, 6
+    and 12: it weighs 1 in the classes of the orders that divide its
+    label and 0 in the others."""
+    for _ in range(count):
+        base = random_connected_graph(rng, 4 if rng.random() < 0.5 else 3)
+        names = list(base.vertices)
+        apexes = [f"c{a}" for a in range(1 if base.n_vertices == 4 else rng.randint(1, 2))]
+        for c in apexes:
+            names.insert(rng.randint(0, len(names)), c)
+        edges = list(base.edges) + [(c, v) for i, c in enumerate(apexes) for v in names if v not in apexes[: i + 1]]
+        labels = [0]
+        while gcd(*labels) != 1:
+            labels = [rng.choice((4, 6, 12)) if v in apexes else rng.randint(1, 12) for v in names]
+        yield SimplicialGraph(names, edges), Character(dict(zip(names, labels)))
+
+
+def test_apex_classes_agree_with_the_public_readers_and_the_raw_smith_form():
+    # both pipelines skip the classes whose cone is an apex, whose quotient
+    # is empty, and read the others, among them those whose only apex
+    # weighs 1 and whose cone is some other vertex; every order's answer
+    # must match the per-order readers on a fresh complex, and the whole
+    # decomposition the Smith forms over Q[t]
+    empty = apex_one = apex_one_torsion = 0
+    for g, chi in apex_inputs(random.Random(83), 300):
+        orders = candidate_torsion_orders(chi)
+        direct = full_decomposition(build_flag_complex(g), chi)
+        formula = formula_decomposition(build_flag_complex(g), chi, orders)
+        assert direct == smith_decomposition(build_flag_complex(g), chi) == formula, g
+        fresh = build_flag_complex(g)
+        apexes = [u for u in range(g.n_vertices) if all(g.adjacent(u, v) for v in range(g.n_vertices) if v != u)]
+        for key, ds in weight_classes(g, chi, orders).items():
+            if not any(fresh.cone(key)[1].values()):
+                empty += 1
+            elif all(key[u] for u in apexes):
+                apex_one += 1
+                apex_one_torsion += any(ds[0] in direct[j].torsion for j in direct)
+            for d in ds:
+                w, counts = derive_weight(chi, d), summand_counts(fresh, even_reduction(chi, d))
+                for k in range(fresh.dim + 1):
+                    vec = direct[k + 1].exponent_vector(d)
+                    assert torsion_profile(fresh, chi, d, k, counts[k]).exponents == vec, (g, d, k)
+                    assert counts[k] == sum(vec)
+                    assert weighted_exponent_sum(fresh, w, k) == sum(j * r for j, r in enumerate(vec, start=1))
+                    assert top_jordan_count(fresh, w, k) == (vec[k + 1] if len(vec) > k + 1 else 0)
+                    assert max_exponent(fresh, w, k, counts[k]) == len(vec)
+                    assert free_rank_check(fresh, k) == direct[k + 1].free_rank
+    assert empty > 1000 and apex_one > 60 and apex_one_torsion > 50, (empty, apex_one, apex_one_torsion)
 
 
 def star_cells(f, u, k):
