@@ -8,7 +8,9 @@ level check, since the two pipelines share no linear algebra beyond
 rational ranks.  The thorough checks also take the raw Smith forms of the
 character over Q[t] (homology.smith_decomposition), which lean on no
 theorem of the paper, and test the direct pipeline and the non-resonant
-invariants against them.
+invariants against them.  Those forms lean only on d∘d = 0: each
+boundary's rank is bounded by the kernel rank of the one below, which
+lets the elimination close its last, rank-1 block by one gcd.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ def random_connected_graph(rng: random.Random, max_vertices: int) -> SimplicialG
         a = order[pos]
         b = order[rng.randrange(pos)]
         edges.add((min(a, b), max(a, b)))
-    return SimplicialGraph(names, [(names[i], names[j]) for i, j in sorted(edges)])
+    return SimplicialGraph._from_string_pairs(names, [(names[i], names[j]) for i, j in sorted(edges)])
 
 
 def random_nonresonant_character(

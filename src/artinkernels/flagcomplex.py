@@ -234,8 +234,7 @@ def build_flag_complex(g: SimplicialGraph, max_dim: Optional[int] = None) -> Fla
     no recursion.  An optional max_dim prunes cliques with more than
     max(max_dim, 0) + 1 vertices.
     """
-    every = range(g.n_vertices)
-    adjacency = [sum(1 << j for j in every if g.adjacent(i, j)) for i in every]
+    adjacency = g.neighbour_masks()
     codes = {-1: [0]}
     level = [(0, (1 << g.n_vertices) - 1)]
     for d in range(0, g.n_vertices if max_dim is None else max(max_dim, 0) + 1):

@@ -85,6 +85,11 @@ class SimplicialGraph:
     def adjacent(self, i: int, j: int) -> bool:
         return j in self._adjacency[i]
 
+    def neighbour_masks(self) -> list[int]:
+        """Each vertex's neighbours as an int mask, bit j for vertex j,
+        in vertex order."""
+        return [sum(1 << j for j in self._adjacency[i]) for i in range(len(self.vertices))]
+
     @property
     def n_vertices(self) -> int:
         return len(self.vertices)

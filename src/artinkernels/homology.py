@@ -59,8 +59,15 @@ rescaling the cell over each simplex sigma by t^a(sigma), where a(sigma)
 sums |n_v| over the vertices of sigma with n_v < 0, is a unit change of
 basis of every chain group, after which the facet missing v carries
 -sign * (t^|n_v| - 1).  The Smith forms are unchanged up to units.
-TwistedBoundary keeps the Laurent entries themselves, for callers that
-want the matrix as it is written.
+The boundaries are reduced bottom-up, and each one's rank is bounded by
+the kernel rank of the one below, count(k - 1) - rank D_{k-1}, because
+the integer boundaries keep D_{k-1} D_k = 0 (the clearing of
+flagcomplex.reduce_complex assumes the same of its integer hooks).  The
+Smith form stops one pivot early at that bound and closes its last,
+rank-1 block by one gcd (linalg.smith_normal_form).  So the raw form
+leans on d∘d = 0, which the tests check, and still on no theorem of the
+paper.  TwistedBoundary keeps the Laurent entries themselves, for
+callers that want the matrix as it is written.
 """
 
 from __future__ import annotations
@@ -152,12 +159,13 @@ def _laurent_label(n: int, sign: int) -> LaurentClass:
     return LaurentClass.from_poly(-sign * t_power_minus_one(-n), n)
 
 
-def _twisted_smith(f: FlagComplex, chi: Character, k: int) -> SmithForm:
+def _twisted_smith(f: FlagComplex, chi: Character, k: int, rank_bound: int) -> SmithForm:
     """Smith form of the degree-k twisted boundary, built on integer
-    coefficients; admissibility is the caller's check."""
+    coefficients, under smith_normal_form's rank_bound; admissibility is
+    the caller's check."""
     values = chi.values
     rows = boundary_matrix(f, k, entry=lambda sign, v: _label_coeffs(values[v], sign), zero=())
-    return smith_normal_form(rows, ncols=f.count(k))
+    return smith_normal_form(rows, ncols=f.count(k), rank_bound=rank_bound)
 
 
 @dataclass(frozen=True)
@@ -282,13 +290,20 @@ def smith_decomposition(
     and only the candidate orders are read off admitted when given.
 
     Each twisted boundary is Smith-reduced once and shared between the
-    two degrees it touches.
+    two degrees it touches.  The boundaries go bottom-up, and each one's
+    rank is bounded by the kernel rank of the one below,
+    count(k - 1) - rank D_{k-1}, since D_{k-1} D_k = 0 (see
+    linalg.smith_normal_form's rank_bound).
     """
     top = f.dim + 1
     if max_degree is not None:
         top = min(top, max_degree)
     orders = torsion_candidates(chi) if admitted is None else admitted.orders
-    snfs = {k: _twisted_smith(f, chi, k) for k in range(-1, top + 1)}
+    snfs = {}
+    below = 0
+    for k in range(-1, top + 1):
+        snfs[k] = _twisted_smith(f, chi, k, f.count(k - 1) - below)
+        below = snfs[k].rank
     return {
         k + 1: _decomposition_from_smith(k, orders, snfs[k], snfs[k + 1])
         for k in range(-1, top)

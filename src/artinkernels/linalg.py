@@ -29,11 +29,12 @@ term first), as the twisted boundaries are built.  The Smith form over
 Q[t] serves degenerate characters and is the oracle of the local path.  A
 matrix with at most one row or column (every boundary out of the
 vertices is one) has at most one invariant factor, the gcd of its
-entries, so it is not eliminated: the entries are folded by the
-primitive gcd of polys, whose leading coefficient is positive, and its
-power of t is stripped.  A larger matrix is eliminated on plain-int
-coefficient lists with the arithmetic of polys (pseudo-division, exact
-quotients, primitive gcd).  It diagonalizes with degree-minimal pivoting
+entries, so it is not eliminated: the entries are folded into a gcd
+(_fold_gcd), which skips every entry the running gcd divides exactly and
+takes the primitive gcd of polys only on a remainder, and its content,
+sign and power of t are stripped.  A larger matrix is eliminated on
+plain-int coefficient lists with the arithmetic of polys
+(pseudo-division, exact quotients, primitive gcd).  It diagonalizes with degree-minimal pivoting
 (ties broken by coefficient height, then position) by Euclidean steps:
 an entry is reduced by a pseudo-quotient multiple of the pivot line, and
 a nonzero remainder is swapped in as the new pivot, of lower degree
@@ -48,7 +49,14 @@ coefficient growth.  It then repairs the divisibility chain with
 two-by-two moves on the diagonal, which cause no fill-in and need only a
 gcd; equal entries are skipped, and each distinct invariant factor
 becomes one ExactPoly, read off its ints as they are when its leading
-coefficient is 1.  Every move is unimodular over the Laurent ring
+coefficient is 1.  A caller that knows a bound on the rank over Q(t),
+as homology.smith_decomposition knows the kernel rank of the boundary
+below from d∘d = 0, stops the elimination one pivot early: the trailing
+block B left after bound - 1 pivots has rank at most 1, B = c*u*v^T, and
+its one invariant factor c is gcd(row p) * gcd(col q) / B_pq at the
+pivot (p, q) the elimination would take, both gcds folded from B_pq.
+The last passes, on the most swollen entries, are skipped, and by the
+uniqueness of the Smith form the factors are unchanged.  Every move is unimodular over the Laurent ring
 Q[t^±1], where nonzero constants and powers of t are units, and the
 reported invariant factors are monic with their t-power content
 stripped, the normalization of that ring.
@@ -62,6 +70,7 @@ from itertools import groupby
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
+from .graphs import ConsistencyError
 from .polys import ONE, ExactPoly, _exquo, _gcd, _mul, _pdivmod, _submul, _terms, _trim
 
 _INT = frozenset((int,))
@@ -416,6 +425,14 @@ class SmithForm:
     ncols: int
 
 
+def _normal(e: list[int]) -> list[int]:
+    """e divided by its content, signed to a positive leading
+    coefficient, and by its power of t: the one associate over Q[t^±1]
+    that the invariant factors are read from."""
+    g, low = _divisor([e])
+    return _divide(e, g if e[-1] > 0 else -g, low)
+
+
 def _factor(d: list[int]) -> ExactPoly:
     """A primitive invariant factor with positive leading coefficient as a
     monic ExactPoly; a leading 1 needs no division."""
@@ -423,29 +440,65 @@ def _factor(d: list[int]) -> ExactPoly:
     return ExactPoly(d if lead == 1 else [Fraction(x, lead) for x in d])
 
 
+def _fold_gcd(g: list[int], entries: Iterable[list[int]]) -> list[int]:
+    """A gcd over Q[t] of g and the entries, up to a nonzero rational: an
+    entry g divides exactly is skipped, and only one that leaves a
+    pseudo-remainder r takes the primitive gcd of g and r (polys._gcd).
+    g comes back as it is when it divides every entry, and the fold stops
+    at a constant.  g and the nonzero entries carry no trailing zeros."""
+    for e in entries:
+        if len(g) == 1:
+            break
+        if e:
+            r = _pdivmod(e, g)[2]
+            if r:
+                g = _gcd(g, r)
+    return g
+
+
+def _close_rank_one(a: list[list[list[int]]], t: int, p: int, q: int) -> list[int]:
+    """The one invariant factor of the nonzero trailing block B of rank 1,
+    up to a unit: gcd(row p) * gcd(col q) / B_pq at its entry (p, q).
+
+    B = c * u * v^T with u and v of gcd 1 over Q[t], so row p has the gcd
+    c * u_p, col q has c * v_q and B_pq = c * u_p * v_q.  Both folds start
+    from B_pq.  A remainder in the final division shows a block of higher
+    rank: ConsistencyError.  A block of higher rank can also divide
+    exactly, so this guard is partial; the rank bound itself is the
+    caller's."""
+    b = a[p][q]
+    g_row = _fold_gcd(b, a[p][t:])
+    g_col = _fold_gcd(b, (row[q] for row in a[t:]))
+    if g_row is b:
+        return g_col
+    if g_col is b:
+        return g_row
+    _, c, r = _pdivmod(_mul(g_row, g_col), b)
+    if r:
+        raise ConsistencyError(
+            "the trailing block at the rank bound has rank above 1: the bound is too low"
+        )
+    return c
+
+
 def _line_smith(matrix: Sequence[Sequence[Sequence[int]]], nrows: int, ncols: int) -> SmithForm:
     """Smith form of a matrix with at most one row or column: its one
-    invariant factor, if any entry is nonzero, is the gcd of the entries,
-    primitive with a positive leading coefficient (polys._gcd) and its
-    power of t stripped."""
-    g: list[int] = []
-    for row in matrix:
-        for e in row:
-            if e and not e[-1]:
-                e = _trim(list(e))
-            if e:
-                g = _gcd(e, g)
-                if len(g) == 1:
-                    return SmithForm(invariant_factors=(ONE,), rank=1, nrows=nrows, ncols=ncols)
-    if not g:
+    invariant factor, if any entry is nonzero, is the gcd of the entries
+    (_fold_gcd from the first nonzero one), made primitive with a positive
+    leading coefficient and its power of t stripped."""
+    nonzero = filter(None, (_trim(list(e)) if e and not e[-1] else e for row in matrix for e in row))
+    g = next(nonzero, None)
+    if g is None:
         return SmithForm(invariant_factors=(), rank=0, nrows=nrows, ncols=ncols)
-    low = 0
-    while not g[low]:
-        low += 1
-    return SmithForm(invariant_factors=(_factor(g[low:]),), rank=1, nrows=nrows, ncols=ncols)
+    g = _fold_gcd(g, nonzero)
+    if len(g) == 1:
+        return SmithForm(invariant_factors=(ONE,), rank=1, nrows=nrows, ncols=ncols)
+    return SmithForm(invariant_factors=(_factor(_normal(g)),), rank=1, nrows=nrows, ncols=ncols)
 
 
-def smith_normal_form(matrix: Sequence[Sequence[Sequence[int]]], ncols: Optional[int] = None) -> SmithForm:
+def smith_normal_form(
+    matrix: Sequence[Sequence[Sequence[int]]], ncols: Optional[int] = None, rank_bound: Optional[int] = None
+) -> SmithForm:
     """Smith normal form over Q[t] of a list of rows of integer coefficient
     sequences, constant term first, trailing zeros allowed.
 
@@ -454,12 +507,27 @@ def smith_normal_form(matrix: Sequence[Sequence[Sequence[int]]], ncols: Optional
     divided by their content and t-power after every step.  A matrix
     with at most one row or column is not eliminated: its one invariant
     factor is the gcd of its entries (_line_smith).
+
+    rank_bound, when given, must bound the rank over Q(t), as the
+    kernel rank of the boundary below bounds a boundary's in a chain
+    complex.  The diagonalization then stops at the bound: once the
+    pivots number one less, the trailing block left has rank at most 1,
+    so a nonzero one is closed by its one invariant factor
+    (_close_rank_one) instead of its last row and column passes.  By the
+    uniqueness of the Smith form the factors are those of the full
+    elimination.  A nonzero matrix with a bound of 0 raises
+    ConsistencyError, as does a closure whose division leaves a
+    remainder.
     """
     nrows = len(matrix)
     if nrows:
         ncols = len(matrix[0])
     elif ncols is None:
         raise ValueError("ncols required for a matrix with no rows")
+    if rank_bound is not None and rank_bound <= 0:
+        if any(any(e) for row in matrix for e in row):
+            raise ConsistencyError(f"a nonzero matrix with rank bound {rank_bound}")
+        return SmithForm(invariant_factors=(), rank=0, nrows=nrows, ncols=ncols)
     if nrows <= 1 or ncols <= 1:
         return _line_smith(matrix, nrows, ncols)
     a = [[e if not e or e[-1] else _trim(list(e)) for e in row] for row in matrix]
@@ -467,12 +535,17 @@ def smith_normal_form(matrix: Sequence[Sequence[Sequence[int]]], ncols: Optional
     # phase 1: diagonalize (no divisibility enforcement); a division
     # that leaves a remainder swaps it in as a pivot of lower degree, so
     # the row/column alternation terminates
+    stop = min(nrows, ncols) if rank_bound is None else min(rank_bound, nrows, ncols)
+    last: list[list[int]] = []
     t = 0
-    while t < min(nrows, ncols):
+    while t < stop:
         pos = _find_pivot(a, t)
         if pos is None:
             break
         i, j = pos
+        if rank_bound is not None and t == stop - 1:
+            last.append(_normal(_close_rank_one(a, t, i, j)))
+            break
         a[t], a[i] = a[i], a[t]
         for row in a:
             row[t], row[j] = row[j], row[t]
@@ -488,7 +561,7 @@ def smith_normal_form(matrix: Sequence[Sequence[Sequence[int]]], ncols: Optional
             if not any(a[i][t] for i in range(t + 1, nrows)):
                 break
         t += 1
-    rank = t
+    rank = t + len(last)
 
     # phase 2: repair the divisibility chain on the diagonal; replacing
     # (a, b) by (gcd, a*b/gcd) is a unimodular 2x2 move on rows and
@@ -496,11 +569,7 @@ def smith_normal_form(matrix: Sequence[Sequence[Sequence[int]]], ncols: Optional
     # new diagonal is computed, which needs the gcd but no cofactors.
     # Entries are primitive with a positive leading coefficient, so two
     # associates are equal lists, and equal entries divide each other.
-    diag = []
-    for i in range(rank):
-        e = a[i][i]
-        g, low = _divisor([e])
-        diag.append(_divide(e, g if e[-1] > 0 else -g, low))
+    diag = [_normal(a[i][i]) for i in range(t)] + last
     changed = True
     while changed:
         changed = False

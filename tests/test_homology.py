@@ -45,7 +45,7 @@ from artinkernels.graphs import derive_weight, even_reduction, torsion_candidate
 from artinkernels.homology import _decomposition_from_smith, smith_decomposition
 from artinkernels.linalg import SmithForm, local_smith_valuations
 from artinkernels.report import compare_pipelines
-from artinkernels.polys import ExactPoly, _integer_coeffs, t_power_minus_one
+from artinkernels.polys import ExactPoly, _integer_coeffs, _mul, t_power_minus_one
 
 from conftest import (
     bars,
@@ -270,6 +270,82 @@ def test_integer_boundaries_match_laurent_boundaries():
         }
         got = {m: d.sort_key() for m, d in smith_decomposition(f, chi).items()}
         assert got == want
+
+
+def integer_boundaries(f, chi):
+    """smith_decomposition's integer twisted boundaries in every degree,
+    as sparse columns and as dense rows."""
+    values = chi.values
+
+    def hook(sign, v):
+        return homology._label_coeffs(values[v], sign)
+
+    ks = range(-1, f.dim + 2)
+    sparse = {k: boundary_matrix(f, k, entry=hook, sparse=True) for k in ks}
+    dense = {k: boundary_matrix(f, k, entry=hook, zero=()) for k in ks}
+    return sparse, dense
+
+
+def assert_chain_complex(f, sparse):
+    """D_{k-1} D_k = 0 on the integer boundaries, entry by entry."""
+    for k in range(0, f.dim + 2):
+        for col in sparse[k]:
+            acc = {}
+            for m, x in col.items():
+                for r, y in sparse[k - 1][m].items():
+                    z = _mul(list(x), list(y))
+                    s = acc.setdefault(r, [0] * len(z))
+                    s.extend([0] * (len(z) - len(s)))
+                    for i, c in enumerate(z):
+                        s[i] += c
+            assert not any(any(s) for s in acc.values())
+
+
+def assert_bounded_smith_forms_match(f, dense):
+    """The Smith form under the rank bound count(k - 1) - rank D_{k-1}
+    equals the unbounded one in every degree; returns how many of them
+    the bound cut below the matrix's smaller side with the bound met,
+    where the rank-1 closure does work the unbounded form would not."""
+    cut = 0
+    below = 0
+    for k in range(-1, f.dim + 2):
+        bound = f.count(k - 1) - below
+        want = smith_normal_form(dense[k], ncols=f.count(k))
+        assert smith_normal_form(dense[k], ncols=f.count(k), rank_bound=bound) == want
+        assert want.rank <= bound
+        cut += want.rank == bound < min(f.count(k - 1), f.count(k))
+        below = want.rank
+    return cut
+
+
+def test_rank_bounded_smith_forms_match_unbounded():
+    # the corpus style of test_integer_boundaries_match_laurent_boundaries:
+    # labels -12..12 with 0 among them, so degenerate and resonant
+    # characters whose boundaries hold zero entries are included
+    rng = random.Random(67)
+    labels = [n for n in range(-12, 13) if n] + [0] * 3
+    cut = 0
+    for _ in range(300):
+        g = random_connected_graph(rng, 6)
+        chi = Character({v: rng.choice(labels) for v in g.vertices})
+        f = build_flag_complex(g)
+        sparse, dense = integer_boundaries(f, chi)
+        assert_chain_complex(f, sparse)
+        cut += assert_bounded_smith_forms_match(f, dense)
+    assert cut >= 200
+
+
+def test_rank_bounded_smith_forms_of_the_swelling_k6():
+    # trial 281 of `fuzz --seed 31`: K_6 with labels 6, 12, 4, 6, 7, 4,
+    # whose 15 x 20 degree-2 boundary swells the most under elimination
+    names = [f"v{i}" for i in range(6)]
+    g = SimplicialGraph(names, [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]])
+    chi = Character(dict(zip(names, (6, 12, 4, 6, 7, 4))))
+    f = build_flag_complex(g)
+    sparse, dense = integer_boundaries(f, chi)
+    assert_chain_complex(f, sparse)
+    # the bound is met below the smaller side in degrees 1 to 4
+    assert assert_bounded_smith_forms_match(f, dense) == 4
 
 
 # -- local Smith forms against the raw Smith forms over Q[t] -------------------

@@ -9,7 +9,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from artinkernels import build_flag_complex, boundary_matrix
+import pytest
+
+from artinkernels import ConsistencyError, build_flag_complex, boundary_matrix
 from artinkernels.linalg import (
     IncrementalRank,
     intersect_spans,
@@ -730,3 +732,57 @@ def test_snf_integer_rows_with_trailing_zeros_match_trimmed_rows():
         trims = [[trimmed(e) for e in row] for row in ints]
         assert smith_normal_form(ints, ncols=m) == smith_normal_form(trims, ncols=m)
     assert padded >= 40
+
+
+def test_snf_rank_bound_closes_rank_one_blocks():
+    # B = c * u * v^T has one invariant factor, c up to a unit; the
+    # rank-1 closure reads it off one row and one column.  A diagonal
+    # block in front of B is eliminated by the usual passes first.
+    rng = random.Random(71)
+    for trial in range(120):
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        c = random_int_poly(rng, 2)
+        u = [random_int_poly(rng, 2) if rng.random() < 0.8 else [] for _ in range(n)]
+        v = [random_int_poly(rng, 2) if rng.random() < 0.8 else [] for _ in range(m)]
+        u[0] = u[0] or [1]
+        v[-1] = v[-1] or [0, 0, 1]
+        front = rng.randint(0, 2)
+        mat = [[[] for _ in range(front + m)] for _ in range(front + n)]
+        for i in range(front):
+            mat[i][i] = random_int_poly(rng, 3)
+        for i, ui in enumerate(u):
+            for j, vj in enumerate(v):
+                mat[front + i][front + j] = _mul(c, _mul(ui, vj))
+        want = smith_normal_form(mat)
+        assert want.rank == front + 1
+        assert smith_normal_form(mat, rank_bound=front + 1) == want
+        assert smith_normal_form(mat, rank_bound=front + 1 + trial % 3) == want
+        if not front:
+            # B's one factor is c times the gcds of u and of v
+            factor = ExactPoly(c)
+            for line in (u, v):
+                g = ZERO
+                for e in line:
+                    g = poly_gcd(g, ExactPoly(e)) if e else g
+                factor = factor * g
+            assert want.invariant_factors == (factor.strip_t_power().monic(),)
+
+
+def test_snf_rank_bound_guards():
+    # a rank-2 block planted behind one pivot: under a bound one too low
+    # the closure's division leaves a remainder
+    planted = [
+        [(-1, 1), (), ()],
+        [(), (1, 1), (2, 1)],
+        [(), (3, 1), (4, 1)],
+    ]
+    assert smith_normal_form(planted, rank_bound=3) == smith_normal_form(planted)
+    assert smith_normal_form(planted).rank == 3
+    with pytest.raises(ConsistencyError):
+        smith_normal_form(planted, rank_bound=2)
+    # a nonzero matrix with bound 0, line or not; zero matrices pass
+    for mat in ([[(), (0, 1)]], [[(), ()], [(), (2,)]]):
+        with pytest.raises(ConsistencyError):
+            smith_normal_form(mat, rank_bound=0)
+    assert smith_normal_form([[(), (0,)], [(), ()]], rank_bound=0).rank == 0
+    assert smith_normal_form([], ncols=2, rank_bound=0).rank == 0
