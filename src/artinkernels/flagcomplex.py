@@ -24,10 +24,10 @@ that index entries.
 
 reduce_complex ranks or pairs a whole chain complex with one top-down
 column reduction that clears, or its quotient by the closed star of a
-vertex u (outside_star).  Under any entry hook that keeps u's entry a
-unit the star is a cone on u, hence acyclic, so the quotient keeps the
-reduced homology, and star_ranks gives the ranks the quotient lacks from
-the star's cell counts alone; for u of weight 0 the quotient also keeps
+vertex u, one Quotient (FlagComplex.star).  Under any entry hook that
+keeps u's entry a unit the star is a cone on u, hence acyclic, so the
+quotient keeps the reduced homology, and its offsets are the ranks it
+lacks, from the star's cell counts alone; for u of weight 0 it also keeps
 every bar of positive length of the weight filtration.  FlagComplex.cone
 picks u for every quotient of both pipelines: a weight class's weight-0
 vertex with the largest star, and for the rank complexes, whose entries
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .graphs import InputError, SimplicialGraph, WeightFunction
 from .linalg import rank_rational, reduce_columns
@@ -91,6 +91,19 @@ def incidence(sigma: Simplex, tau: Simplex) -> int:
     return -1 if later % 2 else 1
 
 
+class Quotient(NamedTuple):
+    """A complex modulo the closed star of one vertex u (FlagComplex.star):
+    coned, the mask 1 << u, or 0 when nothing is taken away; cells, the
+    positions kept in each dimension -1 .. dim + 1; offsets, the star's
+    boundary ranks, which a full rank adds to the quotient's; empty, true
+    when no cell is kept."""
+
+    coned: int
+    cells: dict[int, Sequence[int]]
+    offsets: dict[int, int]
+    empty: bool
+
+
 class FlagComplex:
     """All cliques of a graph, graded by dimension, in lexicographic order.
 
@@ -104,12 +117,13 @@ class FlagComplex:
     whole.  weight_pairs holds the bars (weight > lead weight) of every
     degree of a 0/1 weight vector, stored by the formula pipeline's one
     reduce_complex call per vector.  The memos: faces, the face table of
-    each dimension; the star of each vertex, its outside_star cells with
-    its star_ranks; cone, each key's quotient, next to one count of the
-    simplices through each vertex; and each key's weight-1 vertex mask.
-    Every entry is complete when stored and a function of the complex
-    and its key alone, so threads sharing a complex can at worst compute
-    an entry twice and store the same value.
+    each dimension; star, each vertex's Quotient; cone, each key's, the
+    same value as its vertex's star, next to one count of the simplices
+    through each vertex; and each key's weight-1 vertex mask.  Every entry
+    is complete when stored and a function of the complex and its key
+    alone, so threads sharing a complex can at worst compute an entry
+    twice and store equal values; two racing reads may then be equal but
+    distinct objects, so they compare by ==, not by identity.
     """
 
     def __init__(self, graph: SimplicialGraph, codes: dict[int, list[int]], adjacency: list[int]):
@@ -121,8 +135,8 @@ class FlagComplex:
         self.boundary_ranks: Optional[dict[int, int]] = None
         self.weight_pairs: dict[tuple[tuple[int, ...], int], tuple[tuple[int, int], ...]] = {}
         self._faces: dict[int, tuple[tuple[tuple[int, int, str], ...], ...]] = {}
-        self._stars: dict[int, tuple[dict[int, list[int]], dict[int, int]]] = {}
-        self._cones: dict[tuple[int, ...], tuple] = {}
+        self._stars: dict[int, Quotient] = {}
+        self._cones: dict[tuple[int, ...], Quotient] = {}
         self._through: Optional[list[int]] = None
         self._masks: dict[tuple[int, ...], int] = {}
         self._simplices: dict[int, tuple[Simplex, ...]] = {}
@@ -163,46 +177,34 @@ class FlagComplex:
             table = self._faces[k] = tuple(rows)
         return table
 
-    def _star(self, u: int) -> tuple[dict[int, list[int]], dict[int, int]]:
-        """(outside_star(u), star_ranks(u)), memoized.  An apex u, next to
-        every other vertex, has nothing outside its closed neighbourhood:
-        one mask test gives empty outside lists with no scan of the cells,
-        and its star ranks come from the cell counts alone."""
-        star = self._stars.get(u)
-        if star is None:
+    def star(self, u: int) -> Quotient:
+        """The quotient by the closed star of vertex u, memoized.  Its cells
+        are the simplices with a vertex neither u nor next to u, so whose
+        code meets the complement of u's closed neighbourhood.  Its offsets
+        are the star's boundary ranks under any entry hook that keeps u's
+        entry a unit: the star is a cone on u, so its augmented complex is
+        exact, and r[-1] = 0, r[m + 1] = |St(u)_m| - r[m], up to
+        r[dim + 1] = 0 (no cells above; a complex cut at max_dim lacks the
+        cones of its top simplices, so exactness stops below dim).  An apex
+        u, next to every other vertex, leaves no cell: one mask test sets
+        empty, with no scan of the cells."""
+        quotient = self._stars.get(u)
+        if quotient is None:
             far = ~(self._adjacency[u] | 1 << u) & ((1 << self.graph.n_vertices) - 1)
-            outside, ranks = {}, {-1: 0}
+            cells, offsets = {}, {-1: 0}
             for m, codes in self.codes.items():
-                kept = outside[m] = [p for p, code in enumerate(codes) if code & far] if far else []
-                ranks[m + 1] = len(codes) - len(kept) - ranks[m]
-            outside[self.dim + 1], ranks[self.dim + 1] = [], 0
-            star = self._stars[u] = outside, ranks
-        return star
+                kept = cells[m] = [p for p, code in enumerate(codes) if code & far] if far else []
+                offsets[m + 1] = len(codes) - len(kept) - offsets[m]
+            cells[self.dim + 1], offsets[self.dim + 1] = [], 0
+            quotient = self._stars[u] = Quotient(1 << u, cells, offsets, not far)
+        return quotient
 
-    def outside_star(self, u: int) -> dict[int, list[int]]:
-        """Positions, per dimension -1 .. dim + 1, of the simplices outside
-        the closed star of vertex u: those with a vertex neither u nor next
-        to u, so whose code meets the complement of u's closed neighbourhood.
-        Every list is empty for an apex u, next to every other vertex, and
-        is then made with no scan of the cells."""
-        return self._star(u)[0]
-
-    def star_ranks(self, u: int) -> dict[int, int]:
-        """Boundary ranks, per degree -1 .. dim + 1, of the closed star of
-        vertex u, under any entry hook that keeps u's entry a unit: the
-        star is a cone on u, so its augmented complex is exact, and
-        r[-1] = 0, r[m + 1] = |St(u)_m| - r[m], up to r[dim + 1] = 0 (no
-        cells above; a complex cut at max_dim lacks the cones of its top
-        simplices, so exactness stops below dim).  A complex's boundary
-        rank is its quotient's (outside_star) plus the star's."""
-        return self._star(u)[1]
-
-    def cone(self, key: Sequence[int]) -> tuple[Optional[int], dict[int, Sequence[int]], dict[int, int]]:
-        """(u, outside_star(u), star_ranks(u)), the quotient of every
-        elimination of both pipelines, for u the weight-0 vertex of key
-        (0/1 weights in vertex order) with the largest closed star, twice
-        the simplices through it, the lowest index on ties; (None, every
-        cell, zero ranks) if no vertex weighs 0."""
+    def cone(self, key: Sequence[int]) -> Quotient:
+        """The quotient of every elimination of both pipelines: star(u) for
+        u the weight-0 vertex of key (0/1 weights in vertex order) with the
+        largest closed star, twice the simplices through it, the lowest
+        index on ties; the full complex (every cell, zero offsets, coned 0)
+        if no vertex weighs 0."""
         key = tuple(key)
         cone = self._cones.get(key)
         if cone is None:
@@ -211,11 +213,10 @@ class FlagComplex:
                 if self._through is None:
                     cells = list(chain.from_iterable(self.codes.values()))
                     self._through = [sum(map((1 << v).__and__, cells)) >> v for v in range(self.graph.n_vertices)]
-                u = max(zeros, key=self._through.__getitem__)
-                cone = (u, *self._star(u))
+                cone = self.star(max(zeros, key=self._through.__getitem__))
             else:
                 every = range(-1, self.dim + 2)
-                cone = None, {d: range(self.count(d)) for d in every}, dict.fromkeys(every, 0)
+                cone = Quotient(0, {d: range(self.count(d)) for d in every}, dict.fromkeys(every, 0), False)
             self._cones[key] = cone
         return cone
 
@@ -327,7 +328,7 @@ def reduce_complex(
     column's lead is read off reduce_columns.  Without weights both run
     in position order, and the leads are the pivots of rank_rational.
     cells, positions by dimension, reduces the quotient by the sub-complex
-    left out (FlagComplex.cone); weights need only the positions kept.
+    left out (Quotient.cells); weights need only the positions kept.
     A degree with no columns left or no rows, as most degrees of a cone's
     quotient are, has no leads: it gets {} with no matrix built or reduced.
     """

@@ -33,14 +33,14 @@ stay the per-level oracle.
 
 Every statistic of an order sees it only through its 0/1 weight class,
 the key of graphs.weight_classes.  formula_decomposition looks each
-class's cone up once and passes its cells to keyed cores (_class_bars,
-_anti_invariant_dims), with the reduced Betti numbers read once per
-complex for _summand_counts: the bars are the exponent vector
-(_exponents), the double cover's count must equal the number of bars,
-and the class's other orders share the vector; the public readers
-derive the key and call the same cores.  It answers
-and admits as the direct pipeline does, and TorsionProfile.of reads a
-profile off a vector.
+class's cone (a flagcomplex.Quotient) up once and passes it to keyed
+cores (_class_bars, whose bar tables it reads, and _anti_invariant_dims),
+with the reduced Betti numbers read once per complex for _summand_counts:
+the bars are the exponent vector (_exponents), the double cover's count
+must equal the number of bars, and the class's other orders share the
+vector; the public readers derive the key and call the same cores.  It
+answers and admits as the direct pipeline does, and TorsionProfile.of
+reads a profile off a vector.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from .flagcomplex import (
     FiltrationLevel,
     FlagComplex,
+    Quotient,
     boundary_matrix,
     filtration_level,
     level_boundary_matrix,
@@ -159,25 +160,23 @@ def _bars(f: FlagComplex, key: tuple[int, ...], m: int) -> tuple[tuple[int, int]
     """
     table = f.weight_pairs.get((key, m))
     if table is None:
-        table = _class_bars(f, key, f.cone(key)[1])[m]
+        table = _class_bars(f, key, f.cone(key))[m]
     return table
 
 
-def _class_bars(
-    f: FlagComplex, key: tuple[int, ...], cells: dict[int, Sequence[int]]
-) -> dict[int, tuple[tuple[int, int], ...]]:
+def _class_bars(f: FlagComplex, key: tuple[int, ...], cone: Quotient) -> dict[int, tuple[tuple[int, int], ...]]:
     """The bars (_bars) of every degree 1 .. dim + 1 of the class key,
-    from one flagcomplex.reduce_complex call on the cells of its cone's
-    quotient, stored on f keyed by the class key and the degree; a
-    quotient with no cells has no bars and needs no call."""
-    if any(cells.values()):
-        weight = {k: dict(zip(ps, simplex_weights(f, key, k, ps))) for k, ps in cells.items()}
+    from one flagcomplex.reduce_complex call on the cells of its cone,
+    stored on f keyed by the class key and the degree; an empty quotient
+    has no bars and needs no call."""
+    if cone.empty:
+        tables = dict.fromkeys(range(1, f.dim + 2), ())
+    else:
+        weight = {k: dict(zip(ps, simplex_weights(f, key, k, ps))) for k, ps in cone.cells.items()}
         tables = {
             k: tuple((w, weight[k - 1][lead]) for lead, w in leads.items() if w > weight[k - 1][lead])
-            for k, leads in reduce_complex(f, range(1, f.dim + 2), weights=weight, cells=cells).items()
+            for k, leads in reduce_complex(f, range(1, f.dim + 2), weights=weight, cells=cone.cells).items()
         }
-    else:
-        tables = dict.fromkeys(range(1, f.dim + 2), ())
     f.weight_pairs.update(((key, k), table) for k, table in tables.items())
     return tables
 
@@ -231,12 +230,12 @@ def _key_entry(names: Iterable[str], key: Iterable[int]) -> Callable[[int, str],
     return lambda sign, v: coeff[v] * sign
 
 
-def _anti_invariant_dims(f: FlagComplex, key: tuple[int, ...], cells: dict[int, Sequence[int]]) -> tuple[int, ...]:
-    """anti_invariant_homology of the class key, given the cells of its
-    cone's quotient: all 0, with no reduction run, when there are none."""
-    if not any(cells.values()):
+def _anti_invariant_dims(f: FlagComplex, key: tuple[int, ...], cone: Quotient) -> tuple[int, ...]:
+    """anti_invariant_homology of the class key on its cone: all 0, with
+    no reduction run, when the quotient is empty."""
+    if cone.empty:
         return (0,) * (f.dim + 2)
-    entry = _key_entry(f.graph.vertices, key)
+    cells, entry = cone.cells, _key_entry(f.graph.vertices, key)
     ranks = {k: len(leads) for k, leads in reduce_complex(f, range(0, f.dim + 1), entry=entry, cells=cells).items()}
     return tuple(len(cells[m - 1]) - ranks.get(m - 1, 0) - ranks.get(m, 0) for m in range(0, f.dim + 2))
 
@@ -245,7 +244,7 @@ def anti_invariant_homology(f: FlagComplex, rho: Character) -> tuple[int, ...]:
     """Dimensions of the anti-invariant double-cover homology, degree 0 up
     to dim F + 1, from one reduce_complex call on its class's cone."""
     key = _even_key(f, rho)
-    return _anti_invariant_dims(f, key, f.cone(key)[1])
+    return _anti_invariant_dims(f, key, f.cone(key))
 
 
 def _summand_counts(dims: Sequence[int], betti: Sequence[int]) -> list[int]:
@@ -271,7 +270,7 @@ def summand_counts(f: FlagComplex, rho: Character) -> list[int]:
     if all(key) or not any(key):
         raise InputError("constant even character: no double cover to use")
     betti = [free_rank_check(f, k) for k in range(f.dim + 1)]
-    return _summand_counts(_anti_invariant_dims(f, key, f.cone(key)[1]), betti)
+    return _summand_counts(_anti_invariant_dims(f, key, f.cone(key)), betti)
 
 
 # ---------------------------------------------------------------------------
@@ -520,15 +519,15 @@ def formula_decomposition(
     for key, ds in classes.items():
         if top < 1 or not any(key):
             continue
-        _, cells, _ = f.cone(key)
-        counts = _summand_counts(_anti_invariant_dims(f, key, cells), betti)
-        _class_bars(f, key, cells)
-        if not any(cells.values()):
-            # an empty quotient: no bars, and counts that passed the guard
-            # only as zeros, so only zero profiles
+        cone = f.cone(key)
+        counts = _summand_counts(_anti_invariant_dims(f, key, cone), betti)
+        tables = _class_bars(f, key, cone)
+        if cone.empty:
+            # no bars, and counts that passed the guard only as zeros, so
+            # only zero profiles
             continue
         for k in range(0, top):
-            vec = _profile(k, ds[0], _bars(f, key, k + 1), counts[k]).exponents
+            vec = _profile(k, ds[0], tables[k + 1], counts[k]).exponents
             if vec:
                 out[k + 1].torsion.update(dict.fromkeys(ds, vec))
     for dec in out.values():

@@ -38,7 +38,7 @@ weight class for u of weight 0, whose entries are signs, so each class
 takes its weight-0 vertex with the largest star, and every class of a
 surjective character has one.  A cone's augmented complex is exact, so
 St(u) has the ranks r[-1] = 0, r[m + 1] = |St(u)_m| - r[m]
-(FlagComplex.star_ranks), each full rank is the quotient's plus r, and
+(Quotient.offsets), each full rank is the quotient's plus r, and
 the quotient keeps the homology and every positive valuation.  On the
 default fuzz sizes most quotients are empty, since u is often an apex,
 next to every other vertex, whose star FlagComplex takes with one mask
@@ -367,15 +367,14 @@ def full_decomposition(
     # every label is nonzero, so each complex is a cone on any vertex's
     # star and keeps its ranks as the quotient's plus the star's
     at_2, at_1 = rank_entries(chi)
-    _, cells, star = f.cone((0,) * f.graph.n_vertices)
+    _, cells, star, _ = f.cone((0,) * f.graph.n_vertices)
     coned_2 = reduce_complex(f, range(-1, top + 1), entry=at_2, cells=cells)
     coned_1 = reduce_complex(f, range(0, top + 1), entry=at_1, cells=cells)
     ranks = {j: len(leads) + star[j] for j, leads in coned_2.items()}
     ranks1 = {j: len(leads) + star[j] for j, leads in coned_1.items()}
     # a weight class grades its complex by units only on the star of a
     # weight-0 vertex; every class of a surjective character has one
-    classes = admitted.classes
-    cones = {key: f.cone(key) for key in classes}
+    cones = [(key, orders, *f.cone(key)) for key, orders in admitted.classes.items()]
     out = {}
     for j in range(0, top + 1):
         free_rank = f.count(j - 1) - ranks[j - 1] - ranks[j]
@@ -397,18 +396,17 @@ def full_decomposition(
             # (j-1)-cells has no pivots: it gets no columns, weights or
             # kernel call, only the count, rank at t = 2 equal to its star's
             quotients = {}
-            for key, orders in classes.items():
-                u, kept, star_u = cones[key]
-                rank = ranks[j] - star_u[j]
+            for key, orders, coned, kept, offsets, _ in cones:
+                rank = ranks[j] - offsets[j]
                 if not (kept[j] and kept[j - 1]):
                     if rank:
                         raise _pivot_count_error(0, j + 2, rank)
                     continue
-                if u not in quotients:
-                    quotients[u] = boundary_matrix(f, j, cols=kept[j], rows=kept[j - 1], sparse=True)
+                if coned not in quotients:
+                    quotients[coned] = boundary_matrix(f, j, cols=kept[j], rows=kept[j - 1], sparse=True)
                 col_weight = simplex_weights(f, key, j, kept[j])
                 row_weight = simplex_weights(f, key, j - 1, kept[j - 1])
-                vec = _local_vector(quotients[u], col_weight, row_weight, j + 2, rank)
+                vec = _local_vector(quotients[coned], col_weight, row_weight, j + 2, rank)
                 if vec:
                     torsion.update((d, vec) for d in orders)
         out[j] = ModuleDecomposition(degree=j, free_rank=free_rank, torsion=dict(sorted(torsion.items())))

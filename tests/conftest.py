@@ -209,11 +209,11 @@ def oracle_divisors(n: int):
 
 
 def scan_star(f, u):
-    """outside_star(u) and star_ranks(u) by a scan of every cell, with
+    """star(u).cells and star(u).offsets by a scan of every cell, with
     adjacency tests on the index tuples and no vertex masks: the cells
     with a vertex neither u nor next to u are outside, and the star's
     ranks run r[-1] = 0, r[m + 1] = |St(u)_m| - r[m], up to r[dim + 1] = 0.
-    The reference of FlagComplex._star, which takes no scan for an apex."""
+    The reference of FlagComplex.star, which takes no scan for an apex."""
     g = f.graph
     outside, ranks = {}, {-1: 0}
     for m in range(-1, f.dim + 1):

@@ -352,7 +352,7 @@ def test_reduce_complex_builds_and_reduces_no_empty_degree(monkeypatch):
         key = [rng.randint(0, 1) for _ in range(g.n_vertices)]
         weight = {k: simplex_weights(f, key, k) for k in range(-1, f.dim + 3)}
         degrees = range(-1, f.dim + 3)
-        for cells in (None, *(f.outside_star(u) for u in range(g.n_vertices))):
+        for cells in (None, *(f.star(u).cells for u in range(g.n_vertices))):
             kept = cells or {k: range(f.count(k)) for k in range(-1, f.dim + 3)}
             empty = {m for m in degrees if not kept.get(m) or not kept.get(m - 1)}
             for weights in (None, weight):
@@ -414,17 +414,17 @@ def test_face_table_matches_the_tuple_enumeration():
 
 
 def test_closed_stars_match_the_tuple_enumeration():
-    # outside_star by adjacency tests on the index tuples, and star_ranks
+    # star(u).cells by adjacency tests on the index tuples, and its offsets
     # as the ranks of the boundary restricted to the star's own cells
     for g, f, oracle in code_cases():
         for u in range(g.n_vertices):
             near = {u} | {v for v in range(g.n_vertices) if g.adjacent(u, v)}
             outside = {d: [p for p, c in enumerate(oracle.get(d, [])) if not near.issuperset(c)] for d in range(-1, f.dim + 2)}
-            assert f.outside_star(u) == outside, u
+            assert f.star(u).cells == outside, u
             star = {d: [p for p in range(f.count(d)) if p not in outside.get(d, ())] for d in range(-2, f.dim + 2)}
             ranks = {m: rank_rational(boundary_matrix(f, m, cols=star[m], rows=star[m - 1], sparse=True), height=len(star[m - 1])) for m in range(0, f.dim + 2)}
-            assert f.star_ranks(u) == {-1: 0, **ranks}, u
-            assert f.star_ranks(u) is f.star_ranks(u)
+            assert f.star(u).offsets == {-1: 0, **ranks}, u
+            assert f.star(u) is f.star(u)
 
 
 def apex_cases():
@@ -447,15 +447,17 @@ def apex_cases():
 
 
 def test_apex_stars_match_a_scan_of_every_cell():
-    # an apex's closed star is the whole complex, so _star takes no scan
+    # an apex's closed star is the whole complex, so star takes no scan
     # for it; every vertex, apex or not, and those missing one neighbour
-    # among them, must match the scan of every cell
+    # among them, must match the scan of every cell, and the quotient is
+    # empty exactly when the scan keeps no cell
     apexes = near = 0
     for f in apex_cases():
         g = f.graph
         for u in range(g.n_vertices):
             outside, ranks = scan_star(f, u)
-            assert f.outside_star(u) == outside and f.star_ranks(u) == ranks, (g, u)
+            assert f.star(u).cells == outside and f.star(u).offsets == ranks, (g, u)
+            assert f.star(u).empty == (not any(outside.values())), (g, u)
             missing = sum(v != u and not g.adjacent(u, v) for v in range(g.n_vertices))
             if not missing:
                 apexes += 1
@@ -480,9 +482,9 @@ def test_cones_and_class_weights_match_the_tuple_enumeration():
                 most = max(through[i] for i in zeros)
                 u = min(i for i in zeros if through[i] == most)
                 ties += sum(through[i] == most for i in zeros) > 1
-                assert f.cone(key) == (u, f.outside_star(u), f.star_ranks(u)), key
+                assert f.cone(key) is f.star(u) and f.cone(key).coned == 1 << u, key
             else:
-                assert f.cone(key) == (None, {d: range(f.count(d)) for d in every}, dict.fromkeys(every, 0))
+                assert f.cone(key) == (0, {d: range(f.count(d)) for d in every}, dict.fromkeys(every, 0), False)
             for k in every:
                 weights = [sum(key[i] for i in c) for c in oracle.get(k, [])]
                 assert simplex_weights(f, key, k) == weights, (key, k)
@@ -503,7 +505,7 @@ def test_code_memos_across_threads_match_serial():
         dims = range(-1, f.dim + 2)
         return (
             [f.simplices(k) for k in dims],
-            [f.star_ranks(u) for u in order],
+            [f.star(u).offsets for u in order],
             [simplex_weights(f, keys[u], k) for u in order for k in dims],
         )
 

@@ -47,7 +47,7 @@ from artinkernels.crosscheck import (
     random_connected_graph,
     random_nonresonant_character,
 )
-from artinkernels.flagcomplex import reduce_complex
+from artinkernels.flagcomplex import Quotient, reduce_complex
 from artinkernels.formulas import _weight_pairs, anti_invariant_entry
 from artinkernels.linalg import reduce_columns
 from artinkernels.graphs import torsion_candidates, weight_classes
@@ -432,13 +432,13 @@ def star_apex(f, key):
 
 
 def expected_cone(f, key):
-    """FlagComplex.cone(key) by brute force: star_apex with its cells and
-    star ranks, or every cell and zero ranks when no vertex weighs 0."""
+    """FlagComplex.cone(key) by brute force: the star of star_apex, or
+    every cell, zero offsets and nothing coned when no vertex weighs 0."""
     apex = star_apex(f, key)
     if apex is None:
         every = range(-1, f.dim + 2)
-        return None, {k: range(f.count(k)) for k in every}, dict.fromkeys(every, 0)
-    return apex, f.outside_star(apex), f.star_ranks(apex)
+        return Quotient(0, {k: range(f.count(k)) for k in every}, dict.fromkeys(every, 0), False)
+    return f.star(apex)
 
 
 def anti_invariant_dims(f, entry, cells):
@@ -478,7 +478,7 @@ def test_quotient_by_a_weight_0_star_keeps_bars_and_anti_invariant_homology():
         entry = anti_invariant_entry(rho)
         dims = anti_invariant_dims(f, entry, None)
         for u in (i for i in range(n) if not key[i]):
-            cells = f.outside_star(u)
+            cells = f.star(u).cells
             for k in range(-1, f.dim + 2):
                 kept = [p for p, s in enumerate(f.simplices(k)) if not all(
                     g.adjacent(a, b) for a, b in itertools.combinations(set(s.indices) | {u}, 2))]
@@ -699,12 +699,14 @@ def test_an_empty_cone_has_no_bars_and_its_profile_is_still_checked(monkeypatch,
 
 
 def drop_shortest_bar(monkeypatch):
-    real = formulas._bars
+    # formula_decomposition reads the bar tables _class_bars returns
+    real = formulas._class_bars
 
-    def short_one(f, key, m):
-        return tuple(sorted(real(f, key, m), key=lambda bar: bar[0] - bar[1])[1:])
+    def short_one(f, key, cone):
+        tables = real(f, key, cone)
+        return {m: tuple(sorted(table, key=lambda bar: bar[0] - bar[1])[1:]) for m, table in tables.items()}
 
-    monkeypatch.setattr(formulas, "_bars", short_one)
+    monkeypatch.setattr(formulas, "_class_bars", short_one)
 
 
 def test_a_dropped_bar_trips_the_count_guard(monkeypatch, kite):
@@ -977,7 +979,7 @@ def test_shared_complex_across_threads_matches_serial():
     keys = [tuple(int(i == u) for i in range(n)) for u in range(n)] + [(0,) * n, (1,) * n]
     expected_cells = [build_flag_complex(g).cone(key) for key in keys]
     assert expected_cells[-1] == expected_cone(serial_complex, keys[-1])
-    expected_stars = [build_flag_complex(g).outside_star(u) for u in range(n)]
+    expected_stars = [build_flag_complex(g).star(u) for u in range(n)]
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -988,10 +990,11 @@ def test_shared_complex_across_threads_matches_serial():
             def work(slot):
                 # the first boundary_rank call fills every degree of fresh;
                 # a racing thread must never read a partial table, nor a
-                # partial star count or cell list of starred
+                # partial Quotient of starred, which it compares by ==:
+                # two racing threads may store equal but distinct values
                 betti[slot] = [free_rank_check(fresh, k) for k in range(-1, fresh.dim + 2)]
                 cells[slot] = [starred.cone(key) for key in keys[slot:] + keys[:slot]]
-                cells[slot] += [starred.outside_star((slot - j) % n) for j in range(n)]
+                cells[slot] += [starred.star((slot - j) % n) for j in range(n)]
                 results[slot] = formula_decomposition(shared, chi, orders)
 
             threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]

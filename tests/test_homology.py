@@ -434,8 +434,8 @@ def test_rank_drop_at_t_1_trips_the_order_1_guard(monkeypatch, kite):
     g, chi = kite
     f = build_flag_complex(g)
     assert full_decomposition(f, chi)[1].torsion[1] == (5,)
-    u, _, star = f.cone((0,) * g.n_vertices)
-    assert star == f.star_ranks(u) and star[1] == 3
+    whole = f.cone((0,) * g.n_vertices)
+    assert whole == f.star(whole.coned.bit_length() - 1) and whole.offsets[1] == 3
     real = homology.reduce_complex
 
     def rank_lost_at_t_1(f, degrees, entry=None, **kwargs):
@@ -458,8 +458,8 @@ def test_an_empty_cone_calls_no_local_smith_form(monkeypatch, apex_over_5_cycle)
     classes = weight_classes(g, chi, torsion_candidates(chi))
     assert len(classes) == 4
     for key in [(0,) * g.n_vertices, *classes]:
-        u, cells, _ = f.cone(key)
-        assert g.vertices[u] == "c" and not any(cells.values()), key
+        cone = f.cone(key)
+        assert cone.coned == 1 << g.index("c") and cone.empty and not any(cone.cells.values()), key
     calls = []
     real = homology.local_smith_valuations
     monkeypatch.setattr(homology, "local_smith_valuations", lambda *args: calls.append(args) or real(*args))
@@ -481,8 +481,8 @@ def test_a_tampered_star_rank_trips_the_pivot_count_guard_of_an_empty_quotient(m
     real = f.cone
 
     def short_star(key):
-        u, cells, star = real(key)
-        return (u, cells, {**star, 2: star[2] - 1}) if any(key) else (u, cells, star)
+        cone = real(key)
+        return cone._replace(offsets={**cone.offsets, 2: cone.offsets[2] - 1}) if any(key) else cone
 
     monkeypatch.setattr(f, "cone", short_star)
     with pytest.raises(ConsistencyError, match="0 local pivots below s\\^4 for rank 1"):
@@ -496,7 +496,7 @@ def test_a_tampered_betti_number_trips_the_summand_count_guard_of_an_empty_quoti
     g, chi = apex_over_5_cycle
     f = build_flag_complex(g)
     orders = candidate_torsion_orders(chi)
-    assert all(not any(f.cone(key)[1].values()) for key in weight_classes(g, chi, orders))
+    assert all(not any(f.cone(key).cells.values()) for key in weight_classes(g, chi, orders))
     homology.boundary_rank(f, 0)
     f.boundary_ranks = {**f.boundary_ranks, 1: f.boundary_ranks[1] - 1}
     assert free_rank_check(f, 0) == 1
@@ -538,7 +538,7 @@ def test_apex_classes_agree_with_the_public_readers_and_the_raw_smith_form():
         fresh = build_flag_complex(g)
         apexes = [u for u in range(g.n_vertices) if all(g.adjacent(u, v) for v in range(g.n_vertices) if v != u)]
         for key, ds in weight_classes(g, chi, orders).items():
-            if not any(fresh.cone(key)[1].values()):
+            if not any(fresh.cone(key).cells.values()):
                 empty += 1
             elif all(key[u] for u in apexes):
                 apex_one += 1
@@ -557,23 +557,23 @@ def test_apex_classes_agree_with_the_public_readers_and_the_raw_smith_form():
 
 
 def star_cells(f, u, k):
-    outside = set(f.outside_star(u).get(k, ()))
+    outside = set(f.star(u).cells.get(k, ()))
     return [p for p in range(f.count(k)) if p not in outside]
 
 
 def test_coned_ranks_plus_star_ranks_are_the_full_ranks():
     # every label is nonzero, so the closed star of any vertex is a cone
-    # under the untwisted boundary and both rank hooks: its rank is the
-    # alternating count of star_ranks, and the quotient's rank plus it is
-    # the full complex's, in every degree
+    # under the untwisted boundary and both rank hooks: its rank, the
+    # offsets of star(u), is an alternating count of its cells, and the
+    # quotient's rank plus it is the full complex's, in every degree
     nonzero = 0
     for f, chi in random_inputs(101, 30, 7, 60):
         degrees = range(-1, f.dim + 2)
         for entry in (None, *homology.rank_entries(chi)):
             full = reduce_complex(f, degrees, entry=entry)
             for u in range(f.graph.n_vertices):
-                star = f.star_ranks(u)
-                coned = reduce_complex(f, degrees, entry=entry, cells=f.outside_star(u))
+                star = f.star(u).offsets
+                coned = reduce_complex(f, degrees, entry=entry, cells=f.star(u).cells)
                 for k in degrees:
                     rows = star_cells(f, u, k - 1)
                     assert oracle_rank(boundary_matrix(f, k, cols=star_cells(f, u, k), rows=rows, entry=entry)) == star[k]
@@ -585,7 +585,7 @@ def test_coned_ranks_plus_star_ranks_are_the_full_ranks():
 def coned_valuations(f, key, m, u=None):
     """Local valuations of the degree-m graded boundary of the weight
     class key, on the quotient by St(u), or on the full complex for None."""
-    kept = {k: range(f.count(k)) for k in (m - 1, m)} if u is None else f.outside_star(u)
+    kept = {k: range(f.count(k)) for k in (m - 1, m)} if u is None else f.star(u).cells
     cols = boundary_matrix(f, m, cols=kept[m], rows=kept[m - 1], sparse=True)
     return local_smith_valuations(cols, simplex_weights(f, key, m, kept[m]), simplex_weights(f, key, m - 1, kept[m - 1]), m + 2)
 
@@ -603,7 +603,7 @@ def test_coned_local_valuations_keep_every_positive_valuation():
                 for u in (i for i, x in enumerate(key) if not x):
                     vals = coned_valuations(f, key, m, u)
                     assert sorted(v for v in vals if v) == sorted(v for v in full if v), (key, m, u)
-                    assert len(vals) == len(full) - f.star_ranks(u)[m], (key, m, u)
+                    assert len(vals) == len(full) - f.star(u).offsets[m], (key, m, u)
                     positive += sum(1 for v in vals if v)
     assert positive > 300
 
