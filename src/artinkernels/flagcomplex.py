@@ -355,7 +355,8 @@ def reduce_complex(
 
 
 def simplex_weight(sigma: Simplex, w: WeightFunction) -> int:
-    """Sum of the vertex weights; the empty simplex weighs 0."""
+    """Sum of the vertex weights; the empty simplex weighs 0.  The
+    Simplex-level reading of simplex_weights."""
     return sum(w[v] for v in sigma.vertices)
 
 
@@ -375,8 +376,8 @@ def simplex_weights(f: FlagComplex, key: Sequence[int], k: int, positions: Optio
 
 
 def total_weight(f: FlagComplex, w: WeightFunction, k: int) -> int:
-    """Total weight of the set of k-simplices."""
-    return sum(simplex_weight(s, w) for s in f.simplices(k))
+    """Total weight of the set of k-simplices, read off their codes."""
+    return sum(simplex_weights(f, [w[v] for v in f.graph.vertices], k))
 
 
 @dataclass(frozen=True)
@@ -394,12 +395,9 @@ class FiltrationLevel:
     _top: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        top = tuple(
-            p
-            for p, s in enumerate(self.complex.simplices(self.m))
-            if simplex_weight(s, self.weight) <= self.j
-        )
-        object.__setattr__(self, "_top", top)
+        f = self.complex
+        weights = simplex_weights(f, [self.weight[v] for v in f.graph.vertices], self.m)
+        object.__setattr__(self, "_top", tuple(p for p, x in enumerate(weights) if x <= self.j))
 
     def positions(self, dim: int) -> Sequence[int]:
         """Positions in the complex of the level's dim-simplices."""

@@ -318,16 +318,15 @@ def c_rank(f: FlagComplex, w: WeightFunction, k: int, i: int, j: int) -> int:
     return sum(1 for weight, lead in _weight_pairs(f, w, k + 1) if lead <= j and weight > i - 1)
 
 
-def max_exponent(f: FlagComplex, w: WeightFunction, k: int, summands: int) -> int:
+def max_exponent(f: FlagComplex, w: WeightFunction, k: int) -> int:
     """Largest exponent j with a summand of exponent j in degree k+1, 0
     when there is no torsion: the longest bar.
 
     It is the largest level gap q - p + 1 over nonzero located-cycle
     ranks (target level q, source level p).  A paired tau counts in those
     ranks exactly when lead weight <= p and q < weight, so the largest gap
-    is the largest weight - lead weight.  The bars alone give it, so
-    summands, the double cover's summand count, is not read; _profile
-    checks that count against the bars.
+    is the largest weight - lead weight.  The bars alone give it;
+    _profile checks the double cover's summand count against them.
     """
     _check_degree(f, k)
     return max((weight - lead for weight, lead in _weight_pairs(f, w, k + 1)), default=0)

@@ -146,13 +146,18 @@ class CharacterClass(enum.Enum):
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """0/1 vertex weights marking the labels divisible by `order`."""
+    """0/1 vertex weights marking the labels divisible by `order`; any
+    other weight raises InputError."""
 
     weights: Mapping[str, int]
     order: int
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", dict(self.weights))
+        weights = dict(self.weights)
+        for v, x in weights.items():
+            if x not in (0, 1):
+                raise InputError(f"vertex weights must be 0 or 1, got {x!r} at {v!r}")
+        object.__setattr__(self, "weights", weights)
 
     def __getitem__(self, v: str) -> int:
         return self.weights[v]

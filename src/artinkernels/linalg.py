@@ -6,8 +6,9 @@ Over Q there is one elimination, reduce_columns.  It takes integer
 columns held sparse, as dicts from row to nonzero entry, the form in
 which flagcomplex.boundary_matrix reads them off the face table, and
 reduces each against the earlier pivot that owns its least row, as the
-standard persistence reduction does.  Ranks, leads, kernels, span
-intersections and incremental independence tests all run on it.  Dense
+standard persistence reduction does.  Ranks, leads, kernels and span
+intersections all run on it; a caller that tests vectors for
+independence one at a time carries the pivots dict across calls.  Dense
 rows are read as vectors too; only a vector holding a Fraction is scaled
 by its common denominator, so the arithmetic never leaves the integers.
 Each reduced column is divided by its content.  Unlike Bareiss
@@ -26,14 +27,8 @@ characters, whose exponents there have a known bound.
 
 Polynomial matrices hold integer coefficient sequences only (constant
 term first), as the twisted boundaries are built.  The Smith form over
-Q[t] serves degenerate characters and is the oracle of the local path.  A
-matrix with at most one row or column (every boundary out of the
-vertices is one) has at most one invariant factor, the gcd of its
-entries, so it is not eliminated: the entries are folded into a gcd
-(_fold_gcd), which skips every entry the running gcd divides exactly and
-takes the primitive gcd of polys only on a remainder, and its content,
-sign and power of t are stripped.  A larger matrix is eliminated on
-plain-int coefficient lists with the arithmetic of polys
+Q[t] serves degenerate characters and is the oracle of the local path.
+It eliminates on plain-int coefficient lists with the arithmetic of polys
 (pseudo-division, exact quotients, primitive gcd).  It diagonalizes with degree-minimal pivoting
 (ties broken by coefficient height, then position) by Euclidean steps:
 an entry is reduced by a pseudo-quotient multiple of the pivot line, and
@@ -54,12 +49,18 @@ as homology.smith_decomposition knows the kernel rank of the boundary
 below from d∘d = 0, stops the elimination one pivot early: the trailing
 block B left after bound - 1 pivots has rank at most 1, B = c*u*v^T, and
 its one invariant factor c is gcd(row p) * gcd(col q) / B_pq at the
-pivot (p, q) the elimination would take, both gcds folded from B_pq.
-The last passes, on the most swollen entries, are skipped, and by the
-uniqueness of the Smith form the factors are unchanged.  Every move is unimodular over the Laurent ring
-Q[t^±1], where nonzero constants and powers of t are units, and the
-reported invariant factors are monic with their t-power content
-stripped, the normalization of that ring.
+pivot (p, q) the elimination would take, both gcds folded from B_pq
+(_fold_gcd, which skips every entry the running gcd divides exactly and
+takes the primitive gcd of polys only on a remainder).  The last
+passes, on the most swollen entries, are skipped, and by the uniqueness
+of the Smith form the factors are unchanged.  A matrix with at most one
+row or column (every boundary out of the vertices is one) closes at
+t = 0 under any positive bound: its one-entry column or row folds to
+the pivot itself, so its factor is the gcd of its entries.  Unbounded,
+it is eliminated like any other matrix.  Every move is unimodular over
+the Laurent ring Q[t^±1], where nonzero constants and powers of t are
+units, and the reported invariant factors are monic with their t-power
+content stripped, the normalization of that ring.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .graphs import ConsistencyError
-from .polys import ONE, ExactPoly, _exquo, _gcd, _mul, _pdivmod, _submul, _terms, _trim
+from .polys import ExactPoly, _exquo, _gcd, _mul, _pdivmod, _submul, _terms, _trim
 
 _INT = frozenset((int,))
 
@@ -225,35 +226,17 @@ def intersect_spans(a_cols: Sequence[Sequence], b_cols: Sequence[Sequence]) -> l
     for j, col in enumerate(stacked):
         for r, x in col.items():
             rows.setdefault(r, {})[j] = x
-    inc = IncrementalRank(len(a_cols[0]))
+    pivots: dict[int, dict[int, int]] = {}
     basis: list[list[int]] = []
     for vec in nullspace(list(rows.values()), len(stacked)):
-        combo = [0] * inc.dim
+        combo = [0] * len(a_cols[0])
         for coef, col in zip(vec, a):
             if coef:
                 for r, x in col.items():
                     combo[r] += coef * x
-        if inc.add(combo):
+        if reduce_columns([combo], pivots)[0] is not None:
             basis.append(_primitive(combo))
     return basis
-
-
-class IncrementalRank:
-    """A growing independent set of vectors over Q, as the pivots of one
-    column reduction."""
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self._pivots: dict[int, dict[int, int]] = {}  # lead -> reduced column
-
-    @property
-    def rank(self) -> int:
-        return len(self._pivots)
-
-    def add(self, vec) -> bool:
-        """Add vec (dense or sparse) if independent from the current set;
-        True when added."""
-        return reduce_columns([vec], self._pivots)[0] is not None
 
 
 # ---------------------------------------------------------------------------
@@ -442,14 +425,15 @@ def _factor(d: list[int]) -> ExactPoly:
 
 def _fold_gcd(g: list[int], entries: Iterable[list[int]]) -> list[int]:
     """A gcd over Q[t] of g and the entries, up to a nonzero rational: an
-    entry g divides exactly is skipped, and only one that leaves a
-    pseudo-remainder r takes the primitive gcd of g and r (polys._gcd).
-    g comes back as it is when it divides every entry, and the fold stops
-    at a constant.  g and the nonzero entries carry no trailing zeros."""
+    entry g divides exactly is skipped, g itself with no division, and
+    only one that leaves a pseudo-remainder r takes the primitive gcd of
+    g and r (polys._gcd).  g comes back as it is when it divides every
+    entry, and the fold stops at a constant.  g and the nonzero entries
+    carry no trailing zeros."""
     for e in entries:
         if len(g) == 1:
             break
-        if e:
+        if e and e is not g:
             r = _pdivmod(e, g)[2]
             if r:
                 g = _gcd(g, r)
@@ -462,10 +446,12 @@ def _close_rank_one(a: list[list[list[int]]], t: int, p: int, q: int) -> list[in
 
     B = c * u * v^T with u and v of gcd 1 over Q[t], so row p has the gcd
     c * u_p, col q has c * v_q and B_pq = c * u_p * v_q.  Both folds start
-    from B_pq.  A remainder in the final division shows a block of higher
-    rank: ConsistencyError.  A block of higher rank can also divide
-    exactly, so this guard is partial; the rank bound itself is the
-    caller's."""
+    from B_pq, so on a block of one row or column the fold across its one
+    entry returns B_pq itself and the factor is the other fold, the gcd
+    of the line.  A remainder in the final division shows a block of
+    higher rank: ConsistencyError.  A block of higher rank can also
+    divide exactly, so this guard is partial; the rank bound itself is
+    the caller's."""
     b = a[p][q]
     g_row = _fold_gcd(b, a[p][t:])
     g_col = _fold_gcd(b, (row[q] for row in a[t:]))
@@ -481,21 +467,6 @@ def _close_rank_one(a: list[list[list[int]]], t: int, p: int, q: int) -> list[in
     return c
 
 
-def _line_smith(matrix: Sequence[Sequence[Sequence[int]]], nrows: int, ncols: int) -> SmithForm:
-    """Smith form of a matrix with at most one row or column: its one
-    invariant factor, if any entry is nonzero, is the gcd of the entries
-    (_fold_gcd from the first nonzero one), made primitive with a positive
-    leading coefficient and its power of t stripped."""
-    nonzero = filter(None, (_trim(list(e)) if e and not e[-1] else e for row in matrix for e in row))
-    g = next(nonzero, None)
-    if g is None:
-        return SmithForm(invariant_factors=(), rank=0, nrows=nrows, ncols=ncols)
-    g = _fold_gcd(g, nonzero)
-    if len(g) == 1:
-        return SmithForm(invariant_factors=(ONE,), rank=1, nrows=nrows, ncols=ncols)
-    return SmithForm(invariant_factors=(_factor(_normal(g)),), rank=1, nrows=nrows, ncols=ncols)
-
-
 def smith_normal_form(
     matrix: Sequence[Sequence[Sequence[int]]], ncols: Optional[int] = None, rank_bound: Optional[int] = None
 ) -> SmithForm:
@@ -504,16 +475,16 @@ def smith_normal_form(
 
     ncols is only needed when the matrix has no rows.  Every move is
     unimodular over the Laurent ring Q[t^±1]: rows and columns are
-    divided by their content and t-power after every step.  A matrix
-    with at most one row or column is not eliminated: its one invariant
-    factor is the gcd of its entries (_line_smith).
+    divided by their content and t-power after every step.
 
     rank_bound, when given, must bound the rank over Q(t), as the
     kernel rank of the boundary below bounds a boundary's in a chain
     complex.  The diagonalization then stops at the bound: once the
     pivots number one less, the trailing block left has rank at most 1,
     so a nonzero one is closed by its one invariant factor
-    (_close_rank_one) instead of its last row and column passes.  By the
+    (_close_rank_one) instead of its last row and column passes.  A
+    matrix with at most one row or column closes at t = 0, its factor
+    the gcd of its entries; unbounded, it is eliminated.  By the
     uniqueness of the Smith form the factors are those of the full
     elimination.  A nonzero matrix with a bound of 0 raises
     ConsistencyError, as does a closure whose division leaves a
@@ -528,8 +499,6 @@ def smith_normal_form(
         if any(any(e) for row in matrix for e in row):
             raise ConsistencyError(f"a nonzero matrix with rank bound {rank_bound}")
         return SmithForm(invariant_factors=(), rank=0, nrows=nrows, ncols=ncols)
-    if nrows <= 1 or ncols <= 1:
-        return _line_smith(matrix, nrows, ncols)
     a = [[e if not e or e[-1] else _trim(list(e)) for e in row] for row in matrix]
 
     # phase 1: diagonalize (no divisibility enforcement); a division

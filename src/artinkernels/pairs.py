@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from .flagcomplex import FlagComplex, Simplex, boundary_matrix, simplex_weight, total_weight
 from .graphs import ConsistencyError, InputError, WeightFunction
-from .linalg import IncrementalRank, nullspace, rank_rational, span_rank
+from .linalg import nullspace, rank_rational, reduce_columns, span_rank
 
 
 @dataclass
@@ -98,26 +98,19 @@ def minimal_acyclic_pair(f: FlagComplex, w: WeightFunction, k: int) -> AcyclicPa
     boundary column grows the rank; matroid greediness makes any
     per-level maximal choice weight-minimal.  L: scan k-simplices the
     same way and keep those staying independent from the boundary image
-    and the earlier picks.
+    and the earlier picks.  Both scans are reduce_columns calls on one
+    pivots dict, the second on the unit vectors of the k-simplices.
     """
     n_k = f.count(k)
-    rank_inc = IncrementalRank(n_k)
-    chosen_k: list[Simplex] = []
-    order_k = sorted(
-        f.simplices(k + 1), key=lambda s: (simplex_weight(s, w), s.indices)
-    )
-    for sigma, col in zip(order_k, _boundary_columns(f, k, order_k)):
-        if rank_inc.add(col):
-            chosen_k.append(sigma)
+    pivots: dict[int, dict[int, int]] = {}
+    order_k = sorted(f.simplices(k + 1), key=lambda s: (simplex_weight(s, w), s.indices))
+    leads = reduce_columns(_boundary_columns(f, k, order_k), pivots)
+    chosen_k = [sigma for sigma, lead in zip(order_k, leads) if lead is not None]
 
-    image_rank = rank_inc.rank
-    chosen_l: list[Simplex] = []
+    image_rank = len(pivots)
     order_l = sorted(f.simplices(k), key=lambda s: (simplex_weight(s, w), s.indices))
-    for tau in order_l:
-        vec = [0] * n_k
-        vec[f.position(k, tau.indices)] = 1
-        if rank_inc.add(vec):
-            chosen_l.append(tau)
+    leads = reduce_columns(({f.position(k, tau.indices): 1} for tau in order_l), pivots)
+    chosen_l = [tau for tau, lead in zip(order_l, leads) if lead is not None]
 
     if len(chosen_l) != n_k - image_rank:
         raise ConsistencyError("greedy complement has the wrong size")

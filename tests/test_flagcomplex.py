@@ -6,6 +6,8 @@ import sys
 import threading
 from itertools import combinations
 
+import pytest
+
 from artinkernels import (
     Simplex,
     boundary_matrix,
@@ -17,7 +19,7 @@ from artinkernels import (
     simplex_weight,
     total_weight,
 )
-from artinkernels import Character, WeightFunction, relative_betti, twisted_boundary
+from artinkernels import Character, InputError, WeightFunction, relative_betti, twisted_boundary
 from artinkernels import flagcomplex
 from artinkernels.crosscheck import random_connected_graph
 from artinkernels.flagcomplex import level_boundary_matrix, reduce_complex, simplex_weights
@@ -163,6 +165,26 @@ def test_total_weight():
     f = build_flag_complex(g)
     assert total_weight(f, derive_weight(chi, 6), 0) == 2
     assert total_weight(f, derive_weight(chi, 1000), 0) == 0
+    # read off the codes, as the Simplex-level sum gives it
+    rng = random.Random(19)
+    for _ in range(40):
+        g = random_connected_graph(rng, 7)
+        f = build_flag_complex(g)
+        w = WeightFunction({v: rng.randint(0, 1) for v in g.vertices}, 2)
+        for k in range(-1, f.dim + 1):
+            assert total_weight(f, w, k) == sum(simplex_weight(s, w) for s in f.simplices(k))
+
+
+def test_weight_functions_reject_weights_other_than_0_and_1():
+    # a weight of 2 at a on the path a-b-c would give the edges the
+    # weights [2, 1] by simplex_weight and [1, 1] by the codes' popcount
+    for bad in (2, -1, 3):
+        with pytest.raises(InputError, match="0 or 1"):
+            WeightFunction({"a": bad, "b": 0, "c": 1}, 2)
+    w = WeightFunction({"a": 1, "b": 0, "c": 1}, 2)
+    f = build_flag_complex(SimplicialGraph(["a", "b", "c"], [("a", "b"), ("b", "c")]))
+    assert simplex_weights(f, (1, 0, 1), 1) == [simplex_weight(s, w) for s in f.simplices(1)] == [1, 1]
+    assert total_weight(f, w, 0) == 2
 
 
 def test_filtration_levels_square_frame():

@@ -301,21 +301,21 @@ def test_c_rank_examples():
 
 def test_max_exponent_examples():
     f, w, chi = w2(make_square_frame())
-    assert max_exponent(f, w, 1, summands_of(f, chi, 2, 1)) == 3
+    assert max_exponent(f, w, 1) == 3
     f, w, chi = w2(make_triforce())
-    assert max_exponent(f, w, 1, summands_of(f, chi, 2, 1)) == 2
+    assert max_exponent(f, w, 1) == 2
     g, chi = make_tree()
     f = build_flag_complex(g)
-    assert max_exponent(f, derive_weight(chi, 2), 0, summands_of(f, chi, 2, 0)) == 1
-    assert max_exponent(f, derive_weight(chi, 6), 0, summands_of(f, chi, 6, 0)) == 2
+    assert max_exponent(f, derive_weight(chi, 2), 0) == 1
+    assert max_exponent(f, derive_weight(chi, 6), 0) == 2
 
 
 def test_max_exponent_reads_the_bars_alone():
-    # the kite's order-2 class has two bars of length 2 in degree 1, and
-    # a summand count of 0, 1, 2 or 3 leaves its largest exponent at 2
+    # the kite's order-2 class has two bars of length 2 in degree 1, so
+    # its largest exponent is 2
     f, w, chi = w2(make_kite())
     assert _weight_pairs(f, w, 1) == ((2, 0), (2, 0)) and summands_of(f, chi, 2, 0) == 2
-    assert [max_exponent(f, w, 0, s) for s in range(4)] == [2, 2, 2, 2]
+    assert max_exponent(f, w, 0) == 2
 
 
 def per_level_weighted_sum(f, w, k):
@@ -352,7 +352,7 @@ def test_weight_pair_readers_match_level_oracles():
             for (p, q), rank in ranks.items():
                 assert c_rank(f, w, k, q + 1, p) == rank, (trial, k, p, q)
             gaps = [q - p + 1 for (p, q), rank in ranks.items() if q <= k + 1 and rank > 0]
-            assert max_exponent(f, w, k, summands=2) == max(gaps, default=0), (trial, k)
+            assert max_exponent(f, w, k) == max(gaps, default=0), (trial, k)
             checked += 1
     assert checked > 300
 
@@ -538,7 +538,7 @@ def test_formula_readers_reject_degrees_out_of_range(make):
             lambda: weighted_exponent_sum(f, w, k),
             lambda: top_jordan_count(f, w, k),
             lambda: c_rank(f, w, k, 1, 0),
-            lambda: max_exponent(f, w, k, 1),
+            lambda: max_exponent(f, w, k),
             lambda: torsion_profile(f, chi, 2, k, 1),
         ):
             with pytest.raises(InputError, match="degree index"):
@@ -928,7 +928,7 @@ def test_profiles_shared_per_weight_class_match_fresh_profiles():
                     assert profile.summand_count == counts[k]
                     assert profile.weighted_sum == weighted_exponent_sum(alone, w, k)
                     assert profile.top_count == top_jordan_count(alone, w, k)
-                    assert profile.max_exponent == max_exponent(alone, w, k, counts[k])
+                    assert profile.max_exponent == max_exponent(alone, w, k)
                     assert profile.exponents == profiles[k + 1][ds[0]].exponents
                     shared_tops += profile.top_count > 0
                     shared_multiples += profile.summand_count > 1

@@ -305,8 +305,10 @@ def assert_bounded_smith_forms_match(f, dense):
     """The Smith form under the rank bound count(k - 1) - rank D_{k-1}
     equals the unbounded one in every degree; returns how many of them
     the bound cut below the matrix's smaller side with the bound met,
-    where the rank-1 closure does work the unbounded form would not."""
-    cut = 0
+    where the rank-1 closure does work the unbounded form would not, and
+    how many are lines (one row or column) with a nonzero factor, which
+    the bound closes at t = 0 and the unbounded form eliminates."""
+    cut = lines = 0
     below = 0
     for k in range(-1, f.dim + 2):
         bound = f.count(k - 1) - below
@@ -314,8 +316,9 @@ def assert_bounded_smith_forms_match(f, dense):
         assert smith_normal_form(dense[k], ncols=f.count(k), rank_bound=bound) == want
         assert want.rank <= bound
         cut += want.rank == bound < min(f.count(k - 1), f.count(k))
+        lines += want.rank == 1 == min(f.count(k - 1), f.count(k))
         below = want.rank
-    return cut
+    return cut, lines
 
 
 def test_rank_bounded_smith_forms_match_unbounded():
@@ -324,15 +327,17 @@ def test_rank_bounded_smith_forms_match_unbounded():
     # characters whose boundaries hold zero entries are included
     rng = random.Random(67)
     labels = [n for n in range(-12, 13) if n] + [0] * 3
-    cut = 0
+    cut = lines = 0
     for _ in range(300):
         g = random_connected_graph(rng, 6)
         chi = Character({v: rng.choice(labels) for v in g.vertices})
         f = build_flag_complex(g)
         sparse, dense = integer_boundaries(f, chi)
         assert_chain_complex(f, sparse)
-        cut += assert_bounded_smith_forms_match(f, dense)
-    assert cut >= 200
+        counted = assert_bounded_smith_forms_match(f, dense)
+        cut += counted[0]
+        lines += counted[1]
+    assert cut >= 200 and lines >= 400
 
 
 def test_rank_bounded_smith_forms_of_the_swelling_k6():
@@ -344,8 +349,9 @@ def test_rank_bounded_smith_forms_of_the_swelling_k6():
     f = build_flag_complex(g)
     sparse, dense = integer_boundaries(f, chi)
     assert_chain_complex(f, sparse)
-    # the bound is met below the smaller side in degrees 1 to 4
-    assert assert_bounded_smith_forms_match(f, dense) == 4
+    # the bound is met below the smaller side in degrees 1 to 4, and
+    # degrees 0 and 5 are lines
+    assert assert_bounded_smith_forms_match(f, dense) == (4, 2)
 
 
 # -- local Smith forms against the raw Smith forms over Q[t] -------------------
@@ -551,7 +557,7 @@ def test_apex_classes_agree_with_the_public_readers_and_the_raw_smith_form():
                     assert counts[k] == sum(vec)
                     assert weighted_exponent_sum(fresh, w, k) == sum(j * r for j, r in enumerate(vec, start=1))
                     assert top_jordan_count(fresh, w, k) == (vec[k + 1] if len(vec) > k + 1 else 0)
-                    assert max_exponent(fresh, w, k, counts[k]) == len(vec)
+                    assert max_exponent(fresh, w, k) == len(vec)
                     assert free_rank_check(fresh, k) == direct[k + 1].free_rank
     assert empty > 1000 and apex_one > 60 and apex_one_torsion > 50, (empty, apex_one, apex_one_torsion)
 

@@ -13,7 +13,6 @@ import pytest
 
 from artinkernels import ConsistencyError, build_flag_complex, boundary_matrix
 from artinkernels.linalg import (
-    IncrementalRank,
     intersect_spans,
     local_smith_valuations,
     nullspace,
@@ -113,11 +112,13 @@ def test_span_helpers():
 
 
 def test_incremental_rank():
-    inc = IncrementalRank(3)
-    assert inc.add([1, 0, 0])
-    assert not inc.add([2, 0, 0])
-    assert inc.add([1, 1, 0])
-    assert inc.rank == 2
+    # one reduce_columns call per vector, on one pivots dict carried
+    # across the calls, tests each vector against those kept before it
+    pivots = {}
+    assert reduce_columns([[1, 0, 0]], pivots)[0] is not None
+    assert reduce_columns([[2, 0, 0]], pivots)[0] is None
+    assert reduce_columns([{0: 1, 1: 1}], pivots)[0] is not None
+    assert len(pivots) == 2
 
 
 # -- integer kernels against the oracle ----------------------------------------
@@ -211,14 +212,14 @@ def test_intersect_spans_of_cycles_and_boundaries():
 
 def test_incremental_rank_matches_oracle():
     for mat in property_matrices(43):
-        inc = IncrementalRank(len(mat[0]))
+        pivots = {}
         added = []
         for row in mat + [[0] * len(mat[0])]:
-            before = inc.rank
-            grew = inc.add(row)
+            before = len(pivots)
+            grew = reduce_columns([row], pivots)[0] is not None
             added.append(row)
-            assert inc.rank == oracle_rank(added)
-            assert grew == (inc.rank == before + 1)
+            assert len(pivots) == oracle_rank(added)
+            assert grew == (len(pivots) == before + 1)
 
 
 def test_reduce_columns_with_height_match_prefix_ranks():
@@ -463,11 +464,13 @@ def test_snf_determinantal_divisors_of_twisted_boundaries():
 
 
 def test_snf_of_one_row_or_column_against_determinantal_divisors():
-    # a matrix with at most one row or column is not eliminated: its one
-    # invariant factor is the gcd of its entries.  The entries have zeros,
+    # a matrix with at most one row or column has one invariant factor,
+    # the gcd of its entries.  Unbounded, it is eliminated; under a rank
+    # bound, as every boundary out of the vertices is taken, it closes at
+    # t = 0 by the gcd folds of _close_rank_one.  The entries have zeros,
     # t-power content, negative leading coefficients and more than two
-    # terms; padding the matrix with zeros to two rows and two columns,
-    # which the elimination takes, changes no invariant factor.
+    # terms; padding the matrix with zeros to two rows and two columns
+    # changes no invariant factor.
     rng = random.Random(37)
     shapes = {"row": 0, "column": 0, "t-power": 0, "negative": 0}
     for trial in range(300):
@@ -489,6 +492,7 @@ def test_snf_of_one_row_or_column_against_determinantal_divisors():
             ints.append(row)
         snf = smith_normal_form(ints)
         assert (snf.nrows, snf.ncols) == (rows, cols)
+        assert smith_normal_form(ints, rank_bound=1) == snf == smith_normal_form(ints, rank_bound=n + 1)
         mat = [[ExactPoly(e) for e in row] for row in ints]
         assert_determinantal_divisors(mat, snf)
         nonzero = [e for row in mat for e in row if not e.is_zero()]
